@@ -21,11 +21,17 @@ confirms that numerically.
 Condition failure never aborts a computation: reports carry
 ``certified=False`` together with the numeric values so that near-misses
 stay inspectable.
+
+Every public function validates its inputs once, at the edge (``_validated``),
+then computes each quantity once, on arrays, in a private kernel over the
+selected member rows: the coefficients <x, e_i> by one matvec with the weights
+folded in, ||x||^2, the residual, both condition slacks and the deviation.
+Public functions never call one another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,11 +40,12 @@ from .space import (
     OrthonormalFamily,
     SpaceContext,
     Vector,
+    _coefficients,
+    _inner,
+    _norm,
+    _norm_sq,
     as_vector,
-    combination,
-    fourier_coefficients,
     index_set,
-    inner_product,
     norm,
     require_certified,
 )
@@ -55,28 +62,32 @@ class CoefficientBox:
 
     ``indices`` are 0-based member positions; ``lower`` and ``upper`` are
     aligned with them.  ``half_diameter_sq`` = (1/4) sum_i |Phi_i - phi_i|^2
-    is computed once at construction.
+    and the read-only endpoint arrays ``lower_array`` / ``upper_array`` are
+    computed once at construction.
     """
 
     indices: tuple[int, ...]
     lower: tuple[complex, ...]
     upper: tuple[complex, ...]
     half_diameter_sq: float = field(init=False)
+    lower_array: np.ndarray = field(init=False, repr=False)
+    upper_array: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.indices:
             raise ValueError("box must cover a nonempty index set")
         if len(self.lower) != len(self.indices) or len(self.upper) != len(self.indices):
             raise ValueError("lower/upper must have exactly one entry per index")
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-        object.__setattr__(self, "lower", tuple(complex(v) for v in self.lower))
-        object.__setattr__(self, "upper", tuple(complex(v) for v in self.upper))
-        if not all(np.isfinite([v.real, v.imag]).all() for v in self.lower + self.upper):
-            raise ValueError("box endpoints must be finite")
+        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
+        for name in ("lower", "upper"):
+            endpoints = np.array(getattr(self, name), dtype=np.complex128)
+            if not np.isfinite(endpoints).all():
+                raise ValueError("box endpoints must be finite")
+            endpoints.setflags(write=False)
+            object.__setattr__(self, name, tuple(endpoints.tolist()))
+            object.__setattr__(self, f"{name}_array", endpoints)
         diff = self.upper_array - self.lower_array
-        object.__setattr__(
-            self, "half_diameter_sq", float(0.25 * np.sum(np.abs(diff) ** 2))
-        )
+        object.__setattr__(self, "half_diameter_sq", 0.25 * float(np.vdot(diff, diff).real))
 
     @classmethod
     def from_maps(
@@ -97,15 +108,7 @@ class CoefficientBox:
         """Box with endpoints midpoint -/+ half_width per index."""
         mids = np.asarray(midpoints, dtype=np.complex128)
         hw = np.asarray(half_widths, dtype=np.complex128)
-        return cls(tuple(indices), tuple(mids - hw), tuple(mids + hw))
-
-    @property
-    def lower_array(self) -> np.ndarray:
-        return np.asarray(self.lower, dtype=np.complex128)
-
-    @property
-    def upper_array(self) -> np.ndarray:
-        return np.asarray(self.upper, dtype=np.complex128)
+        return cls(tuple(indices), mids - hw, mids + hw)
 
     @property
     def lower_map(self) -> dict[int, complex]:
@@ -141,8 +144,29 @@ class ConditionReport:
     sign_disagreement: bool = False
 
 
+class _Report:
+    """Flat dict view of a chain report: a field ``condition<suffix>`` becomes
+    ``slack_inner<suffix>`` and ``slack_norm<suffix>``, a complex field becomes
+    ``[re, im]`` plus its modulus as ``<name>_abs``, other fields keep their name."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, ConditionReport):
+                suffix = f.name.removeprefix("condition")
+                out["slack_inner" + suffix] = value.slack_inner
+                out["slack_norm" + suffix] = value.slack_norm
+            elif isinstance(value, complex):
+                out[f.name] = [value.real, value.imag]
+                out[f.name + "_abs"] = abs(value)
+            else:
+                out[f.name] = value
+        return out
+
+
 @dataclass(frozen=True)
-class BesselBoundReport:
+class BesselBoundReport(_Report):
     """Residual chain report: 0 <= residual <= refined <= coarse when certified."""
 
     residual: float
@@ -151,19 +175,9 @@ class BesselBoundReport:
     condition: ConditionReport
     certified: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "residual": self.residual,
-            "refined": self.refined,
-            "coarse": self.coarse,
-            "slack_inner": self.condition.slack_inner,
-            "slack_norm": self.condition.slack_norm,
-            "certified": self.certified,
-        }
-
 
 @dataclass(frozen=True)
-class GrussBoundReport:
+class GrussBoundReport(_Report):
     """Deviation chain report: |deviation| <= refined <= coarse when certified."""
 
     deviation: complex
@@ -177,22 +191,9 @@ class GrussBoundReport:
     def deviation_abs(self) -> float:
         return abs(self.deviation)
 
-    def to_dict(self) -> dict:
-        return {
-            "deviation": [self.deviation.real, self.deviation.imag],
-            "deviation_abs": self.deviation_abs,
-            "refined": self.refined,
-            "coarse": self.coarse,
-            "slack_inner_x": self.condition_x.slack_inner,
-            "slack_norm_x": self.condition_x.slack_norm,
-            "slack_inner_y": self.condition_y.slack_inner,
-            "slack_norm_y": self.condition_y.slack_norm,
-            "certified": self.certified,
-        }
-
 
 @dataclass(frozen=True)
-class CompanionReport:
+class CompanionReport(_Report):
     """Bound on Re(deviation) certified by a box condition at (x+y)/2."""
 
     re_deviation: float
@@ -200,18 +201,9 @@ class CompanionReport:
     condition: ConditionReport
     certified: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "re_deviation": self.re_deviation,
-            "bound": self.bound,
-            "slack_inner": self.condition.slack_inner,
-            "slack_norm": self.condition.slack_norm,
-            "certified": self.certified,
-        }
-
 
 @dataclass(frozen=True)
-class CompanionAbsReport:
+class CompanionAbsReport(_Report):
     """Two-sided bound on |Re(deviation)|, needing both (x+y)/2 and (x-y)/2
     to satisfy the box condition."""
 
@@ -221,33 +213,18 @@ class CompanionAbsReport:
     condition_diff: ConditionReport
     certified: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "abs_re_deviation": self.abs_re_deviation,
-            "bound": self.bound,
-            "slack_inner_sum": self.condition_sum.slack_inner,
-            "slack_inner_diff": self.condition_diff.slack_inner,
-            "certified": self.certified,
-        }
-
 
 def instance_scale(ctx: SpaceContext, x: Vector, box: CoefficientBox) -> float:
     """Magnitude reference for relative tolerances: ||x||^2 + half_diameter^2."""
     return norm(ctx, x) ** 2 + box.half_diameter_sq
 
 
-def _validated(
-    ctx: SpaceContext,
-    x: Vector,
-    fam: OrthonormalFamily,
-    indices: Sequence[int],
-    box: CoefficientBox | None = None,
-) -> tuple[Vector, tuple[int, ...]]:
-    require_certified(fam)
-    idx = index_set(indices, fam.size)
-    if box is not None and box.indices != idx:
-        raise ValueError(f"box covers indices {box.indices}, expected {idx}")
-    return as_vector(ctx, x), idx
+def pair_scale(
+    ctx: SpaceContext, x: Vector, y: Vector, box_x: CoefficientBox, box_y: CoefficientBox
+) -> float:
+    """Magnitude reference for the two-vector chains: ||x||^2 + ||y||^2 plus both
+    half_diameter^2 terms, the size at which ``refined`` cancels."""
+    return norm(ctx, x) ** 2 + norm(ctx, y) ** 2 + box_x.half_diameter_sq + box_y.half_diameter_sq
 
 
 def condition_slack_inner(
@@ -261,10 +238,8 @@ def condition_slack_inner(
 
     No clamping: a violated condition shows up as a negative value.
     """
-    x, idx = _validated(ctx, x, fam, indices, box)
-    upper_comb = combination(fam, idx, box.upper_array)
-    lower_comb = combination(fam, idx, box.lower_array)
-    return inner_product(ctx, upper_comb - x, x - lower_comb).real
+    (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
+    return _slack_inner(ctx, x, rows, box)
 
 
 def condition_slack_norm(
@@ -278,9 +253,8 @@ def condition_slack_norm(
 
     Nonnegative exactly when the norm form of the box condition holds.
     """
-    x, idx = _validated(ctx, x, fam, indices, box)
-    mid_comb = combination(fam, idx, box.midpoints())
-    return 0.5 * np.sqrt(box.diameter_sq_sum) - norm(ctx, x - mid_comb)
+    (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
+    return _slack_norm(ctx, x, rows, box)
 
 
 def check_condition(
@@ -296,30 +270,16 @@ def check_condition(
     ``tol`` is an absolute slack tolerance; by default it is
     ``DEFAULT_CONDITION_RTOL * (||x||^2 + half_diameter^2)``.
     """
-    slack_inner = condition_slack_inner(ctx, x, fam, indices, box)
-    slack_norm = condition_slack_norm(ctx, x, fam, indices, box)
-    if tol is None:
-        tol = DEFAULT_CONDITION_RTOL * instance_scale(ctx, x, box)
-    disagreement = (
-        min(abs(slack_inner), abs(slack_norm)) > tol
-        and (slack_inner > 0) != (slack_norm > 0)
-    )
-    return ConditionReport(
-        slack_inner=slack_inner,
-        slack_norm=slack_norm,
-        holds=slack_inner >= -tol,
-        tolerance=tol,
-        sign_disagreement=disagreement,
-    )
+    (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
+    return _condition(ctx, x, _norm_sq(ctx, x), rows, box, tol)
 
 
 def bessel_residual(
     ctx: SpaceContext, x: Vector, fam: OrthonormalFamily, indices: Sequence[int]
 ) -> float:
     """||x||^2 - sum_F |<x, e_i>|^2 (nonnegative for certified families)."""
-    x, idx = _validated(ctx, x, fam, indices)
-    coeffs = fourier_coefficients(ctx, x, fam, idx)
-    return norm(ctx, x) ** 2 - float(sum(abs(c) ** 2 for c in coeffs.values()))
+    (x,), rows = _validated(ctx, fam, indices, (x,))
+    return _residual(_norm_sq(ctx, x), _coefficients(ctx, x, rows))
 
 
 def residual_identity_sides(
@@ -335,17 +295,14 @@ def residual_identity_sides(
             = sum_F Re[(Phi_i - <x,e_i>)(conj(<x,e_i>) - conj(phi_i))] - slack_inner.
 
     Returned as (left, right) so the two evaluation routes can be compared;
-    they agree to roundoff for exactly orthonormal families.
+    they agree to roundoff for exactly orthonormal families.  The right side
+    takes ``slack_inner`` from the vectors, as written, so it is a second route.
     """
-    x, idx = _validated(ctx, x, fam, indices, box)
-    left = bessel_residual(ctx, x, fam, idx)
-    coeffs = fourier_coefficients(ctx, x, fam, idx)
-    c = np.asarray([coeffs[i] for i in idx], dtype=np.complex128)
-    coefficient_term = float(
-        np.sum(((box.upper_array - c) * np.conj(c - box.lower_array)).real)
-    )
-    right = coefficient_term - condition_slack_inner(ctx, x, fam, idx, box)
-    return left, right
+    (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
+    c = _coefficients(ctx, x, rows)
+    left = _residual(_norm_sq(ctx, x), c)
+    coefficient_term = float(np.vdot(c - box.lower_array, box.upper_array - c).real)
+    return left, coefficient_term - _slack_inner(ctx, x, rows, box)
 
 
 def counterpart_bounds(
@@ -362,11 +319,12 @@ def counterpart_bounds(
     when the box condition fails; ``certified`` records whether the chain is
     applicable.
     """
-    x, idx = _validated(ctx, x, fam, indices, box)
-    condition = check_condition(ctx, x, fam, idx, box, tol)
+    (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
+    norm_sq = _norm_sq(ctx, x)
+    condition = _condition(ctx, x, norm_sq, rows, box, tol)
     coarse = box.half_diameter_sq
     return BesselBoundReport(
-        residual=bessel_residual(ctx, x, fam, idx),
+        residual=_residual(norm_sq, _coefficients(ctx, x, rows)),
         refined=coarse - condition.slack_inner,
         coarse=coarse,
         condition=condition,
@@ -386,12 +344,8 @@ def gruss_deviation(
     Equals the inner product of the two projection residuals
     <x - Px, y - Py> for exactly orthonormal families.
     """
-    x, idx = _validated(ctx, x, fam, indices)
-    y = as_vector(ctx, y)
-    cx = fourier_coefficients(ctx, x, fam, idx)
-    cy = fourier_coefficients(ctx, y, fam, idx)
-    truncated = sum(cx[i] * np.conj(cy[i]) for i in idx)
-    return inner_product(ctx, x, y) - complex(truncated)
+    (x, y), rows = _validated(ctx, fam, indices, (x, y))
+    return _deviation(ctx, x, y, rows)
 
 
 def gruss_bounds(
@@ -412,11 +366,9 @@ def gruss_bounds(
     The clamps keep ``refined`` defined when a slack sits at -epsilon within
     tolerance; certification still requires both conditions to hold.
     """
-    x, idx = _validated(ctx, x, fam, indices, box_x)
-    if box_y.indices != idx:
-        raise ValueError(f"box_y covers indices {box_y.indices}, expected {idx}")
-    condition_x = check_condition(ctx, x, fam, idx, box_x, tol)
-    condition_y = check_condition(ctx, y, fam, idx, box_y, tol)
+    (x, y), rows = _validated(ctx, fam, indices, (x, y), (box_x, box_y))
+    condition_x = _condition(ctx, x, _norm_sq(ctx, x), rows, box_x, tol)
+    condition_y = _condition(ctx, y, _norm_sq(ctx, y), rows, box_y, tol)
     coarse = 0.25 * float(
         np.sqrt(box_x.diameter_sq_sum) * np.sqrt(box_y.diameter_sq_sum)
     )
@@ -425,7 +377,7 @@ def gruss_bounds(
         * np.sqrt(max(condition_y.slack_inner, 0.0))
     )
     return GrussBoundReport(
-        deviation=gruss_deviation(ctx, x, y, fam, idx),
+        deviation=_deviation(ctx, x, y, rows),
         refined=refined,
         coarse=coarse,
         condition_x=condition_x,
@@ -445,12 +397,11 @@ def companion_bound(
 ) -> CompanionReport:
     """Re(deviation) <= (1/4) sum_F |Phi_i - phi_i|^2, certified by the box
     condition evaluated at the midpoint (x+y)/2."""
-    x, idx = _validated(ctx, x, fam, indices, box)
-    y = as_vector(ctx, y)
+    (x, y), rows = _validated(ctx, fam, indices, (x, y), (box,))
     midpoint = 0.5 * (x + y)
-    condition = check_condition(ctx, midpoint, fam, idx, box, tol)
+    condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box, tol)
     return CompanionReport(
-        re_deviation=gruss_deviation(ctx, x, y, fam, idx).real,
+        re_deviation=_deviation(ctx, x, y, rows).real,
         bound=box.half_diameter_sq,
         condition=condition,
         certified=condition.holds,
@@ -472,17 +423,57 @@ def companion_abs_bound(
     In a real context with real box endpoints this is the two-sided
     Gruss-type bound with m_i = phi_i, M_i = Phi_i.
     """
-    x, idx = _validated(ctx, x, fam, indices, box)
-    y = as_vector(ctx, y)
-    condition_sum = check_condition(ctx, 0.5 * (x + y), fam, idx, box, tol)
-    condition_diff = check_condition(ctx, 0.5 * (x - y), fam, idx, box, tol)
+    (x, y), rows = _validated(ctx, fam, indices, (x, y), (box,))
+    half_sum = 0.5 * (x + y)
+    half_diff = 0.5 * (x - y)
+    condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box, tol)
+    condition_diff = _condition(ctx, half_diff, _norm_sq(ctx, half_diff), rows, box, tol)
     return CompanionAbsReport(
-        abs_re_deviation=abs(gruss_deviation(ctx, x, y, fam, idx).real),
+        abs_re_deviation=abs(_deviation(ctx, x, y, rows).real),
         bound=box.half_diameter_sq,
         condition_sum=condition_sum,
         condition_diff=condition_diff,
         certified=condition_sum.holds and condition_diff.holds,
     )
+
+
+def _validated(ctx, fam, indices, vectors, boxes=()) -> tuple[list[Vector], np.ndarray]:
+    """The edge checks; returns the vectors and rows = fam.members[indices]."""
+    require_certified(fam)
+    idx = index_set(indices, fam.size)
+    for box in boxes:
+        if box.indices != idx:
+            raise ValueError(f"box covers indices {box.indices}, expected {idx}")
+    return [as_vector(ctx, v) for v in vectors], fam.members[list(idx)]
+
+
+def _slack_inner(ctx, x, rows, box: CoefficientBox) -> float:
+    return _inner(ctx, box.upper_array @ rows - x, x - box.lower_array @ rows).real
+
+
+def _slack_norm(ctx, x, rows, box: CoefficientBox) -> float:
+    return 0.5 * float(np.sqrt(box.diameter_sq_sum)) - _norm(ctx, x - box.midpoints() @ rows)
+
+
+def _condition(ctx, x, norm_sq: float, rows, box: CoefficientBox, tol) -> ConditionReport:
+    slack_inner = _slack_inner(ctx, x, rows, box)
+    slack_norm = _slack_norm(ctx, x, rows, box)
+    if tol is None:
+        tol = DEFAULT_CONDITION_RTOL * (norm_sq + box.half_diameter_sq)
+    disagreement = (
+        min(abs(slack_inner), abs(slack_norm)) > tol
+        and (slack_inner > 0) != (slack_norm > 0)
+    )
+    return ConditionReport(slack_inner, slack_norm, slack_inner >= -tol, tol, disagreement)
+
+
+def _residual(norm_sq: float, coeffs: np.ndarray) -> float:
+    return norm_sq - float(np.sum(np.abs(coeffs) ** 2))
+
+
+def _deviation(ctx, x, y, rows) -> complex:
+    truncated = np.vdot(_coefficients(ctx, y, rows), _coefficients(ctx, x, rows))
+    return _inner(ctx, x, y) - complex(truncated)
 
 
 def scalar_lemmas_check(

@@ -13,7 +13,13 @@ import sys
 import numpy as np
 
 from . import serialize, suite
-from .bounds import CoefficientBox, counterpart_bounds, gruss_bounds, instance_scale
+from .bounds import (
+    CoefficientBox,
+    counterpart_bounds,
+    gruss_bounds,
+    instance_scale,
+    pair_scale,
+)
 from .generate import (
     Instance,
     PairInstance,
@@ -35,7 +41,7 @@ from .quadrature import (
     sandwich_box,
 )
 from .sharpness import SearchConfig, maximize_gruss_ratio, maximize_residual_ratio
-from .space import REAL, norm
+from .space import REAL
 from .suite import SuiteConfig, run_suite
 
 
@@ -173,7 +179,7 @@ def _cmd_gruss(args) -> int:
         inst.ctx, inst.x, inst.y, inst.family, inst.indices, inst.box_x, inst.box_y, args.tol
     )
     body = serialize.report_payload(report, payload)
-    scale = norm(inst.ctx, inst.x) ** 2 + norm(inst.ctx, inst.y) ** 2
+    scale = pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y)
     chain_ok = (not report.certified) or (
         report.deviation_abs <= report.refined + 1e-9 * scale
         and report.refined <= report.coarse + 1e-9 * scale

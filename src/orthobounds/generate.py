@@ -21,11 +21,12 @@ from .space import (
     OrthonormalFamily,
     SpaceContext,
     Vector,
-    combination,
-    fourier_coefficients,
+    _coefficients,
+    _norm,
+    as_vector,
     gram_schmidt,
     index_set,
-    norm,
+    require_certified,
 )
 
 
@@ -105,33 +106,42 @@ def certified_box_arrays(
     factor >= 1 makes the norm form of the condition hold, hence the
     inner-product slack is nonnegative up to the family's Gram defect.
     """
-    idx = index_set(indices, fam.size)
-    coeffs = fourier_coefficients(ctx, x, fam, idx)
-    c = np.asarray([coeffs[i] for i in idx], dtype=np.complex128)
-    mid = c + mid_sigma * gaussian_scalars(rng, len(idx), ctx.is_complex)
-    radius = norm(ctx, x - combination(fam, idx, mid))
+    require_certified(fam)
+    rows = fam.members[list(index_set(indices, fam.size))]
+    x = as_vector(ctx, x)
+    noise = mid_sigma * gaussian_scalars(rng, len(rows), ctx.is_complex)
+    mid = _coefficients(ctx, x, rows) + noise
+    radius = _norm(ctx, x - mid @ rows)
     if slack_factor is None:
         slack_factor = 1.0 + rng.uniform()
     if slack_factor < 0.0:
         raise ValueError("slack_factor must be nonnegative")
-    target = slack_factor * radius
-    direction = gaussian_scalars(rng, len(idx), ctx.is_complex)
+    return mid, _offsets(rng, ctx, len(rows), slack_factor * radius)
+
+
+def _draw(rng: np.random.Generator, dim: int, family_size: int, field: str, count: int):
+    """Context, random family, the full index set and ``count`` random vectors."""
+    ctx = SpaceContext(field, dim)
+    fam = random_family(rng, ctx, family_size)
+    vectors = [random_vector(rng, ctx, float(rng.lognormal(0.0, 0.5))) for _ in range(count)]
+    return ctx, fam, tuple(range(family_size)), vectors
+
+
+def _offsets(rng: np.random.Generator, ctx: SpaceContext, count: int, target: float):
+    """Half-offsets in a random direction with sqrt(sum |d_i|^2) = target."""
+    direction = gaussian_scalars(rng, count, ctx.is_complex)
     length = float(np.sqrt(np.sum(np.abs(direction) ** 2)))
     while length == 0.0:  # pragma: no cover - probability ~0
-        direction = gaussian_scalars(rng, len(idx), ctx.is_complex)
+        direction = gaussian_scalars(rng, count, ctx.is_complex)
         length = float(np.sqrt(np.sum(np.abs(direction) ** 2)))
-    d = direction * (target / length) if target > 0.0 else np.zeros(len(idx), dtype=np.complex128)
-    return mid, d
+    return direction * (target / length) if target > 0.0 else np.zeros(count, dtype=np.complex128)
 
 
 def generate_certified_instance(
     rng: np.random.Generator, dim: int, family_size: int, field: str
 ) -> Instance:
     """Random instance whose box condition holds by construction."""
-    ctx = SpaceContext(field, dim)
-    fam = random_family(rng, ctx, family_size)
-    idx = tuple(range(family_size))
-    x = random_vector(rng, ctx, scale=float(rng.lognormal(0.0, 0.5)))
+    ctx, fam, idx, (x,) = _draw(rng, dim, family_size, field, 1)
     mid, d = certified_box_arrays(rng, ctx, x, fam, idx)
     return Instance(ctx, x, fam, idx, CoefficientBox.centered(idx, mid, d))
 
@@ -142,10 +152,7 @@ def generate_unconstrained_instance(
     """Random instance with no feasibility guarantee: the box diameter scale
     is drawn from [0, 2), so roughly half of the draws violate the condition.
     """
-    ctx = SpaceContext(field, dim)
-    fam = random_family(rng, ctx, family_size)
-    idx = tuple(range(family_size))
-    x = random_vector(rng, ctx, scale=float(rng.lognormal(0.0, 0.5)))
+    ctx, fam, idx, (x,) = _draw(rng, dim, family_size, field, 1)
     mid, d = certified_box_arrays(
         rng, ctx, x, fam, idx, slack_factor=float(2.0 * rng.uniform())
     )
@@ -170,11 +177,7 @@ def generate_midpoint_pair(
     ``box_x`` is the shared midpoint box; ``box_y`` repeats it for interface
     uniformity.
     """
-    ctx = SpaceContext(field, dim)
-    fam = random_family(rng, ctx, family_size)
-    idx = tuple(range(family_size))
-    x = random_vector(rng, ctx, scale=float(rng.lognormal(0.0, 0.5)))
-    y = random_vector(rng, ctx, scale=float(rng.lognormal(0.0, 0.5)))
+    ctx, fam, idx, (x, y) = _draw(rng, dim, family_size, field, 2)
     mid, d = certified_box_arrays(rng, ctx, 0.5 * (x + y), fam, idx)
     box = CoefficientBox.centered(idx, mid, d)
     return PairInstance(ctx, x, y, fam, idx, box, box)
@@ -189,26 +192,14 @@ def generate_twosided_pair(
     the diameter covers the larger of the two distances, so both conditions
     hold by construction.
     """
-    ctx = SpaceContext(field, dim)
-    fam = random_family(rng, ctx, family_size)
-    idx = tuple(range(family_size))
-    x = random_vector(rng, ctx, scale=float(rng.lognormal(0.0, 0.5)))
-    y = random_vector(rng, ctx, scale=float(rng.lognormal(0.0, 0.5)))
+    ctx, fam, idx, (x, y) = _draw(rng, dim, family_size, field, 2)
     half_sum = 0.5 * (x + y)
     half_diff = 0.5 * (x - y)
-    c_sum = _coefficient_array(ctx, half_sum, fam, idx)
-    c_diff = _coefficient_array(ctx, half_diff, fam, idx)
-    mid = 0.5 * (c_sum + c_diff) + 0.1 * gaussian_scalars(rng, len(idx), ctx.is_complex)
-    mid_comb = combination(fam, idx, mid)
-    radius = max(norm(ctx, half_sum - mid_comb), norm(ctx, half_diff - mid_comb))
-    target = (1.0 + rng.uniform()) * radius
-    direction = gaussian_scalars(rng, len(idx), ctx.is_complex)
-    length = float(np.sqrt(np.sum(np.abs(direction) ** 2)))
-    d = direction * (target / length) if target > 0.0 else np.zeros(len(idx), dtype=np.complex128)
+    rows = fam.members
+    c_mean = 0.5 * (_coefficients(ctx, half_sum, rows) + _coefficients(ctx, half_diff, rows))
+    mid = c_mean + 0.1 * gaussian_scalars(rng, len(idx), ctx.is_complex)
+    mid_comb = mid @ rows
+    radius = max(_norm(ctx, half_sum - mid_comb), _norm(ctx, half_diff - mid_comb))
+    d = _offsets(rng, ctx, len(idx), (1.0 + rng.uniform()) * radius)
     box = CoefficientBox.centered(idx, mid, d)
     return PairInstance(ctx, x, y, fam, idx, box, box)
-
-
-def _coefficient_array(ctx, x, fam, idx) -> np.ndarray:
-    coeffs = fourier_coefficients(ctx, x, fam, idx)
-    return np.asarray([coeffs[i] for i in idx], dtype=np.complex128)

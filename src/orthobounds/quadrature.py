@@ -21,7 +21,6 @@ from .space import (
     SpaceContext,
     Vector,
     as_vector,
-    combination,
     gram_schmidt,
     index_set,
     inner_product,
@@ -245,8 +244,9 @@ def sandwich_check(
     if set(m) != set(idx) or set(M) != set(idx):
         raise ValueError("m and M must be keyed exactly by the index set")
     f = sampled(ctx, f)
-    lower_env = combination(fam, idx, [m[i] for i in idx]).real
-    upper_env = combination(fam, idx, [M[i] for i in idx]).real
+    rows = fam.members[list(idx)]
+    lower_env = (np.array([m[i] for i in idx], dtype=np.complex128) @ rows).real
+    upper_env = (np.array([M[i] for i in idx], dtype=np.complex128) @ rows).real
     margin_lower = f.real - lower_env
     margin_upper = upper_env - f.real
     min_lower = float(np.min(margin_lower))

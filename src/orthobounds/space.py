@@ -82,17 +82,22 @@ def as_vector(ctx: SpaceContext, coords: Iterable[complex]) -> Vector:
     Rejects dimension mismatches, non-finite entries and (for real contexts)
     any nonzero imaginary part.
     """
-    v = np.asarray(coords, dtype=np.complex128)
-    if v.shape != (ctx.dimension,):
+    v = _validated_coords(ctx, coords, 1)
+    v.setflags(write=False)
+    return v
+
+
+def _validated_coords(ctx: SpaceContext, coords, ndim: int) -> np.ndarray:
+    """Checked complex copy of one vector (``ndim`` 1) or a stack of rows (2)."""
+    v = np.array(coords, dtype=np.complex128)
+    if v.ndim != ndim or v.shape[-1] != ctx.dimension:
         raise ValueError(
             f"vector has shape {v.shape}, context dimension is {ctx.dimension}"
         )
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector entries must be finite")
-    if not ctx.is_complex and np.any(v.imag != 0.0):
+    if not ctx.is_complex and v.imag.any():
         raise ValueError("real-field vector has a nonzero imaginary part")
-    v = v.copy()
-    v.setflags(write=False)
     return v
 
 
@@ -102,16 +107,36 @@ def zero_vector(ctx: SpaceContext) -> Vector:
 
 def inner_product(ctx: SpaceContext, x: Vector, y: Vector) -> complex:
     """<x, y>: linear in ``x``, conjugate-linear in ``y``."""
-    x = _conforming(ctx, x)
-    y = _conforming(ctx, y)
-    if ctx.weights is None:
-        return complex(np.dot(x, np.conj(y)))
-    return complex(np.dot(ctx.weights * x, np.conj(y)))
+    return _inner(ctx, _conforming(ctx, x), _conforming(ctx, y))
 
 
 def norm(ctx: SpaceContext, x: Vector) -> float:
     """||x|| = sqrt(Re <x, x>)."""
-    return float(np.sqrt(max(inner_product(ctx, x, x).real, 0.0)))
+    return _norm(ctx, _conforming(ctx, x))
+
+
+# Array arithmetic on validated shapes; the weights fold into the first argument.
+
+
+def _weighted(ctx: SpaceContext, x: np.ndarray) -> np.ndarray:
+    return x if ctx.weights is None else ctx.weights * x
+
+
+def _inner(ctx: SpaceContext, x: np.ndarray, y: np.ndarray) -> complex:
+    return complex(np.vdot(y, _weighted(ctx, x)))
+
+
+def _norm_sq(ctx: SpaceContext, x: np.ndarray) -> float:
+    return float(np.vdot(x, _weighted(ctx, x)).real)
+
+
+def _norm(ctx: SpaceContext, x: np.ndarray) -> float:
+    return float(np.sqrt(max(_norm_sq(ctx, x), 0.0)))
+
+
+def _coefficients(ctx: SpaceContext, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """<x, e_i> for every row e_i of ``rows``, as one matvec."""
+    return rows.conj() @ _weighted(ctx, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +172,7 @@ class OrthonormalFamily:
         The result may be uncertified; use :func:`verify_orthonormal` or
         ``certified`` to check before feeding it to bound computations.
         """
-        rows = np.vstack([as_vector(ctx, v) for v in members])
+        rows = _validated_coords(ctx, members, 2)
         if ctx.weights is None and rows.shape[0] > ctx.dimension:
             raise ValueError(
                 "family size exceeds the dimension of a coordinate backend"
@@ -199,40 +224,43 @@ def gram_schmidt(
     raw: Sequence[Iterable[complex]],
     tol: float = DEFAULT_ORTHO_TOL,
 ) -> OrthonormalFamily:
-    """Orthonormalize ``raw`` with modified Gram-Schmidt plus one
-    re-orthogonalization pass.
+    """Orthonormalize the rows of ``raw`` with CGS2: classical Gram-Schmidt
+    applied twice, each pass projecting a row on all previous members with
+    two matvecs.
 
-    The second projection pass is what keeps the Gram defect near machine
-    epsilon; classical single-pass Gram-Schmidt loses orthogonality well
-    above the certification tolerances used here.  A pivot whose norm falls
-    below ``RANK_DROP_FACTOR * max(input norms)`` raises
-    :class:`DegeneracyError` naming the offending vector.
+    The second pass keeps the Gram defect at machine-epsilon level (Giraud,
+    Langou & Rozloznik 2005, "twice is enough"); one pass loses orthogonality
+    well above the certification tolerances used here.  A pivot norm below
+    ``RANK_DROP_FACTOR * max(input norms)`` raises :class:`DegeneracyError`
+    naming the offending vector; so does a final Gram defect above ``tol``.
     """
-    vectors = [as_vector(ctx, v).copy() for v in raw]
-    if not vectors:
+    if len(raw) == 0:
         raise ValueError("gram_schmidt needs at least one input vector")
-    drop = RANK_DROP_FACTOR * max(norm(ctx, v) for v in vectors)
-    members: list[np.ndarray] = []
-    for position, v in enumerate(vectors):
-        u = v
-        for _ in range(2):
-            for e in members:
-                u = u - inner_product(ctx, u, e) * e
-        pivot = norm(ctx, u)
+    rows = _validated_coords(ctx, raw, 2)
+    norms_sq = _weighted(ctx, np.abs(rows) ** 2).sum(axis=1)
+    drop = RANK_DROP_FACTOR * float(np.sqrt(norms_sq.max()))
+    members = np.empty_like(rows)
+    conj = np.empty_like(rows)  # conj(members), kept so no pass re-conjugates
+    for position, u in enumerate(rows):
+        done, done_conj = members[:position], conj[:position]
+        if position:
+            u = u - (done_conj @ _weighted(ctx, u)) @ done
+            u = u - (done_conj @ _weighted(ctx, u)) @ done
+        pivot = _norm(ctx, u)
         if pivot <= drop:
             raise DegeneracyError(
                 f"input vector {position} is numerically dependent on its "
                 f"predecessors (pivot norm {pivot:.3e}, drop threshold {drop:.3e})"
             )
-        members.append(u / pivot)
-    rows = np.vstack(members)
-    defect = _gram_defect(ctx, rows)
+        members[position] = u / pivot
+        conj[position] = members[position].conj()
+    defect = _gram_defect(ctx, members)
     if defect > tol:
         raise DegeneracyError(
             f"orthonormalization stalled at gram defect {defect:.3e} > tol {tol:.3e}; "
             "the input is too ill-conditioned for this tolerance"
         )
-    return OrthonormalFamily(rows, defect, tol)
+    return OrthonormalFamily(members, defect, tol)
 
 
 def index_set(indices: Sequence[int], family_size: int) -> tuple[int, ...]:
@@ -240,7 +268,7 @@ def index_set(indices: Sequence[int], family_size: int) -> tuple[int, ...]:
 
     Must be nonempty, strictly increasing and within range.
     """
-    idx = tuple(int(i) for i in indices)
+    idx = tuple(map(int, indices))
     if not idx:
         raise ValueError("index set must be nonempty")
     if any(i < 0 or i >= family_size for i in idx):
@@ -259,28 +287,17 @@ def fourier_coefficients(
     """Expansion coefficients <x, e_i> for each selected member."""
     require_certified(fam)
     idx = index_set(indices, fam.size)
-    x = _conforming(ctx, x)
-    return {i: inner_product(ctx, x, fam.members[i]) for i in idx}
-
-
-def combination(
-    fam: OrthonormalFamily, indices: Sequence[int], coefficients: Sequence[complex]
-) -> Vector:
-    """sum_i c_i e_i over the selected members."""
-    idx = list(indices)
-    coeffs = np.asarray(coefficients, dtype=np.complex128)
-    if coeffs.shape != (len(idx),):
-        raise ValueError("one coefficient per selected index is required")
-    return coeffs @ fam.members[idx]
+    coeffs = _coefficients(ctx, _conforming(ctx, x), fam.members[list(idx)])
+    return dict(zip(idx, coeffs.tolist()))
 
 
 def family_projection(
     ctx: SpaceContext, x: Vector, fam: OrthonormalFamily, indices: Sequence[int]
 ) -> Vector:
     """Orthogonal projection of x onto span{e_i : i in indices}."""
-    coeffs = fourier_coefficients(ctx, x, fam, indices)
-    idx = sorted(coeffs)
-    return combination(fam, idx, [coeffs[i] for i in idx])
+    require_certified(fam)
+    rows = fam.members[list(index_set(indices, fam.size))]
+    return _coefficients(ctx, _conforming(ctx, x), rows) @ rows
 
 
 def _conforming(ctx: SpaceContext, x: Vector) -> np.ndarray:

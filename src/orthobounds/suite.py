@@ -36,6 +36,7 @@ from .bounds import (
     gruss_bounds,
     gruss_deviation,
     instance_scale,
+    pair_scale,
     residual_identity_sides,
 )
 from .generate import (
@@ -161,12 +162,7 @@ class SuiteOutcome:
 
 
 def _pair_scale(inst: PairInstance) -> float:
-    return (
-        norm(inst.ctx, inst.x) ** 2
-        + norm(inst.ctx, inst.y) ** 2
-        + inst.box_x.half_diameter_sq
-        + inst.box_y.half_diameter_sq
-    )
+    return pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y)
 
 
 def check_counterpart_chain(inst: Instance, rtol: float) -> tuple[bool, float]:

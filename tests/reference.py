@@ -60,3 +60,16 @@ def ref_deviation(x, y, members, indices, weights=None):
     cy = ref_coefficients(y, members, indices, weights)
     truncated = sum(cx[i] * cy[i].conjugate() for i in indices)
     return ref_inner(x, y, weights) - truncated
+
+
+def ref_coefficient_term(x, members, indices, lower, upper, weights=None):
+    """sum_F Re[(Phi_i - <x,e_i>)(conj(<x,e_i>) - conj(phi_i))]."""
+    coeffs = ref_coefficients(x, members, indices, weights)
+    return sum(
+        ((u - coeffs[i]) * (coeffs[i] - l).conjugate()).real
+        for i, l, u in zip(indices, lower, upper)
+    )
+
+
+def ref_half_diameter_sq(lower, upper):
+    return 0.25 * sum(abs(u - l) ** 2 for u, l in zip(upper, lower))

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -28,13 +29,24 @@ from orthobounds import (
     residual_identity_sides,
     scalar_lemmas_check,
 )
+from orthobounds import bounds
 from orthobounds.generate import (
+    certified_box_arrays,
+    gaussian_scalars,
     generate_certified_instance,
     generate_certified_pair,
     generate_unconstrained_instance,
     rng_from_seed,
 )
-from reference import ref_deviation, ref_residual, ref_slack_inner, ref_slack_norm
+from orthobounds.space import gram_schmidt
+from reference import (
+    ref_coefficient_term,
+    ref_deviation,
+    ref_half_diameter_sq,
+    ref_residual,
+    ref_slack_inner,
+    ref_slack_norm,
+)
 
 S = 1.0 / math.sqrt(2.0)
 
@@ -510,3 +522,150 @@ class TestScalarLemmas:
     def test_hypothesis_fuzz(self, a, b, reals):
         first, second = scalar_lemmas_check(a, b, *reals)
         assert first and second
+
+
+#: Contexts for the oracle comparison: coordinate backends in both fields and
+#: weighted backends whose weights vanish at some nodes.
+ORACLE_CONTEXTS = {
+    "real": (REAL, None),
+    "complex": (COMPLEX, None),
+    "weighted-real": (REAL, (0.0, 0.5, 1.3, 0.0, 2.0, 0.7)),
+    "weighted-complex": (COMPLEX, (0.8, 0.0, 0.0, 1.1, 0.4, 2.5)),
+}
+
+
+def _oracle_pairs(field, weights, count=12):
+    """Pairs over a CGS2 family in a 6-dimensional context; box_x certifies x,
+    box_y is drawn without a guarantee, so both slack signs occur."""
+    ctx = SpaceContext(field, 6, None if weights is None else np.array(weights))
+    for i in range(count):
+        rng = rng_from_seed(404, i)
+        fam = gram_schmidt(ctx, [gaussian_scalars(rng, 6, ctx.is_complex) for _ in range(4)])
+        F = (0, 2, 3)
+        x, y = (as_vector(ctx, gaussian_scalars(rng, 6, ctx.is_complex)) for _ in range(2))
+        box_x = CoefficientBox.centered(F, *certified_box_arrays(rng, ctx, x, fam, F))
+        box_y = CoefficientBox.centered(
+            F, *certified_box_arrays(rng, ctx, y, fam, F, slack_factor=0.5 + i / count)
+        )
+        yield ctx, x, y, fam, F, box_x, box_y
+
+
+@pytest.mark.parametrize("context", ORACLE_CONTEXTS)
+def test_every_chain_matches_the_oracle(context):
+    field, weights = ORACLE_CONTEXTS[context]
+    w = None if weights is None else list(weights)
+    for ctx, x, y, fam, F, box_x, box_y in _oracle_pairs(field, weights):
+        members = [list(r) for r in fam.members]
+        xs, ys = list(x), list(y)
+        half_sum = [(a + b) / 2 for a, b in zip(xs, ys)]
+        half_diff = [(a - b) / 2 for a, b in zip(xs, ys)]
+
+        def slack(v, box):
+            return ref_slack_inner(v, members, F, box.lower, box.upper, w)
+
+        res_x = ref_residual(xs, members, F, w)
+        dev = ref_deviation(xs, ys, members, F, w)
+        hd_x = ref_half_diameter_sq(box_x.lower, box_x.upper)
+        hd_y = ref_half_diameter_sq(box_y.lower, box_y.upper)
+        coarse_xy = math.sqrt(hd_x) * math.sqrt(hd_y)
+        slack_product = max(slack(xs, box_x), 0.0) * max(slack(ys, box_y), 0.0)
+        scale = norm(ctx, x) ** 2 + norm(ctx, y) ** 2 + hd_x + hd_y
+        got_want = [
+            (check_condition(ctx, x, fam, F, box_x).slack_inner, slack(xs, box_x)),
+            (
+                check_condition(ctx, y, fam, F, box_y).slack_norm,
+                ref_slack_norm(ys, members, F, box_y.lower, box_y.upper, w),
+            ),
+            (condition_slack_inner(ctx, y, fam, F, box_y), slack(ys, box_y)),
+            (
+                condition_slack_norm(ctx, x, fam, F, box_x),
+                ref_slack_norm(xs, members, F, box_x.lower, box_x.upper, w),
+            ),
+            (bessel_residual(ctx, x, fam, F), res_x),
+            (gruss_deviation(ctx, x, y, fam, F), dev),
+        ]
+        report = counterpart_bounds(ctx, x, fam, F, box_x)
+        got_want += [
+            (report.residual, res_x),
+            (report.refined, hd_x - slack(xs, box_x)),
+            (report.coarse, hd_x),
+        ]
+        report = gruss_bounds(ctx, x, y, fam, F, box_x, box_y)
+        # refined = coarse - sqrt(slack_x) sqrt(slack_y); compared squared,
+        # since a square root near a zero slack magnifies rounding
+        assert abs((report.coarse - report.refined) ** 2 - slack_product) <= 1e-12 * scale**2
+        got_want += [
+            (report.deviation, dev),
+            (report.coarse, coarse_xy),
+            (report.condition_y.slack_inner, slack(ys, box_y)),
+        ]
+        report = companion_bound(ctx, x, y, fam, F, box_x)
+        got_want += [
+            (report.re_deviation, dev.real),
+            (report.condition.slack_inner, slack(half_sum, box_x)),
+        ]
+        report = companion_abs_bound(ctx, x, y, fam, F, box_y)
+        got_want += [
+            (report.abs_re_deviation, abs(dev.real)),
+            (report.condition_sum.slack_inner, slack(half_sum, box_y)),
+            (report.condition_diff.slack_inner, slack(half_diff, box_y)),
+        ]
+        left, right = residual_identity_sides(ctx, x, fam, F, box_x)
+        coefficient_term = ref_coefficient_term(xs, members, F, box_x.lower, box_x.upper, w)
+        got_want += [(left, res_x), (right, coefficient_term - slack(xs, box_x))]
+        for k, (got, want) in enumerate(got_want):
+            assert abs(got - want) <= 1e-12 * scale, (context, k, got, want)
+
+
+def test_identity_right_side_takes_slack_from_vectors():
+    # a family certified at a loose tolerance but 1e-4 away from orthonormal:
+    # the routes differ by Re sum_ij Phi_i conj(phi_j) (<e_j, e_i> - delta_ij)
+    # ~ -2e-4, which a right side rebuilt from the coefficients would hide
+    ctx = SpaceContext(REAL, 3)
+    fam = OrthonormalFamily.from_members(ctx, [(1, 0, 0), (1e-4, 1, 0)], tolerance=1e-3)
+    x = as_vector(ctx, (0.5, 0.3, 0.2))
+    box = CoefficientBox((0, 1), (-1, -1), (1, 1))
+    members = [list(r) for r in fam.members]
+    left, right = residual_identity_sides(ctx, x, fam, (0, 1), box)
+    want_right = ref_coefficient_term(
+        list(x), members, (0, 1), box.lower, box.upper
+    ) - ref_slack_inner(list(x), members, (0, 1), box.lower, box.upper)
+    assert left == pytest.approx(ref_residual(list(x), members, (0, 1)), abs=1e-15)
+    assert right == pytest.approx(want_right, abs=1e-15)
+    assert left - right == pytest.approx(2e-4, rel=1e-3)
+
+
+def _chain_calls(pair):
+    ctx, x, y, fam, F, box_x, box_y = pair
+    return {
+        "check_condition": (ctx, x, fam, F, box_x),
+        "condition_slack_inner": (ctx, x, fam, F, box_x),
+        "condition_slack_norm": (ctx, x, fam, F, box_x),
+        "bessel_residual": (ctx, x, fam, F),
+        "residual_identity_sides": (ctx, x, fam, F, box_x),
+        "counterpart_bounds": (ctx, x, fam, F, box_x),
+        "gruss_deviation": (ctx, x, y, fam, F),
+        "gruss_bounds": (ctx, x, y, fam, F, box_x, box_y),
+        "companion_bound": (ctx, x, y, fam, F, box_x),
+        "companion_abs_bound": (ctx, x, y, fam, F, box_x),
+    }
+
+
+def test_each_chain_validates_once_and_calls_no_public_function(monkeypatch):
+    calls = []
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, fn in inspect.getmembers(bounds, inspect.isfunction):
+        if fn.__module__ == bounds.__name__ and (name == "_validated" or name[0] != "_"):
+            monkeypatch.setattr(bounds, name, recording(name, fn))
+    pair = next(_oracle_pairs(COMPLEX, None, count=1))
+    for name, args in _chain_calls(pair).items():
+        calls.clear()
+        getattr(bounds, name)(*args)
+        assert calls == [name, "_validated"], calls

@@ -3,11 +3,13 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from orthobounds import REAL
+from orthobounds import REAL, CoefficientBox, OrthonormalFamily, SpaceContext, as_vector
 from orthobounds.cli import main
 from orthobounds.generate import (
+    PairInstance,
     generate_certified_instance,
     generate_certified_pair,
     rng_from_seed,
@@ -98,6 +100,21 @@ class TestGrussCommand:
 
     def test_single_vector_file_rejected(self, instance_file):
         assert main(["gruss", str(instance_file)]) == 2
+
+    def test_large_box_small_vectors_equality_instance(self, tmp_path):
+        # x = y orthogonal to e with a box of half-width 1e3: deviation = t^2
+        # equals refined = 1e6 - (1e6 - t^2), which cancels at the box's
+        # size; a chain tolerance scaled by ||x||^2 + ||y||^2 alone rejected
+        # 15 of these 40 certified instances
+        ctx = SpaceContext(REAL, 2)
+        fam = OrthonormalFamily.from_members(ctx, [(1.0, 0.0)])
+        box = CoefficientBox((0,), (-1e3,), (1e3,))
+        path = tmp_path / "pair.json"
+        for t in np.geomspace(1e-4, 1e-2, 40):
+            x = as_vector(ctx, (0.0, t))
+            pair = PairInstance(ctx, x, x, fam, (0,), box, box)
+            serialize.dump_json(serialize.instance_to_dict(pair), path)
+            assert main(["gruss", str(path), "--out", str(tmp_path / "report.json")]) == 0, t
 
 
 class TestL2DemoCommand:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -30,6 +31,59 @@ from orthobounds.generate import (
 from orthobounds import serialize
 from orthobounds.bounds import companion_abs_bound, companion_bound
 from orthobounds.suite import tightness_rows
+
+
+def _rounded(value):
+    """Floats at 12 significant digits, so pinned digests ignore last-bit noise."""
+    if isinstance(value, float):
+        return float(f"{value:.12g}")
+    if isinstance(value, list):
+        return [_rounded(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    return value
+
+
+#: sha256 of the 12-digit instance_to_dict of generator k's instance drawn
+#: from rng_from_seed(20230516, k).  A change to generated data fails here.
+PINNED_DIGESTS = {
+    ((4, 2, REAL), generate_certified_instance):
+        "6fdd883a4f6b15365ce59cf05a4bead68fa1a65bc68b2627a0592e4474d1ab8b",
+    ((4, 2, REAL), generate_unconstrained_instance):
+        "c2907e5d6eea69b9d0438e095e0704a2bdfa4bb26e59d80025438cb19902e1a6",
+    ((4, 2, REAL), generate_certified_pair):
+        "b350c43b9a6391dd4acea698a55d0a7bba04bb55f23bcef982b1e09850c7c4d6",
+    ((4, 2, REAL), generate_midpoint_pair):
+        "d05199d28511d31f8e3ca0846712ce79d3c05e573a185dadd236c609c3f248f9",
+    ((4, 2, REAL), generate_twosided_pair):
+        "27dedc307fab49eb99830b6cc70091770a733e2e4bc28fce79ec632d7818959f",
+    ((16, 8, COMPLEX), generate_certified_instance):
+        "747369428c994956215e04cf4e7b4b8c63d6c54cbfeb1e6ad25a4d497ca38542",
+    ((16, 8, COMPLEX), generate_unconstrained_instance):
+        "80bbd62c57f245ab6717ead2e7fec8d18ed3c697faa11df3dc1724f1bfe06545",
+    ((16, 8, COMPLEX), generate_certified_pair):
+        "29cdf015754ae426052cdea2408f65696b962a492b9b60989e0ef308d4aa9f0e",
+    ((16, 8, COMPLEX), generate_midpoint_pair):
+        "e8dc5fbb4b65d80c66b304c00e191c79e27976ee7bc1b6b48e945a86888f0c95",
+    ((16, 8, COMPLEX), generate_twosided_pair):
+        "ae29f2a4ea5e3ba694104294c41582aa93479f008f9ec6518100542c62be87d7",
+}
+GENERATORS = (
+    generate_certified_instance,
+    generate_unconstrained_instance,
+    generate_certified_pair,
+    generate_midpoint_pair,
+    generate_twosided_pair,
+)
+
+
+@pytest.mark.parametrize("shape", [(4, 2, REAL), (16, 8, COMPLEX)], ids=str)
+@pytest.mark.parametrize("generator", GENERATORS, ids=lambda g: g.__name__)
+def test_generated_data_is_pinned(shape, generator):
+    rng = rng_from_seed(20230516, GENERATORS.index(generator))
+    payload = _rounded(serialize.instance_to_dict(generator(rng, *shape)))
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_DIGESTS[shape, generator]
 
 
 class TestRngStreams:

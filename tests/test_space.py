@@ -19,6 +19,12 @@ from orthobounds import (
     norm,
     verify_orthonormal,
 )
+from orthobounds.quadrature import (
+    WeightedL2Context,
+    build_family,
+    gauss_legendre,
+    periodic_trapezoid,
+)
 from reference import ref_inner
 
 S = 1.0 / math.sqrt(2.0)
@@ -203,6 +209,38 @@ class TestGramSchmidt:
         rng = np.random.default_rng(3)
         fam = gram_schmidt(ctx, rng.standard_normal((3, 4)))
         assert verify_orthonormal(ctx, fam).passed
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_dependent_vector_named_by_position(self, field):
+        # the third vector lies in the span of the first two up to 1e-15
+        ctx = SpaceContext(field, 4, np.array([1.0, 0.0, 2.0, 0.5]))
+        a = np.array([1.0, 2.0, 0.0, 1.0])
+        b = np.array([0.0, 1.0, 1.0, -1.0]) * (1j if field == COMPLEX else 1.0)
+        raw = [a, b, 3.0 * a - 2.0 * b + 1e-15, np.array([0.0, 0.0, 0.0, 1.0])]
+        with pytest.raises(DegeneracyError, match="vector 2 "):
+            gram_schmidt(ctx, raw, tol=1e-10)
+
+    def test_large_complex_family_certifies(self):
+        rng = np.random.default_rng(128)
+        ctx = SpaceContext(COMPLEX, 128)
+        raw = rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128))
+        fam = gram_schmidt(ctx, raw, tol=1e-10)
+        assert verify_orthonormal(ctx, fam).gram_defect <= 1e-10
+
+    @pytest.mark.parametrize(
+        "kind, rule, density, count",
+        [
+            ("trig", periodic_trapezoid(4096), lambda s: 1.0 + 0.9 * np.cos(s), 17),
+            ("legendre", gauss_legendre(256), lambda s: np.maximum(s, 0.0), 10),
+        ],
+        ids=["trig", "legendre"],
+    )
+    def test_weighted_quadrature_families_certify(self, kind, rule, density, count):
+        # nonuniform densities, one vanishing on half the nodes, so the
+        # prototypes are far from orthonormal and both passes do real work
+        ctx = WeightedL2Context(rule, density(rule.nodes), REAL)
+        fam = build_family(ctx, kind, count, tol=1e-10)
+        assert verify_orthonormal(ctx.context, fam).gram_defect <= 1e-10
 
 
 class TestVerifyOrthonormal:
