@@ -49,15 +49,12 @@ from .quadrature import (
     build_family,
     counting_measure,
     gauss_legendre,
-    l2_counterpart_report,
-    l2_gruss_report,
     l2_sandwich_gruss,
     periodic_trapezoid,
     sample,
     sampled,
     sandwich_box,
     sandwich_check,
-    weighted_inner,
 )
 from .sharpness import (
     ExtremalInstance,

@@ -63,7 +63,8 @@ class CoefficientBox:
     ``indices`` are 0-based member positions; ``lower`` and ``upper`` are
     aligned with them.  ``half_diameter_sq`` = (1/4) sum_i |Phi_i - phi_i|^2
     and the read-only endpoint arrays ``lower_array`` / ``upper_array`` are
-    computed once at construction.
+    computed once at construction; non-finite endpoints, or a diameter sum
+    that overflows, raise ValueError.
     """
 
     indices: tuple[int, ...]
@@ -87,7 +88,10 @@ class CoefficientBox:
             object.__setattr__(self, name, tuple(endpoints.tolist()))
             object.__setattr__(self, f"{name}_array", endpoints)
         diff = self.upper_array - self.lower_array
-        object.__setattr__(self, "half_diameter_sq", 0.25 * float(np.vdot(diff, diff).real))
+        half_diameter_sq = 0.25 * float(np.vdot(diff, diff).real)
+        if not np.isfinite(half_diameter_sq):
+            raise ValueError("box is too wide: sum |Phi_i - phi_i|^2 overflows")
+        object.__setattr__(self, "half_diameter_sq", half_diameter_sq)
 
     @classmethod
     def from_maps(
@@ -239,7 +243,7 @@ def condition_slack_inner(
     No clamping: a violated condition shows up as a negative value.
     """
     (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
-    return _slack_inner(ctx, x, rows, box)
+    return _slack_inner(ctx, x, rows, box.lower_array, box.upper_array)
 
 
 def condition_slack_norm(
@@ -301,8 +305,9 @@ def residual_identity_sides(
     (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
     c = _coefficients(ctx, x, rows)
     left = _residual(_norm_sq(ctx, x), c)
-    coefficient_term = float(np.vdot(c - box.lower_array, box.upper_array - c).real)
-    return left, coefficient_term - _slack_inner(ctx, x, rows, box)
+    lower, upper = box.lower_array, box.upper_array
+    coefficient_term = float(np.vdot(c - lower, upper - c).real)
+    return left, coefficient_term - _slack_inner(ctx, x, rows, lower, upper)
 
 
 def counterpart_bounds(
@@ -447,8 +452,8 @@ def _validated(ctx, fam, indices, vectors, boxes=()) -> tuple[list[Vector], np.n
     return [as_vector(ctx, v) for v in vectors], fam.members[list(idx)]
 
 
-def _slack_inner(ctx, x, rows, box: CoefficientBox) -> float:
-    return _inner(ctx, box.upper_array @ rows - x, x - box.lower_array @ rows).real
+def _slack_inner(ctx, x, rows, lower: np.ndarray, upper: np.ndarray) -> float:
+    return _inner(ctx, upper @ rows - x, x - lower @ rows).real
 
 
 def _slack_norm(ctx, x, rows, box: CoefficientBox) -> float:
@@ -456,7 +461,7 @@ def _slack_norm(ctx, x, rows, box: CoefficientBox) -> float:
 
 
 def _condition(ctx, x, norm_sq: float, rows, box: CoefficientBox, tol) -> ConditionReport:
-    slack_inner = _slack_inner(ctx, x, rows, box)
+    slack_inner = _slack_inner(ctx, x, rows, box.lower_array, box.upper_array)
     slack_norm = _slack_norm(ctx, x, rows, box)
     if tol is None:
         tol = DEFAULT_CONDITION_RTOL * (norm_sq + box.half_diameter_sq)

@@ -33,8 +33,6 @@ from .quadrature import (
     build_family,
     counting_measure,
     gauss_legendre,
-    l2_counterpart_report,
-    l2_gruss_report,
     l2_sandwich_gruss,
     periodic_trapezoid,
     sample,
@@ -196,7 +194,7 @@ def _cmd_l2demo(args) -> int:
         root = float(np.sqrt(2.0 * np.pi))
         m, M = {0: root}, {0: 3.0 * root}
         box = sandwich_box((0,), m, M)
-        report = l2_counterpart_report(ctx, f, fam, (0,), box)
+        report = counterpart_bounds(ctx.context, f, fam, (0,), box)
         # the bracketing touches its bounds at the peak nodes, so give the
         # node-wise margins room for sin() rounding
         gruss = l2_sandwich_gruss(ctx, f, g, fam, (0,), m, M, m, M, sandwich_tol=1e-12)
@@ -211,7 +209,7 @@ def _cmd_l2demo(args) -> int:
         idx = (0, 1, 2, 3)
         mid, d = certified_box_arrays(rng, ctx.context, f, fam, idx)
         box = CoefficientBox.centered(idx, mid, d)
-        report = l2_counterpart_report(ctx, f, fam, idx, box)
+        report = counterpart_bounds(ctx.context, f, fam, idx, box)
         payload = serialize.l2_instance_to_dict(ctx, {"f": f})
         payload["reports"] = {"counterpart": report.to_dict()}
         ok = report.certified
@@ -222,8 +220,8 @@ def _cmd_l2demo(args) -> int:
         g = np.array([0.2, 0.6, 0.1])
         idx = (0, 1)
         box = sandwich_box(idx, {0: 0.0, 1: 0.0}, {0: 1.0, 1: 1.0})
-        report = l2_counterpart_report(ctx, f, fam, idx, box)
-        gruss = l2_gruss_report(ctx, f, g, fam, idx, box, box)
+        report = counterpart_bounds(ctx.context, f, fam, idx, box)
+        gruss = gruss_bounds(ctx.context, f, g, fam, idx, box, box)
         payload = serialize.l2_instance_to_dict(ctx, {"f": f, "g": g})
         payload["reports"] = {"counterpart": report.to_dict(), "gruss": gruss.to_dict()}
         ok = report.certified and gruss.certified

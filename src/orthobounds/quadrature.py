@@ -23,7 +23,6 @@ from .space import (
     as_vector,
     gram_schmidt,
     index_set,
-    inner_product,
     require_certified,
     DEFAULT_ORTHO_TOL,
     REAL,
@@ -154,11 +153,6 @@ def sample(ctx: WeightedL2Context, fn) -> Vector:
     return sampled(ctx, [fn(s) for s in ctx.space.nodes])
 
 
-def weighted_inner(ctx: WeightedL2Context, f: Vector, g: Vector) -> complex:
-    """sum_k w_k rho_k f(s_k) conj(g(s_k))."""
-    return inner_product(ctx.context, f, g)
-
-
 def build_family(
     ctx: WeightedL2Context,
     kind: str,
@@ -287,34 +281,6 @@ class SandwichConditionError(ValueError):
         self.report = report
 
 
-def l2_counterpart_report(
-    ctx: WeightedL2Context,
-    f: Vector,
-    fam: OrthonormalFamily,
-    indices: Sequence[int],
-    box: bounds.CoefficientBox,
-    tol: float | None = None,
-) -> bounds.BesselBoundReport:
-    """Residual chain over the weighted backend; identical report semantics."""
-    return bounds.counterpart_bounds(ctx.context, sampled(ctx, f), fam, indices, box, tol)
-
-
-def l2_gruss_report(
-    ctx: WeightedL2Context,
-    f: Vector,
-    g: Vector,
-    fam: OrthonormalFamily,
-    indices: Sequence[int],
-    box_f: bounds.CoefficientBox,
-    box_g: bounds.CoefficientBox,
-    tol: float | None = None,
-) -> bounds.GrussBoundReport:
-    """Deviation chain over the weighted backend, with <f,g> = sum w rho f conj(g)."""
-    return bounds.gruss_bounds(
-        ctx.context, sampled(ctx, f), sampled(ctx, g), fam, indices, box_f, box_g, tol
-    )
-
-
 def l2_sandwich_gruss(
     ctx: WeightedL2Context,
     f: Vector,
@@ -340,6 +306,6 @@ def l2_sandwich_gruss(
     if not report_g.holds:
         raise SandwichConditionError("g", report_g)
     idx = index_set(indices, fam.size)
-    return l2_gruss_report(
-        ctx, f, g, fam, idx, sandwich_box(idx, m, M), sandwich_box(idx, n, N), tol
+    return bounds.gruss_bounds(
+        ctx.context, f, g, fam, idx, sandwich_box(idx, m, M), sandwich_box(idx, n, N), tol
     )

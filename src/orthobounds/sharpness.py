@@ -18,6 +18,13 @@ Two routes:
   every evaluated ratio is certified and can never exceed 1/4 beyond
   roundoff.  The search is gradient-free because the feasible set is
   nonconvex in the box parameters.
+
+Both modes run through one driver.  A search state is one flat array: the
+mode's vectors (x, or x and y), then (midpoints, half-widths) of each
+vector's box.  It is evaluated through the same private kernel as the bound
+chains in :mod:`orthobounds.bounds` (condition slack, residual, deviation),
+so the search has no formulas of its own; ``tests/reference.py`` stays the
+independent second route.
 """
 
 from __future__ import annotations
@@ -28,21 +35,20 @@ import numpy as np
 
 from . import serialize
 from .bounds import CoefficientBox, counterpart_bounds, gruss_bounds
-from .generate import (
-    Instance,
-    PairInstance,
-    certified_box_arrays,
-    random_family,
-    random_vector,
-    rng_from_seed,
-)
+from .bounds import _deviation, _residual, _slack_inner
+from .generate import Instance, PairInstance, certified_box_arrays
+from .generate import random_family, random_vector, rng_from_seed
 from .space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, Vector, as_vector
+from .space import _coefficients, _norm_sq
 
-_MODE_RESIDUAL = 1
-_MODE_GRUSS = 2
+#: Vectors per search state in each mode; the count is also the mode's key
+#: in the restart RNG streams (seed, count, restart).
+_VECTORS = {"residual": 1, "gruss": 2}
 
-#: Hill-climbing step sizes decay geometrically down to this fraction of the
-#: starting scale over one restart.
+#: Hill-climbing steps start at _STEP_SCALE times the initial state's largest
+#: entry (at least 1) and decay geometrically down to _FINAL_STEP_FRACTION of
+#: that start over one restart.
+_STEP_SCALE = 0.5
 _FINAL_STEP_FRACTION = 1e-7
 
 
@@ -83,21 +89,18 @@ def extremal_instance(m: float) -> ExtremalInstance:
 @dataclass(frozen=True)
 class SearchConfig:
     """Knobs for the multi-start search; identical configs give identical
-    results (restart r draws its stream from (seed, mode, r))."""
+    results (restart r draws its stream from (seed, mode's vector count, r))."""
 
     dimension: int = 4
     family_size: int = 2
     field: str = REAL
     restarts: int = 64
     steps_per_restart: int = 2000
-    step_scale: float = 0.5
     seed: int = 1905
 
     def __post_init__(self) -> None:
         if self.restarts < 1 or self.steps_per_restart < 1:
             raise ValueError("restarts and steps_per_restart must be >= 1")
-        if not self.step_scale > 0:
-            raise ValueError("step_scale must be positive")
         if not 1 <= self.family_size <= self.dimension:
             raise ValueError("need 1 <= family_size <= dimension")
         if self.field not in (REAL, COMPLEX):
@@ -198,68 +201,100 @@ def _hill_climb(state, evaluate, slots, steps, initial_scale):
 NOISE_FLOOR_REL = 1e-5
 
 
-def _make_residual_evaluator(members: np.ndarray, dim: int, fsize: int):
-    conj_members = np.conj(members)
+def _split(flat: np.ndarray, dim: int, fsize: int, count: int):
+    """Views of a flat state: ``count`` vectors, then (midpoints, half-widths)
+    of each vector's box, as arrays of ``count`` rows each."""
+    boxes = flat[count * dim :].reshape(count, 2, fsize)
+    return flat[: count * dim].reshape(count, dim), boxes[:, 0], boxes[:, 1]
+
+
+def _objective(value: float, diameter: float, scale: float, slack: float):
+    """(ratio, slack, degenerate) of a feasible state: ``value`` over the box
+    diameter term, with ``value`` below the noise floor counted as zero."""
+    if value < NOISE_FLOOR_REL * scale:
+        value = 0.0
+    if diameter <= 0.0:
+        return 0.0, slack, True
+    return value / diameter, slack, False
+
+
+def _make_evaluator(ctx: SpaceContext, rows: np.ndarray, mode: str):
+    """State evaluator of one mode over the family rows: (ratio, slack,
+    degenerate) for a feasible state, None once a condition slack is negative.
+    The mode is settled here, not on every call, so each closure is branch-free."""
+    dim, fsize = ctx.dimension, rows.shape[0]
+
+    def diameter(d) -> float:
+        return 4.0 * float(np.vdot(d, d).real)
+
+    if mode == "residual":
+
+        def evaluate(flat: np.ndarray):
+            (x,), (mid,), (d,) = _split(flat, dim, fsize, 1)
+            slack = _slack_inner(ctx, x, rows, mid - d, mid + d)
+            if slack < 0.0:
+                return None
+            norm_sq, diam = _norm_sq(ctx, x), diameter(d)
+            residual = _residual(norm_sq, _coefficients(ctx, x, rows))
+            return _objective(residual, diam, norm_sq + diam, slack)
+
+        return evaluate
 
     def evaluate(flat: np.ndarray):
-        x = flat[:dim]
-        mid = flat[dim : dim + fsize]
-        d = flat[dim + fsize :]
-        upper_comb = (mid + d) @ members
-        lower_comb = (mid - d) @ members
-        slack = float(np.dot(upper_comb - x, np.conj(x - lower_comb)).real)
-        if slack < 0.0:
-            return None
-        denominator = 4.0 * float(np.sum(np.abs(d) ** 2))
-        coeffs = conj_members @ x
-        residual = float(np.sum(np.abs(x) ** 2) - np.sum(np.abs(coeffs) ** 2))
-        if residual < NOISE_FLOOR_REL * float(np.sum(np.abs(x) ** 2) + denominator):
-            residual = 0.0
-        if denominator <= 0.0:
-            return 0.0, slack, True
-        return residual / denominator, slack, False
-
-    return evaluate
-
-
-def _make_gruss_evaluator(members: np.ndarray, dim: int, fsize: int):
-    conj_members = np.conj(members)
-
-    def evaluate(flat: np.ndarray):
-        x = flat[:dim]
-        y = flat[dim : 2 * dim]
-        mid_x = flat[2 * dim : 2 * dim + fsize]
-        d_x = flat[2 * dim + fsize : 2 * dim + 2 * fsize]
-        mid_y = flat[2 * dim + 2 * fsize : 2 * dim + 3 * fsize]
-        d_y = flat[2 * dim + 3 * fsize :]
-        slack_x = float(
-            np.dot((mid_x + d_x) @ members - x, np.conj(x - (mid_x - d_x) @ members)).real
-        )
+        (x, y), (mid_x, mid_y), (d_x, d_y) = _split(flat, dim, fsize, 2)
+        slack_x = _slack_inner(ctx, x, rows, mid_x - d_x, mid_x + d_x)
         if slack_x < 0.0:
             return None
-        slack_y = float(
-            np.dot((mid_y + d_y) @ members - y, np.conj(y - (mid_y - d_y) @ members)).real
-        )
+        slack_y = _slack_inner(ctx, y, rows, mid_y - d_y, mid_y + d_y)
         if slack_y < 0.0:
             return None
-        denominator = 4.0 * float(
-            np.sqrt(np.sum(np.abs(d_x) ** 2) * np.sum(np.abs(d_y) ** 2))
-        )
-        cx = conj_members @ x
-        cy = conj_members @ y
-        deviation = abs(complex(np.dot(x, np.conj(y)) - np.sum(cx * np.conj(cy))))
-        scale_x = float(np.sum(np.abs(x) ** 2) + 4.0 * np.sum(np.abs(d_x) ** 2))
-        scale_y = float(np.sum(np.abs(y) ** 2) + 4.0 * np.sum(np.abs(d_y) ** 2))
-        if deviation < NOISE_FLOOR_REL * np.sqrt(scale_x * scale_y):
-            deviation = 0.0
+        diam_x, diam_y = diameter(d_x), diameter(d_y)
+        scale = np.sqrt((_norm_sq(ctx, x) + diam_x) * (_norm_sq(ctx, y) + diam_y))
+        deviation = abs(_deviation(ctx, x, y, rows))
         # the slack SUM is the tie-break: with min() a recentering move on the
         # non-binding box would never be accepted
         slack = slack_x + slack_y
-        if denominator <= 0.0:
-            return 0.0, slack, True
-        return deviation / denominator, slack, False
+        return _objective(deviation, float(np.sqrt(diam_x * diam_y)), scale, slack)
 
     return evaluate
+
+
+def _maximize(cfg: SearchConfig, mode: str) -> SharpnessResult:
+    """Multi-start search of one mode; restart r draws the family, the
+    vectors and then their boxes from the stream (seed, vector count, r)."""
+    ctx = SpaceContext(cfg.field, cfg.dimension)
+    indices = tuple(range(cfg.family_size))
+    count = _VECTORS[mode]
+    best = None
+    evaluations = 0
+    for restart in range(cfg.restarts):
+        rng = rng_from_seed(cfg.seed, count, restart)
+        fam = random_family(rng, ctx, cfg.family_size)
+        vectors = [random_vector(rng, ctx) for _ in range(count)]
+        boxes = [certified_box_arrays(rng, ctx, v, fam, indices) for v in vectors]
+        flat = np.concatenate([*vectors, *(part for box in boxes for part in box)])
+        evaluate = _make_evaluator(ctx, fam.members, mode)
+        slots = _slots(flat.size, ctx.is_complex)
+        scale = _STEP_SCALE * max(1.0, float(np.max(np.abs(flat))))
+        state, (ratio, _slack, degenerate), used = _hill_climb(
+            flat, evaluate, slots, cfg.steps_per_restart, scale
+        )
+        evaluations += used
+        if best is None or ratio > best[0]:
+            best = ratio, state, fam, degenerate
+    ratio, state, fam, degenerate = best
+    vectors, mids, half_widths = _split(state, ctx.dimension, cfg.family_size, count)
+    vectors = [as_vector(ctx, v) for v in vectors]
+    boxes = [CoefficientBox.centered(indices, m, d) for m, d in zip(mids, half_widths)]
+    if mode == "residual":
+        instance = Instance(ctx, *vectors, fam, indices, *boxes)
+        report = counterpart_bounds(*instance)
+    else:
+        instance = PairInstance(ctx, *vectors, fam, indices, *boxes)
+        report = gruss_bounds(*instance)
+    payload = serialize.instance_to_dict(instance)
+    payload.update(report=report.to_dict(), ratio=ratio, mode=mode)
+    return SharpnessResult(float(ratio), payload, evaluations, degenerate)
 
 
 def maximize_residual_ratio(cfg: SearchConfig = SearchConfig()) -> SharpnessResult:
@@ -268,115 +303,10 @@ def maximize_residual_ratio(cfg: SearchConfig = SearchConfig()) -> SharpnessResu
     The certified supremum is 1/4; with the default configuration the search
     gets within 1e-4 of it.
     """
-    ctx = SpaceContext(cfg.field, cfg.dimension)
-    indices = tuple(range(cfg.family_size))
-    best_ratio = -np.inf
-    best_state = None
-    best_family = None
-    best_degenerate = False
-    evaluations = 0
-    for restart in range(cfg.restarts):
-        rng = rng_from_seed(cfg.seed, _MODE_RESIDUAL, restart)
-        fam = random_family(rng, ctx, cfg.family_size)
-        x = random_vector(rng, ctx)
-        mid, d = certified_box_arrays(rng, ctx, x, fam, indices)
-        flat = np.concatenate([x, mid, d])
-        evaluate = _make_residual_evaluator(fam.members, cfg.dimension, cfg.family_size)
-        slots = _slots(flat.size, ctx.is_complex)
-        scale = cfg.step_scale * max(1.0, float(np.max(np.abs(flat))))
-        state, (ratio, _slack, degenerate), used = _hill_climb(
-            flat, evaluate, slots, cfg.steps_per_restart, scale
-        )
-        evaluations += used
-        if ratio > best_ratio:
-            best_ratio, best_state, best_family, best_degenerate = (
-                ratio,
-                state,
-                fam,
-                degenerate,
-            )
-    instance = _residual_state_to_instance(ctx, best_family, indices, best_state)
-    payload = serialize.instance_to_dict(instance)
-    payload["report"] = counterpart_bounds(*instance).to_dict()
-    payload["ratio"] = best_ratio
-    payload["mode"] = "residual"
-    return SharpnessResult(
-        best_ratio=float(best_ratio),
-        best_instance=payload,
-        evaluations=evaluations,
-        degenerate=best_degenerate,
-    )
+    return _maximize(cfg, "residual")
 
 
 def maximize_gruss_ratio(cfg: SearchConfig = SearchConfig()) -> SharpnessResult:
     """Search for the largest certified deviation-to-box-diameter ratio; the
     certified supremum is again 1/4."""
-    ctx = SpaceContext(cfg.field, cfg.dimension)
-    indices = tuple(range(cfg.family_size))
-    best_ratio = -np.inf
-    best_state = None
-    best_family = None
-    best_degenerate = False
-    evaluations = 0
-    for restart in range(cfg.restarts):
-        rng = rng_from_seed(cfg.seed, _MODE_GRUSS, restart)
-        fam = random_family(rng, ctx, cfg.family_size)
-        x = random_vector(rng, ctx)
-        y = random_vector(rng, ctx)
-        mid_x, d_x = certified_box_arrays(rng, ctx, x, fam, indices)
-        mid_y, d_y = certified_box_arrays(rng, ctx, y, fam, indices)
-        flat = np.concatenate([x, y, mid_x, d_x, mid_y, d_y])
-        evaluate = _make_gruss_evaluator(fam.members, cfg.dimension, cfg.family_size)
-        slots = _slots(flat.size, ctx.is_complex)
-        scale = cfg.step_scale * max(1.0, float(np.max(np.abs(flat))))
-        state, (ratio, _slack, degenerate), used = _hill_climb(
-            flat, evaluate, slots, cfg.steps_per_restart, scale
-        )
-        evaluations += used
-        if ratio > best_ratio:
-            best_ratio, best_state, best_family, best_degenerate = (
-                ratio,
-                state,
-                fam,
-                degenerate,
-            )
-    pair = _gruss_state_to_instance(ctx, best_family, indices, best_state)
-    payload = serialize.instance_to_dict(pair)
-    payload["report"] = gruss_bounds(
-        pair.ctx, pair.x, pair.y, pair.family, pair.indices, pair.box_x, pair.box_y
-    ).to_dict()
-    payload["ratio"] = best_ratio
-    payload["mode"] = "gruss"
-    return SharpnessResult(
-        best_ratio=float(best_ratio),
-        best_instance=payload,
-        evaluations=evaluations,
-        degenerate=best_degenerate,
-    )
-
-
-def _residual_state_to_instance(ctx, fam, indices, flat) -> Instance:
-    dim, fsize = ctx.dimension, len(indices)
-    x = as_vector(ctx, flat[:dim])
-    mid = flat[dim : dim + fsize]
-    d = flat[dim + fsize :]
-    return Instance(ctx, x, fam, indices, CoefficientBox.centered(indices, mid, d))
-
-
-def _gruss_state_to_instance(ctx, fam, indices, flat) -> PairInstance:
-    dim, fsize = ctx.dimension, len(indices)
-    x = as_vector(ctx, flat[:dim])
-    y = as_vector(ctx, flat[dim : 2 * dim])
-    mid_x = flat[2 * dim : 2 * dim + fsize]
-    d_x = flat[2 * dim + fsize : 2 * dim + 2 * fsize]
-    mid_y = flat[2 * dim + 2 * fsize : 2 * dim + 3 * fsize]
-    d_y = flat[2 * dim + 3 * fsize :]
-    return PairInstance(
-        ctx,
-        x,
-        y,
-        fam,
-        indices,
-        CoefficientBox.centered(indices, mid_x, d_x),
-        CoefficientBox.centered(indices, mid_y, d_y),
-    )
+    return _maximize(cfg, "gruss")

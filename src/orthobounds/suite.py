@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 
 from . import serialize
 from .bounds import (
+    bessel_residual,
     check_condition,
     companion_abs_bound,
     companion_bound,
@@ -207,13 +208,13 @@ def check_gruss_chain(pair: PairInstance, rtol: float) -> tuple[bool, float]:
         report.coarse - report.refined,
         report.refined,
     )
-    rep_x = counterpart_bounds(pair.ctx, pair.x, pair.family, pair.indices, pair.box_x)
-    rep_y = counterpart_bounds(pair.ctx, pair.y, pair.family, pair.indices, pair.box_y)
+    res_x = bessel_residual(pair.ctx, pair.x, pair.family, pair.indices)
+    res_y = bessel_residual(pair.ctx, pair.y, pair.family, pair.indices)
+    refined_x = pair.box_x.half_diameter_sq - report.condition_x.slack_inner
+    refined_y = pair.box_y.half_diameter_sq - report.condition_y.slack_inner
     squared_ok = (
-        report.deviation_abs**2
-        <= rep_x.residual * rep_y.residual + rtol * scale**2
-        and rep_x.residual * rep_y.residual
-        <= rep_x.refined * rep_y.refined + rtol * scale**2
+        report.deviation_abs**2 <= res_x * res_y + rtol * scale**2
+        and res_x * res_y <= refined_x * refined_y + rtol * scale**2
     )
     ok = report.certified and margin >= -rtol * scale and squared_ok
     return ok, margin

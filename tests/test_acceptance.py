@@ -44,7 +44,6 @@ from orthobounds.generate import (
 from orthobounds.quadrature import (
     WeightedL2Context,
     build_family,
-    l2_counterpart_report,
     periodic_trapezoid,
 )
 from orthobounds.suite import check_l2_embedding
@@ -326,7 +325,7 @@ def test_criterion_9_closed_form_l2_case():
     root = math.sqrt(2.0 * math.pi)
     m, M = {0: root}, {0: 3.0 * root}
     sandwich = sandwich_check(ctx, f, fam, (0,), m, M, tol=1e-12)
-    report = l2_counterpart_report(ctx, f, fam, (0,), sandwich_box((0,), m, M))
+    report = counterpart_bounds(ctx.context, f, fam, (0,), sandwich_box((0,), m, M))
     errors = {
         "residual": abs(report.residual - math.pi),
         "refined": abs(report.refined - math.pi),

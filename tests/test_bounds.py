@@ -96,6 +96,12 @@ class TestCoefficientBox:
         with pytest.raises(ValueError, match="finite"):
             CoefficientBox((0,), (np.nan,), (1.0,))
 
+    def test_rejects_diameter_overflow(self):
+        # finite endpoints whose squared diameter overflows would give
+        # coarse = inf and refined = NaN in a report marked certified
+        with pytest.raises(ValueError, match="overflows"):
+            CoefficientBox((0,), (-1e200,), (1e200,))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="one entry per index"):
             CoefficientBox((0, 1), (0.0,), (1.0, 1.0))

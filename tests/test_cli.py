@@ -88,6 +88,17 @@ class TestBoundsCommand:
     def test_missing_file_is_input_error(self, tmp_path):
         assert main(["bounds", str(tmp_path / "nope.json")]) == 2
 
+    def test_overflowing_box_is_input_error(self, instance_file, tmp_path, capsys):
+        payload = json.loads(instance_file.read_text())
+        payload["box"]["lower"] = [-1e200] * len(payload["box"]["lower"])
+        payload["box"]["upper"] = [1e200] * len(payload["box"]["upper"])
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(payload))
+        assert main(["bounds", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflows" in captured.err
+
 
 class TestGrussCommand:
     def test_pair_report(self, pair_file, tmp_path):

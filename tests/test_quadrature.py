@@ -16,8 +16,7 @@ from orthobounds import (
     counting_measure,
     gauss_legendre,
     gruss_bounds,
-    l2_counterpart_report,
-    l2_gruss_report,
+    inner_product,
     l2_sandwich_gruss,
     periodic_trapezoid,
     sample,
@@ -25,7 +24,6 @@ from orthobounds import (
     sandwich_box,
     sandwich_check,
     verify_orthonormal,
-    weighted_inner,
 )
 from orthobounds.generate import generate_certified_instance, generate_certified_pair, rng_from_seed
 from orthobounds.suite import check_l2_embedding
@@ -79,23 +77,23 @@ class TestWeightedInner:
     def test_indicator_on_counting_measure(self):
         ctx = WeightedL2Context.uniform_density(counting_measure(3))
         f = sampled(ctx, [1.0, 0.0, 0.0])
-        assert weighted_inner(ctx, f, f) == 1.0
+        assert inner_product(ctx.context, f, f) == 1.0
 
     def test_constant_member_has_unit_norm(self, trig_ctx):
         f1 = sampled(trig_ctx, np.full(1024, 1.0 / ROOT_2PI))
-        assert weighted_inner(trig_ctx, f1, f1).real == pytest.approx(1.0, abs=1e-12)
+        assert inner_product(trig_ctx.context, f1, f1).real == pytest.approx(1.0, abs=1e-12)
 
     def test_coefficient_of_shifted_sine(self, trig_ctx):
         f = sample(trig_ctx, lambda s: 2.0 + np.sin(s))
         f1 = sampled(trig_ctx, np.full(1024, 1.0 / ROOT_2PI))
         # closed form: (1/sqrt(2pi)) * integral of (2 + sin) = 4pi/sqrt(2pi)
-        assert weighted_inner(trig_ctx, f, f1).real == pytest.approx(
+        assert inner_product(trig_ctx.context, f, f1).real == pytest.approx(
             2.0 * ROOT_2PI, rel=1e-12
         )
 
     def test_length_mismatch(self, trig_ctx):
         with pytest.raises(ValueError):
-            weighted_inner(trig_ctx, np.ones(3), np.ones(1024))
+            inner_product(trig_ctx.context, np.ones(3), np.ones(1024))
 
 
 class TestBuildFamily:
@@ -217,7 +215,7 @@ class TestClosedFormTrigCase:
     def test_counterpart_report(self, trig_ctx, trig_family):
         f = sample(trig_ctx, lambda s: 2.0 + np.sin(s))
         box = sandwich_box((0,), {0: ROOT_2PI}, {0: 3.0 * ROOT_2PI})
-        report = l2_counterpart_report(trig_ctx, f, trig_family, (0,), box)
+        report = counterpart_bounds(trig_ctx.context, f, trig_family, (0,), box)
         assert report.certified
         assert report.residual == pytest.approx(math.pi, abs=1e-8)
         assert report.refined == pytest.approx(math.pi, abs=1e-8)
@@ -275,11 +273,11 @@ class TestBackendEquivalence:
         box = CoefficientBox((0, 1), (0, 0), (1, 1))
         f = sampled(ctx, [0.5, 0.3, 0.2])
         g = sampled(ctx, [0.2, 0.6, 0.1])
-        report = l2_counterpart_report(ctx, f, fam, (0, 1), box)
+        report = counterpart_bounds(ctx.context, f, fam, (0, 1), box)
         assert report.residual == pytest.approx(0.04, rel=1e-12)
         assert report.refined == pytest.approx(0.08, rel=1e-12)
         assert report.coarse == pytest.approx(0.5, rel=1e-15)
-        gruss = l2_gruss_report(ctx, f, g, fam, (0, 1), box, box)
+        gruss = gruss_bounds(ctx.context, f, g, fam, (0, 1), box, box)
         assert gruss.deviation_abs == pytest.approx(0.02, rel=1e-12)
         assert gruss.refined == pytest.approx(0.09527787310303887, rel=1e-12)
         assert gruss.coarse == pytest.approx(0.5, rel=1e-14)
@@ -302,8 +300,8 @@ class TestBackendEquivalence:
             fam = OrthonormalFamily.from_members(
                 l2ctx.context, pair.family.members, pair.family.tolerance
             )
-            l2_report = l2_gruss_report(
-                l2ctx, pair.x, pair.y, fam, pair.indices, pair.box_x, pair.box_y
+            l2_report = gruss_bounds(
+                l2ctx.context, pair.x, pair.y, fam, pair.indices, pair.box_x, pair.box_y
             )
             assert abs(vec_report.deviation - l2_report.deviation) <= 1e-12
             assert abs(vec_report.refined - l2_report.refined) <= 1e-12

@@ -3,15 +3,17 @@ import pytest
 
 from orthobounds import (
     COMPLEX,
+    REAL,
     CoefficientBox,
     SearchConfig,
+    SpaceContext,
     counterpart_bounds,
     extremal_instance,
     maximize_gruss_ratio,
     maximize_residual_ratio,
 )
 from orthobounds.serialize import instance_from_dict
-from orthobounds.sharpness import _make_gruss_evaluator, _make_residual_evaluator
+from orthobounds.sharpness import _make_evaluator
 
 FAST = SearchConfig(restarts=6, steps_per_restart=1500, seed=11)
 
@@ -65,8 +67,6 @@ class TestSearchConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             SearchConfig(restarts=0)
-        with pytest.raises(ValueError):
-            SearchConfig(step_scale=0.0)
         with pytest.raises(ValueError):
             SearchConfig(family_size=5, dimension=4)
         with pytest.raises(ValueError):
@@ -137,11 +137,36 @@ class TestMaximizeGrussRatio:
         )
 
 
+class TestSearchTrajectories:
+    @pytest.mark.parametrize(
+        "mode, cell, ratio, evaluations",
+        [
+            ("residual", (4, 2, REAL), 0.249999987428, 734),
+            ("residual", (16, 8, COMPLEX), 0.249999914116, 4000),
+            ("gruss", (4, 2, REAL), 0.249973978833, 1583),
+            ("gruss", (16, 8, COMPLEX), 0.23637222971, 4000),
+        ],
+    )
+    def test_search_results_are_pinned(self, mode, cell, ratio, evaluations):
+        # one restart of the default seed in the two cells the benchmark
+        # searches; a change to the draw order, the state layout, the
+        # acceptance rule or the step schedule moves these
+        dim, fsize, field = cell
+        cfg = SearchConfig(
+            dimension=dim, family_size=fsize, field=field,
+            restarts=1, steps_per_restart=2000, seed=1905,
+        )
+        search = maximize_residual_ratio if mode == "residual" else maximize_gruss_ratio
+        result = search(cfg)
+        assert result.evaluations == evaluations
+        assert float(f"{result.best_ratio:.12g}") == ratio
+
+
 class TestEvaluatorEdgeCases:
     def test_degenerate_denominator_flagged(self):
         # x, y in the span with degenerate (zero-diameter) boxes: 0/0 -> 0
         members = np.eye(2, dtype=np.complex128)
-        evaluate = _make_gruss_evaluator(members, 2, 2)
+        evaluate = _make_evaluator(SpaceContext(REAL, 2), members, "gruss")
         x = np.array([1.0, 0.0], dtype=np.complex128)
         y = np.array([0.0, 1.0], dtype=np.complex128)
         mid_x, d_x = x[:2].copy(), np.zeros(2, dtype=np.complex128)
@@ -153,7 +178,7 @@ class TestEvaluatorEdgeCases:
 
     def test_infeasible_state_rejected(self):
         members = np.eye(1, 2, dtype=np.complex128)
-        evaluate = _make_residual_evaluator(members, 2, 1)
+        evaluate = _make_evaluator(SpaceContext(REAL, 2), members, "residual")
         x = np.array([10.0, 0.0], dtype=np.complex128)
         mid = np.array([0.0], dtype=np.complex128)
         d = np.array([1.0], dtype=np.complex128)
