@@ -55,6 +55,10 @@ from .space import (
 #: scale = ||x||^2 + (1/4) sum |Phi_i - phi_i|^2.
 DEFAULT_CONDITION_RTOL = 1e-10
 
+#: Largest accepted squared norm of an input vector or box endpoint vector;
+#: see ``_validated`` for why it keeps every kernel quantity finite.
+_MAX_SQUARED_NORM = np.finfo(float).max / 16
+
 
 @dataclass(frozen=True, eq=False)
 class CoefficientBox:
@@ -398,13 +402,12 @@ def companion_bound(
     fam: OrthonormalFamily,
     indices: Sequence[int],
     box: CoefficientBox,
-    tol: float | None = None,
 ) -> CompanionReport:
     """Re(deviation) <= (1/4) sum_F |Phi_i - phi_i|^2, certified by the box
     condition evaluated at the midpoint (x+y)/2."""
     (x, y), rows = _validated(ctx, fam, indices, (x, y), (box,))
     midpoint = 0.5 * (x + y)
-    condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box, tol)
+    condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box, None)
     return CompanionReport(
         re_deviation=_deviation(ctx, x, y, rows).real,
         bound=box.half_diameter_sq,
@@ -420,7 +423,6 @@ def companion_abs_bound(
     fam: OrthonormalFamily,
     indices: Sequence[int],
     box: CoefficientBox,
-    tol: float | None = None,
 ) -> CompanionAbsReport:
     """|Re(deviation)| <= (1/4) sum_F |Phi_i - phi_i|^2, certified when both
     (x+y)/2 and (x-y)/2 satisfy the box condition.
@@ -431,8 +433,8 @@ def companion_abs_bound(
     (x, y), rows = _validated(ctx, fam, indices, (x, y), (box,))
     half_sum = 0.5 * (x + y)
     half_diff = 0.5 * (x - y)
-    condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box, tol)
-    condition_diff = _condition(ctx, half_diff, _norm_sq(ctx, half_diff), rows, box, tol)
+    condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box, None)
+    condition_diff = _condition(ctx, half_diff, _norm_sq(ctx, half_diff), rows, box, None)
     return CompanionAbsReport(
         abs_re_deviation=abs(_deviation(ctx, x, y, rows).real),
         bound=box.half_diameter_sq,
@@ -449,7 +451,23 @@ def _validated(ctx, fam, indices, vectors, boxes=()) -> tuple[list[Vector], np.n
     for box in boxes:
         if box.indices != idx:
             raise ValueError(f"box covers indices {box.indices}, expected {idx}")
-    return [as_vector(ctx, v) for v in vectors], fam.members[list(idx)]
+    vectors = [as_vector(ctx, v) for v in vectors]
+    # Size guard.  Let M^2 be the largest of ||v||^2 over the vectors and of
+    # ||phi||^2, ||Phi||^2 over the box endpoints.  For a certified family with
+    # F * gram_defect <= 1, ||sum_F c_i e_i|| <= sqrt(2) ||c||, so every vector
+    # the kernel forms (v - sum Phi_i e_i, (x +- y)/2, ...) has norm at most
+    # (1 + sqrt(2)) M and every value it returns is bounded by a product of two
+    # such norms plus M^2, that is by 7 M^2 (refined = coarse - slack_inner is
+    # the largest).  M^2 < finfo.max / 16 keeps all of them finite.  np.vdot
+    # overflows to inf without a warning, which the comparison also rejects.
+    sizes = [_norm_sq(ctx, v) for v in vectors]
+    sizes += [np.vdot(a, a).real for box in boxes for a in (box.lower_array, box.upper_array)]
+    if not max(sizes) < _MAX_SQUARED_NORM:
+        raise ValueError(
+            "inputs too large: squared norms of the vectors and box endpoints "
+            f"must stay below {_MAX_SQUARED_NORM:.3e}"
+        )
+    return vectors, fam.members[list(idx)]
 
 
 def _slack_inner(ctx, x, rows, lower: np.ndarray, upper: np.ndarray) -> float:

@@ -51,15 +51,6 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    parser.add_argument("--out", default=None, help="output file path")
-    parser.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="output format"
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orthobounds",
@@ -78,20 +69,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--tightness-out", default=None, help="also emit a per-instance tightness CSV"
     )
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=SuiteConfig.seed, help="64-bit RNG seed")
+    p.add_argument(
+        "--tol", type=float, default=SuiteConfig.tolerance, help="relative chain tolerance"
+    )
+    p.add_argument("--out", default=None, help="output file path")
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
     p = sub.add_parser("bounds", help="residual chain report for an instance file")
     p.add_argument("instance", help="instance JSON path")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=None, help="absolute condition tolerance")
+    p.add_argument("--out", default=None, help="output file path")
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
     p = sub.add_parser("gruss", help="deviation chain report for an instance file")
     p.add_argument("instance", help="instance JSON path (must carry y and box_y)")
-    _add_common(p)
+    p.add_argument("--tol", type=float, default=None, help="absolute condition tolerance")
+    p.add_argument("--out", default=None, help="output file path")
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
     p = sub.add_parser("l2demo", help="weighted-L2 demo on a built-in example")
     p.add_argument("kind", choices=("trig", "legendre", "counting"))
     p.add_argument("--nodes", type=int, default=1024, help="quadrature node count")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="RNG seed of the legendre box")
+    p.add_argument("--out", default=None, help="output file path")
 
     p = sub.add_parser("sharpness", help="search for the best-constant ratio 1/4")
     p.add_argument("--mode", choices=("residual", "gruss"), default="residual")
@@ -100,7 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=("real", "complex"), default="real")
     p.add_argument("--restarts", type=int, default=64)
     p.add_argument("--steps", type=int, default=2000)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=SearchConfig.seed, help="64-bit RNG seed")
+    p.add_argument("--out", default=None, help="output file path")
     return parser
 
 
@@ -110,8 +112,8 @@ def _cmd_verify(args) -> int:
         dims=tuple(args.dims),
         family_sizes=tuple(args.family_sizes),
         fields=tuple(args.fields),
-        seed=args.seed if args.seed is not None else SuiteConfig.seed,
-        tolerance=args.tol if args.tol is not None else SuiteConfig.tolerance,
+        seed=args.seed,
+        tolerance=args.tol,
     )
     outcome = run_suite(cfg)
     for name, tally in sorted(outcome.checks.items()):
@@ -120,15 +122,14 @@ def _cmd_verify(args) -> int:
             f"{status:4s} {name:24s} passed={tally.passed:<7d} failed={tally.failed:<5d} "
             f"worst_margin={tally.worst_margin:.3e}"
         )
-    payload = outcome.to_dict()
-    if args.format == "csv" and args.out:
+    if args.format == "csv":
         rows = [
             (name, tally.passed, tally.failed, float(tally.worst_margin))
             for name, tally in sorted(outcome.checks.items())
         ]
         serialize.write_csv(args.out, ("check", "passed", "failed", "worst_margin"), rows)
     elif args.out:
-        serialize.dump_json(payload, args.out)
+        serialize.dump_json(outcome.to_dict(), args.out)
     if args.tightness_out:
         rng_ids = []
         for i in range(min(cfg.instance_count, 100)):
@@ -141,7 +142,7 @@ def _cmd_verify(args) -> int:
 
 
 def _report_exit(payload: dict, certified_ok: bool, args) -> int:
-    if args.format == "csv" and args.out:
+    if args.format == "csv":
         rows = [(key, value if isinstance(value, float) else str(value)) for key, value in payload.items()]
         serialize.write_csv(args.out, ("field", "value"), rows)
     else:
@@ -205,7 +206,7 @@ def _cmd_l2demo(args) -> int:
         ctx = WeightedL2Context.uniform_density(gauss_legendre(args.nodes))
         fam = build_family(ctx, "legendre", 4)
         f = sample(ctx, np.exp)
-        rng = rng_from_seed(args.seed if args.seed is not None else 0, 5)
+        rng = rng_from_seed(args.seed, 5)
         idx = (0, 1, 2, 3)
         mid, d = certified_box_arrays(rng, ctx.context, f, fam, idx)
         box = CoefficientBox.centered(idx, mid, d)
@@ -238,7 +239,7 @@ def _cmd_sharpness(args) -> int:
         field=args.field,
         restarts=args.restarts,
         steps_per_restart=args.steps,
-        seed=args.seed if args.seed is not None else SearchConfig.seed,
+        seed=args.seed,
     )
     if args.mode == "residual":
         result = maximize_residual_ratio(cfg)
@@ -261,6 +262,8 @@ def _cmd_sharpness(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "format", None) == "csv" and args.out is None:
+        parser.error("--format csv needs --out")
     handlers = {
         "verify": _cmd_verify,
         "bounds": _cmd_bounds,

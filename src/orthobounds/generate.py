@@ -16,7 +16,6 @@ import numpy as np
 
 from .bounds import CoefficientBox
 from .space import (
-    DEFAULT_ORTHO_TOL,
     DegeneracyError,
     OrthonormalFamily,
     SpaceContext,
@@ -69,19 +68,14 @@ def random_vector(rng: np.random.Generator, ctx: SpaceContext, scale: float = 1.
     return scale * gaussian_scalars(rng, ctx.dimension, ctx.is_complex)
 
 
-def random_family(
-    rng: np.random.Generator,
-    ctx: SpaceContext,
-    size: int,
-    tol: float = DEFAULT_ORTHO_TOL,
-) -> OrthonormalFamily:
+def random_family(rng: np.random.Generator, ctx: SpaceContext, size: int) -> OrthonormalFamily:
     """Orthonormalized random Gaussian vectors (retrying degenerate draws)."""
     if size > ctx.dimension:
         raise ValueError("family size cannot exceed the dimension")
     while True:
         raw = [gaussian_scalars(rng, ctx.dimension, ctx.is_complex) for _ in range(size)]
         try:
-            return gram_schmidt(ctx, raw, tol)
+            return gram_schmidt(ctx, raw)
         except DegeneracyError:  # pragma: no cover - probability ~0
             continue
 

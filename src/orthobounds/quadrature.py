@@ -5,6 +5,9 @@ into the weights once at context construction, so a weighted context exposes
 the same inner-product contract as the coordinate backend and every bound
 computation runs on it unchanged.  Almost-everywhere statements are checked
 node-wise, which is the computable surrogate for the rules used here.
+
+The rules have fixed intervals: the periodic trapezoid rule covers [0, 2pi),
+the Gauss-Legendre rule [-1, 1].
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from .space import (
     gram_schmidt,
     index_set,
     require_certified,
-    DEFAULT_ORTHO_TOL,
     REAL,
 )
 
@@ -69,33 +71,21 @@ def counting_measure(count: int) -> DiscretizedMeasureSpace:
     return DiscretizedMeasureSpace(np.arange(count, dtype=float), np.ones(count), COUNTING)
 
 
-def periodic_trapezoid(
-    count: int, interval: tuple[float, float] = (0.0, 2.0 * np.pi)
-) -> DiscretizedMeasureSpace:
-    """Uniform rule on [a, b) with weight (b-a)/count per node.
+def periodic_trapezoid(count: int) -> DiscretizedMeasureSpace:
+    """Uniform rule on [0, 2pi) with weight 2pi/count per node.
 
-    For integrands that are periodic over the interval this is the trapezoid
-    rule, which is spectrally accurate on trigonometric polynomials.
+    For 2pi-periodic integrands this is the trapezoid rule, which is
+    spectrally accurate on trigonometric polynomials.
     """
-    a, b = interval
-    if not b > a:
-        raise ValueError("interval must satisfy a < b")
-    nodes = a + (b - a) * np.arange(count) / count
-    weights = np.full(count, (b - a) / count)
+    nodes = 2.0 * np.pi * np.arange(count) / count
+    weights = np.full(count, 2.0 * np.pi / count)
     return DiscretizedMeasureSpace(nodes, weights, PERIODIC_TRAPEZOID)
 
 
-def gauss_legendre(
-    count: int, interval: tuple[float, float] = (-1.0, 1.0)
-) -> DiscretizedMeasureSpace:
-    """Gauss-Legendre rule mapped onto [a, b]; exact on polynomials of degree
+def gauss_legendre(count: int) -> DiscretizedMeasureSpace:
+    """Gauss-Legendre rule on [-1, 1]; exact on polynomials of degree
     <= 2*count - 1."""
-    a, b = interval
-    if not b > a:
-        raise ValueError("interval must satisfy a < b")
     nodes, weights = np.polynomial.legendre.leggauss(count)
-    nodes = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-    weights = 0.5 * (b - a) * weights
     return DiscretizedMeasureSpace(nodes, weights, GAUSS_LEGENDRE)
 
 
@@ -153,12 +143,7 @@ def sample(ctx: WeightedL2Context, fn) -> Vector:
     return sampled(ctx, [fn(s) for s in ctx.space.nodes])
 
 
-def build_family(
-    ctx: WeightedL2Context,
-    kind: str,
-    count: int,
-    tol: float = DEFAULT_ORTHO_TOL,
-) -> OrthonormalFamily:
+def build_family(ctx: WeightedL2Context, kind: str, count: int) -> OrthonormalFamily:
     """Orthonormal function family of analytic prototypes, numerically
     re-orthonormalized against the weighted inner product.
 
@@ -199,7 +184,7 @@ def build_family(
             prototypes.append(indicator)
     else:
         raise ValueError(f"unknown family kind {kind!r}")
-    return gram_schmidt(ctx.context, prototypes, tol)
+    return gram_schmidt(ctx.context, prototypes)
 
 
 @dataclass(frozen=True)
@@ -291,7 +276,6 @@ def l2_sandwich_gruss(
     M: Mapping[int, float],
     n: Mapping[int, float],
     N: Mapping[int, float],
-    tol: float | None = None,
     sandwich_tol: float = 0.0,
 ) -> bounds.GrussBoundReport:
     """Deviation chain certified through pointwise bracketings of f and g.
@@ -307,5 +291,5 @@ def l2_sandwich_gruss(
         raise SandwichConditionError("g", report_g)
     idx = index_set(indices, fam.size)
     return bounds.gruss_bounds(
-        ctx.context, f, g, fam, idx, sandwich_box(idx, m, M), sandwich_box(idx, n, N), tol
+        ctx.context, f, g, fam, idx, sandwich_box(idx, m, M), sandwich_box(idx, n, N)
     )

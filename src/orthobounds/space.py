@@ -219,11 +219,7 @@ def require_certified(fam: OrthonormalFamily) -> None:
         )
 
 
-def gram_schmidt(
-    ctx: SpaceContext,
-    raw: Sequence[Iterable[complex]],
-    tol: float = DEFAULT_ORTHO_TOL,
-) -> OrthonormalFamily:
+def gram_schmidt(ctx: SpaceContext, raw: Sequence[Iterable[complex]]) -> OrthonormalFamily:
     """Orthonormalize the rows of ``raw`` with CGS2: classical Gram-Schmidt
     applied twice, each pass projecting a row on all previous members with
     two matvecs.
@@ -232,7 +228,8 @@ def gram_schmidt(
     Langou & Rozloznik 2005, "twice is enough"); one pass loses orthogonality
     well above the certification tolerances used here.  A pivot norm below
     ``RANK_DROP_FACTOR * max(input norms)`` raises :class:`DegeneracyError`
-    naming the offending vector; so does a final Gram defect above ``tol``.
+    naming the offending vector; so does a final Gram defect above
+    ``DEFAULT_ORTHO_TOL``, the tolerance the returned family carries.
     """
     if len(raw) == 0:
         raise ValueError("gram_schmidt needs at least one input vector")
@@ -255,12 +252,12 @@ def gram_schmidt(
         members[position] = u / pivot
         conj[position] = members[position].conj()
     defect = _gram_defect(ctx, members)
-    if defect > tol:
+    if defect > DEFAULT_ORTHO_TOL:
         raise DegeneracyError(
-            f"orthonormalization stalled at gram defect {defect:.3e} > tol {tol:.3e}; "
-            "the input is too ill-conditioned for this tolerance"
+            f"orthonormalization stalled at gram defect {defect:.3e} > tol "
+            f"{DEFAULT_ORTHO_TOL:.3e}; the input is too ill-conditioned for this tolerance"
         )
-    return OrthonormalFamily(members, defect, tol)
+    return OrthonormalFamily(members, defect)
 
 
 def index_set(indices: Sequence[int], family_size: int) -> tuple[int, ...]:

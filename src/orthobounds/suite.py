@@ -14,8 +14,9 @@ Every check below certifies a different link of the bound chains:
 * ``schwarz``              - |<x-Px, y-Py>|^2 <= ||x-Px||^2 ||y-Py||^2
 * ``companion``            - Re(deviation) <= bound under a midpoint box
 * ``companion_abs``        - |Re(deviation)| <= bound under both +/- boxes
-* ``l2_embedding``         - counting-measure backend reproduces the
-                             coordinate backend to 1e-12 absolute
+* ``l2_embedding``         - a unit-weight (counting-measure) context
+                             reproduces the coordinate backend to 1e-12
+                             absolute
 
 Outcomes are deterministic per seed and serialize to JSON byte-identically
 (the ``generated_at`` stamp is the one field excluded from comparisons).
@@ -26,6 +27,8 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from . import serialize
 from .bounds import (
@@ -50,21 +53,17 @@ from .generate import (
     generate_unconstrained_instance,
     rng_from_seed,
 )
-from .quadrature import (
-    WeightedL2Context,
-    counting_measure,
-)
 from .space import (
     COMPLEX,
-    OrthonormalFamily,
     REAL,
+    SpaceContext,
     family_projection,
     inner_product,
     norm,
 )
 
-#: Absolute agreement required between the coordinate and counting-measure
-#: backends.
+#: Absolute agreement required between the coordinate backend and a
+#: unit-weight context.
 L2_EMBED_ATOL = 1e-12
 
 #: How many failing instances an outcome retains in full.
@@ -260,22 +259,12 @@ def check_companion_abs(pair: PairInstance, rtol: float) -> tuple[bool, float]:
     return report.certified and margin >= -rtol * _pair_scale(pair), margin
 
 
-def counting_embedding(inst: Instance) -> Instance:
-    """The same instance expressed over a counting-measure quadrature backend."""
-    l2ctx = WeightedL2Context.uniform_density(
-        counting_measure(inst.ctx.dimension), inst.ctx.field
-    )
-    fam = OrthonormalFamily.from_members(
-        l2ctx.context, inst.family.members, inst.family.tolerance
-    )
-    return Instance(l2ctx.context, inst.x, fam, inst.indices, inst.box)
-
-
-def check_l2_embedding(inst: Instance, atol: float = L2_EMBED_ATOL) -> tuple[bool, float]:
-    """Counting-measure embedding reproduces the coordinate-backend report."""
+def check_l2_embedding(inst: Instance) -> tuple[bool, float]:
+    """A unit-weight (counting-measure) context reproduces the coordinate-backend
+    report to ``L2_EMBED_ATOL``."""
     vector_report = counterpart_bounds(*inst)
-    embedded = counting_embedding(inst)
-    l2_report = counterpart_bounds(*embedded)
+    counting = SpaceContext(inst.ctx.field, inst.ctx.dimension, np.ones(inst.ctx.dimension))
+    l2_report = counterpart_bounds(counting, inst.x, inst.family, inst.indices, inst.box)
     deltas = [
         abs(vector_report.residual - l2_report.residual),
         abs(vector_report.refined - l2_report.refined),
@@ -284,14 +273,14 @@ def check_l2_embedding(inst: Instance, atol: float = L2_EMBED_ATOL) -> tuple[boo
         abs(vector_report.condition.slack_norm - l2_report.condition.slack_norm),
     ]
     margin = -max(deltas)
-    return margin >= -atol, margin
+    return margin >= -L2_EMBED_ATOL, margin
 
 
-def run_suite(cfg: SuiteConfig, out_path=None) -> SuiteOutcome:
+def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
     """Execute every check over ``cfg.instance_count`` instances per cell.
 
-    Results are deterministic for a given config; pass ``out_path`` to write
-    the JSON outcome.
+    Results are deterministic for a given config; callers that keep the
+    outcome write ``outcome.to_dict()``.
     """
     outcome = SuiteOutcome(config=cfg)
     rtol = cfg.tolerance
@@ -329,8 +318,6 @@ def run_suite(cfg: SuiteConfig, out_path=None) -> SuiteOutcome:
             two_pair = generate_twosided_pair(rng, dim, fsize, fld)
             ok, margin = check_companion_abs(two_pair, rtol)
             outcome.record("companion_abs", ok, margin, two_pair)
-    if out_path is not None:
-        serialize.dump_json(outcome.to_dict(), out_path)
     return outcome
 
 

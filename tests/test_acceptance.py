@@ -304,10 +304,10 @@ def test_criterion_8_l2_equivalence():
         for i in range(per_cell):
             rng = rng_from_seed(SEED, 8, cell_index, i)
             inst = generate_certified_instance(rng, dim, fs, fld)
-            ok, margin = check_l2_embedding(inst, atol=1e-12)
+            _, margin = check_l2_embedding(inst)
             worst = max(worst, -margin)
             count += 1
-            if not ok:
+            if not -margin <= 1e-12:
                 failures += 1
     ok = failures == 0
     conclude(

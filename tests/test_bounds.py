@@ -1,4 +1,5 @@
 import inspect
+import json
 import math
 
 import numpy as np
@@ -675,3 +676,42 @@ def test_each_chain_validates_once_and_calls_no_public_function(monkeypatch):
         calls.clear()
         getattr(bounds, name)(*args)
         assert calls == [name, "_validated"], calls
+
+
+def test_every_chain_rejects_overflowing_vectors():
+    # ||x||^2 ~ 1e320 is inf in floating point; the chains used to report
+    # NaN/inf values marked certified
+    ctx, x, y, fam, F, box_x, box_y = next(_oracle_pairs(REAL, None, count=1))
+    for name, args in _chain_calls((ctx, 1e160 * x, y, fam, F, box_x, box_y)).items():
+        with pytest.raises(ValueError, match="too large"):
+            getattr(bounds, name)(*args)
+
+
+def test_box_far_from_origin_is_rejected():
+    # a narrow box whose endpoints are ~1e160: half_diameter_sq is finite, but
+    # slack_inner = Re<Phi e - x, x - phi e> overflows to -inf
+    ctx = SpaceContext(REAL, 2)
+    fam = OrthonormalFamily.from_members(ctx, [(1.0, 0.0)])
+    x = as_vector(ctx, (1.0, 1.0))
+    box = CoefficientBox((0,), (1e160,), (1e160 + 1e146,))
+    with pytest.raises(ValueError, match="too large"):
+        counterpart_bounds(ctx, x, fam, (0,), box)
+    with pytest.raises(ValueError, match="too large"):
+        gruss_bounds(ctx, x, x, fam, (0,), box, box)
+
+
+def test_inputs_just_under_the_size_limit_stay_finite():
+    ctx, x, y, fam, F, box_x, box_y = next(_oracle_pairs(COMPLEX, None, count=1))
+    sizes = [norm(ctx, v) ** 2 for v in (x, y)]
+    sizes += [np.vdot(e, e).real for b in (box_x, box_y) for e in (b.lower_array, b.upper_array)]
+    s = 0.99 * math.sqrt(bounds._MAX_SQUARED_NORM / max(sizes))
+    x, y = s * x, s * y
+    box_x, box_y = (CoefficientBox(F, s * b.lower_array, s * b.upper_array) for b in (box_x, box_y))
+    reports = [
+        counterpart_bounds(ctx, x, fam, F, box_x),
+        gruss_bounds(ctx, x, y, fam, F, box_x, box_y),
+        companion_bound(ctx, x, y, fam, F, box_x),
+        companion_abs_bound(ctx, x, y, fam, F, box_y),
+    ]
+    for report in reports:
+        json.dumps(report.to_dict(), allow_nan=False)  # raises on inf or NaN

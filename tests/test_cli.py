@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from orthobounds import REAL, CoefficientBox, OrthonormalFamily, SpaceContext, as_vector
 from orthobounds.cli import main
 from orthobounds.generate import (
+    Instance,
     PairInstance,
     generate_certified_instance,
     generate_certified_pair,
@@ -185,3 +187,85 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "total_failed=0" in result.stdout
+
+
+#: Every option of each command; flags a handler would ignore are not offered.
+COMMAND_OPTIONS = {
+    "verify": {
+        "--instances", "--dims", "--family-sizes", "--fields", "--tightness-out",
+        "--seed", "--tol", "--out", "--format",
+    },
+    "bounds": {"--tol", "--out", "--format"},
+    "gruss": {"--tol", "--out", "--format"},
+    "l2demo": {"--nodes", "--seed", "--out"},
+    "sharpness": {
+        "--mode", "--dim", "--family-size", "--field", "--restarts", "--steps",
+        "--seed", "--out",
+    },
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_OPTIONS)
+def test_help_lists_exactly_the_command_options(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    assert listed == COMMAND_OPTIONS[command]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "instance.json", "--seed", "7"],
+        ["gruss", "instance.json", "--seed", "7"],
+        ["l2demo", "counting", "--tol", "1e-9"],
+        ["l2demo", "counting", "--format", "csv"],
+        ["sharpness", "--tol", "1e-9"],
+        ["sharpness", "--format", "csv"],
+    ],
+)
+def test_removed_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds", "gruss"])
+def test_csv_format_needs_out(command, instance_file, capsys):
+    argv = [command] if command == "verify" else [command, str(instance_file)]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--format", "csv"])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--format csv needs --out" in captured.err
+
+
+def _overflowing_payload(case, instance_file):
+    if case == "large-vectors":
+        # ||x||^2 ~ 1e320 overflows; the box, scaled by 1e150, is itself valid
+        payload = json.loads(instance_file.read_text())
+        payload["x"] = [1e160 * v for v in payload["x"]]
+        for key in ("lower", "upper"):
+            payload["box"][key] = [1e150 * v for v in payload["box"][key]]
+        return payload
+    # a narrow box far from the origin: finite diameter, overflowing slack
+    ctx = SpaceContext(REAL, 2)
+    fam = OrthonormalFamily.from_members(ctx, [(1.0, 0.0)])
+    box = CoefficientBox((0,), (1e160,), (1e160 + 1e146,))
+    return serialize.instance_to_dict(Instance(ctx, as_vector(ctx, (1.0, 1.0)), fam, (0,), box))
+
+
+@pytest.mark.parametrize("command", ["bounds", "gruss"])
+@pytest.mark.parametrize("case", ["large-vectors", "far-box"])
+def test_overflowing_inputs_are_input_errors(case, command, instance_file, tmp_path, capsys):
+    payload = _overflowing_payload(case, instance_file)
+    payload["y"], payload["box_y"] = payload["x"], payload["box"]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: inputs too large")

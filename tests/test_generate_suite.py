@@ -178,6 +178,31 @@ class TestSuite:
         for tally in outcome.checks.values():
             assert tally.failed == 0
 
+    def test_default_grid_outcome_is_pinned(self):
+        # (passed, failed, worst_margin at 12 significant digits) per check; a
+        # change to generated data or to any chain's rounding fails here
+        payload = _rounded(run_suite(SuiteConfig(instance_count=2)).to_dict())
+        payload.pop("generated_at")
+        checks = payload.pop("checks")
+        assert {name: tuple(tally.values()) for name, tally in checks.items()} == {
+            "companion": (52, 0, 0.148050998166),
+            "companion_abs": (52, 0, 0.114561817538),
+            "condition_equivalence": (104, 0, 0.0),
+            "counterpart_chain": (52, 0, -1.7763568394e-15),
+            "generator_soundness": (52, 0, 0.044205004774),
+            "gruss_chain": (52, 0, 0.0485230062463),
+            "identity": (52, 0, -1.70530256582e-13),
+            "l2_embedding": (52, 0, 0.0),
+            "projection_identity": (52, 0, -8.881784197e-15),
+            "schwarz": (52, 0, -1.7763568394e-15),
+        }
+        assert payload == {
+            "config": SuiteConfig(instance_count=2).to_dict(),
+            "failures": [],
+            "total_failed": 0,
+            "ok": True,
+        }
+
     def test_reproducible_modulo_timestamp(self):
         cfg = SuiteConfig(instance_count=2, dims=(2, 4), family_sizes=(1, 2), fields=(REAL,))
         first = run_suite(cfg).to_dict()
@@ -189,7 +214,8 @@ class TestSuite:
     def test_writes_outcome_json(self, tmp_path):
         path = tmp_path / "outcome.json"
         cfg = SuiteConfig(instance_count=1, dims=(2,), family_sizes=(1,), fields=(REAL,))
-        outcome = run_suite(cfg, out_path=path)
+        outcome = run_suite(cfg)
+        serialize.dump_json(outcome.to_dict(), path)
         loaded = json.loads(path.read_text())
         assert loaded["ok"] == outcome.ok
         assert set(loaded["checks"]) == set(outcome.checks)

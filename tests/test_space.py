@@ -191,7 +191,7 @@ class TestGramSchmidt:
     def test_near_dependent_pair_raises(self):
         ctx = SpaceContext(REAL, 2)
         with pytest.raises(DegeneracyError, match="vector 1"):
-            gram_schmidt(ctx, [(1, 0), (1, 1e-16)], tol=1e-10)
+            gram_schmidt(ctx, [(1, 0), (1, 1e-16)])
 
     def test_output_passes_verification(self):
         rng = np.random.default_rng(11)
@@ -218,13 +218,13 @@ class TestGramSchmidt:
         b = np.array([0.0, 1.0, 1.0, -1.0]) * (1j if field == COMPLEX else 1.0)
         raw = [a, b, 3.0 * a - 2.0 * b + 1e-15, np.array([0.0, 0.0, 0.0, 1.0])]
         with pytest.raises(DegeneracyError, match="vector 2 "):
-            gram_schmidt(ctx, raw, tol=1e-10)
+            gram_schmidt(ctx, raw)
 
     def test_large_complex_family_certifies(self):
         rng = np.random.default_rng(128)
         ctx = SpaceContext(COMPLEX, 128)
         raw = rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128))
-        fam = gram_schmidt(ctx, raw, tol=1e-10)
+        fam = gram_schmidt(ctx, raw)
         assert verify_orthonormal(ctx, fam).gram_defect <= 1e-10
 
     @pytest.mark.parametrize(
@@ -239,7 +239,7 @@ class TestGramSchmidt:
         # nonuniform densities, one vanishing on half the nodes, so the
         # prototypes are far from orthonormal and both passes do real work
         ctx = WeightedL2Context(rule, density(rule.nodes), REAL)
-        fam = build_family(ctx, kind, count, tol=1e-10)
+        fam = build_family(ctx, kind, count)
         assert verify_orthonormal(ctx.context, fam).gram_defect <= 1e-10
 
 
