@@ -65,16 +65,18 @@ class CoefficientBox:
     """Per-index scalar bounds (phi_i, Phi_i) over a fixed index set.
 
     ``indices`` are 0-based member positions; ``lower`` and ``upper`` are
-    aligned with them.  ``half_diameter_sq`` = (1/4) sum_i |Phi_i - phi_i|^2
-    and the read-only endpoint arrays ``lower_array`` / ``upper_array`` are
-    computed once at construction; non-finite endpoints, or a diameter sum
-    that overflows, raise ValueError.
+    aligned with them.  ``half_diameter_sq`` = (1/4) sum_i |Phi_i - phi_i|^2,
+    ``endpoint_norm_sq`` = max(sum_i |phi_i|^2, sum_i |Phi_i|^2) and the
+    read-only endpoint arrays ``lower_array`` / ``upper_array`` are computed
+    once at construction; non-finite endpoints, or a diameter sum that
+    overflows, raise ValueError.
     """
 
     indices: tuple[int, ...]
     lower: tuple[complex, ...]
     upper: tuple[complex, ...]
     half_diameter_sq: float = field(init=False)
+    endpoint_norm_sq: float = field(init=False)
     lower_array: np.ndarray = field(init=False, repr=False)
     upper_array: np.ndarray = field(init=False, repr=False)
 
@@ -96,6 +98,8 @@ class CoefficientBox:
         if not np.isfinite(half_diameter_sq):
             raise ValueError("box is too wide: sum |Phi_i - phi_i|^2 overflows")
         object.__setattr__(self, "half_diameter_sq", half_diameter_sq)
+        endpoint_norm_sq = max(np.vdot(a, a).real for a in (self.lower_array, self.upper_array))
+        object.__setattr__(self, "endpoint_norm_sq", float(endpoint_norm_sq))
 
     @classmethod
     def from_maps(
@@ -246,7 +250,7 @@ def condition_slack_inner(
 
     No clamping: a violated condition shows up as a negative value.
     """
-    (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
+    (x,), _, rows = _validated(ctx, fam, indices, (x,), (box,))
     return _slack_inner(ctx, x, rows, box.lower_array, box.upper_array)
 
 
@@ -261,7 +265,7 @@ def condition_slack_norm(
 
     Nonnegative exactly when the norm form of the box condition holds.
     """
-    (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
+    (x,), _, rows = _validated(ctx, fam, indices, (x,), (box,))
     return _slack_norm(ctx, x, rows, box)
 
 
@@ -278,16 +282,16 @@ def check_condition(
     ``tol`` is an absolute slack tolerance; by default it is
     ``DEFAULT_CONDITION_RTOL * (||x||^2 + half_diameter^2)``.
     """
-    (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
-    return _condition(ctx, x, _norm_sq(ctx, x), rows, box, tol)
+    (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
+    return _condition(ctx, x, norm_sq, rows, box, tol)
 
 
 def bessel_residual(
     ctx: SpaceContext, x: Vector, fam: OrthonormalFamily, indices: Sequence[int]
 ) -> float:
     """||x||^2 - sum_F |<x, e_i>|^2 (nonnegative for certified families)."""
-    (x,), rows = _validated(ctx, fam, indices, (x,))
-    return _residual(_norm_sq(ctx, x), _coefficients(ctx, x, rows))
+    (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,))
+    return _residual(norm_sq, _coefficients(ctx, x, rows))
 
 
 def residual_identity_sides(
@@ -306,9 +310,9 @@ def residual_identity_sides(
     they agree to roundoff for exactly orthonormal families.  The right side
     takes ``slack_inner`` from the vectors, as written, so it is a second route.
     """
-    (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
+    (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
     c = _coefficients(ctx, x, rows)
-    left = _residual(_norm_sq(ctx, x), c)
+    left = _residual(norm_sq, c)
     lower, upper = box.lower_array, box.upper_array
     coefficient_term = float(np.vdot(c - lower, upper - c).real)
     return left, coefficient_term - _slack_inner(ctx, x, rows, lower, upper)
@@ -328,8 +332,7 @@ def counterpart_bounds(
     when the box condition fails; ``certified`` records whether the chain is
     applicable.
     """
-    (x,), rows = _validated(ctx, fam, indices, (x,), (box,))
-    norm_sq = _norm_sq(ctx, x)
+    (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
     condition = _condition(ctx, x, norm_sq, rows, box, tol)
     coarse = box.half_diameter_sq
     return BesselBoundReport(
@@ -353,7 +356,7 @@ def gruss_deviation(
     Equals the inner product of the two projection residuals
     <x - Px, y - Py> for exactly orthonormal families.
     """
-    (x, y), rows = _validated(ctx, fam, indices, (x, y))
+    (x, y), _, rows = _validated(ctx, fam, indices, (x, y))
     return _deviation(ctx, x, y, rows)
 
 
@@ -375,9 +378,11 @@ def gruss_bounds(
     The clamps keep ``refined`` defined when a slack sits at -epsilon within
     tolerance; certification still requires both conditions to hold.
     """
-    (x, y), rows = _validated(ctx, fam, indices, (x, y), (box_x, box_y))
-    condition_x = _condition(ctx, x, _norm_sq(ctx, x), rows, box_x, tol)
-    condition_y = _condition(ctx, y, _norm_sq(ctx, y), rows, box_y, tol)
+    (x, y), (norm_sq_x, norm_sq_y), rows = _validated(
+        ctx, fam, indices, (x, y), (box_x, box_y)
+    )
+    condition_x = _condition(ctx, x, norm_sq_x, rows, box_x, tol)
+    condition_y = _condition(ctx, y, norm_sq_y, rows, box_y, tol)
     coarse = 0.25 * float(
         np.sqrt(box_x.diameter_sq_sum) * np.sqrt(box_y.diameter_sq_sum)
     )
@@ -405,7 +410,7 @@ def companion_bound(
 ) -> CompanionReport:
     """Re(deviation) <= (1/4) sum_F |Phi_i - phi_i|^2, certified by the box
     condition evaluated at the midpoint (x+y)/2."""
-    (x, y), rows = _validated(ctx, fam, indices, (x, y), (box,))
+    (x, y), _, rows = _validated(ctx, fam, indices, (x, y), (box,))
     midpoint = 0.5 * (x + y)
     condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box, None)
     return CompanionReport(
@@ -430,7 +435,7 @@ def companion_abs_bound(
     In a real context with real box endpoints this is the two-sided
     Gruss-type bound with m_i = phi_i, M_i = Phi_i.
     """
-    (x, y), rows = _validated(ctx, fam, indices, (x, y), (box,))
+    (x, y), _, rows = _validated(ctx, fam, indices, (x, y), (box,))
     half_sum = 0.5 * (x + y)
     half_diff = 0.5 * (x - y)
     condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box, None)
@@ -444,8 +449,11 @@ def companion_abs_bound(
     )
 
 
-def _validated(ctx, fam, indices, vectors, boxes=()) -> tuple[list[Vector], np.ndarray]:
-    """The edge checks; returns the vectors and rows = fam.members[indices]."""
+def _validated(
+    ctx, fam, indices, vectors, boxes=()
+) -> tuple[list[Vector], list[float], np.ndarray]:
+    """The edge checks; returns the vectors, their squared norms and
+    rows = fam.members[indices]."""
     require_certified(fam)
     idx = index_set(indices, fam.size)
     for box in boxes:
@@ -453,21 +461,21 @@ def _validated(ctx, fam, indices, vectors, boxes=()) -> tuple[list[Vector], np.n
             raise ValueError(f"box covers indices {box.indices}, expected {idx}")
     vectors = [as_vector(ctx, v) for v in vectors]
     # Size guard.  Let M^2 be the largest of ||v||^2 over the vectors and of
-    # ||phi||^2, ||Phi||^2 over the box endpoints.  For a certified family with
-    # F * gram_defect <= 1, ||sum_F c_i e_i|| <= sqrt(2) ||c||, so every vector
-    # the kernel forms (v - sum Phi_i e_i, (x +- y)/2, ...) has norm at most
-    # (1 + sqrt(2)) M and every value it returns is bounded by a product of two
-    # such norms plus M^2, that is by 7 M^2 (refined = coarse - slack_inner is
-    # the largest).  M^2 < finfo.max / 16 keeps all of them finite.  np.vdot
+    # ||phi||^2, ||Phi||^2 over the box endpoints.  A certified family has
+    # F * gram_defect <= 1 (its tolerance is at most 1/size), so
+    # ||sum_F c_i e_i|| <= sqrt(2) ||c||, every vector the kernel forms
+    # (v - sum Phi_i e_i, (x +- y)/2, ...) has norm at most (1 + sqrt(2)) M
+    # and every value it returns is bounded by a product of two such norms
+    # plus M^2, that is by 7 M^2 (refined = coarse - slack_inner is the
+    # largest).  M^2 < finfo.max / 16 keeps all of them finite.  np.vdot
     # overflows to inf without a warning, which the comparison also rejects.
-    sizes = [_norm_sq(ctx, v) for v in vectors]
-    sizes += [np.vdot(a, a).real for box in boxes for a in (box.lower_array, box.upper_array)]
-    if not max(sizes) < _MAX_SQUARED_NORM:
+    norms_sq = [_norm_sq(ctx, v) for v in vectors]
+    if not max(norms_sq + [box.endpoint_norm_sq for box in boxes]) < _MAX_SQUARED_NORM:
         raise ValueError(
             "inputs too large: squared norms of the vectors and box endpoints "
             f"must stay below {_MAX_SQUARED_NORM:.3e}"
         )
-    return vectors, fam.members[list(idx)]
+    return vectors, norms_sq, fam.members[list(idx)]
 
 
 def _slack_inner(ctx, x, rows, lower: np.ndarray, upper: np.ndarray) -> float:

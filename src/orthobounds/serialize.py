@@ -1,9 +1,10 @@
 """JSON and CSV serialization for instances, reports and suite outcomes.
 
-Scalars follow the instance-file convention: complex entries are always
-two-element ``[re, im]`` arrays, real-field files may use bare numbers
-(both forms are accepted on input).  CSV numbers carry 17 significant
-digits with a ``.`` decimal separator so values round-trip exactly.
+The codec works a whole array at a time (one ``tolist`` out, one ``np.array``
+in): real-field files hold bare numbers, complex entries are ``[re, im]``
+pairs, and all scalars of one array take the same form (both forms are read).
+CSV numbers carry 17 significant digits with a ``.`` decimal separator so
+values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -40,27 +41,24 @@ def format_float(value: float) -> str:
     return f"{float(value):.{CSV_DIGITS}g}"
 
 
-def encode_scalar(value: complex, field: str) -> float | list[float]:
-    z = complex(value)
-    if field == REAL:
-        return z.real
-    return [z.real, z.imag]
-
-
-def decode_scalar(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, Sequence) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"cannot decode scalar from {value!r}")
-
-
 def encode_vector(vector: Vector, field: str) -> list:
-    return [encode_scalar(z, field) for z in np.asarray(vector, dtype=np.complex128)]
+    """A vector or a stack of rows as nested lists of numbers or ``[re, im]`` pairs."""
+    a = np.asarray(vector, dtype=np.complex128)
+    if field == REAL:
+        return a.real.tolist()
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
-def decode_vector(values: Iterable) -> list[complex]:
-    return [decode_scalar(v) for v in values]
+def decode_vector(values, depth: int) -> np.ndarray:
+    """A ``depth``-d complex array (1: a vector, 2: rows) from numbers or ``[re, im]`` pairs."""
+    a = np.array(values)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"expected numbers, got {a.dtype} entries")
+    if a.ndim == depth:
+        return a.astype(np.complex128)
+    if a.ndim == depth + 1 and a.shape[-1] == 2:
+        return np.ascontiguousarray(a, dtype=float).view(np.complex128)[..., 0]
+    raise ValueError(f"expected {depth}-d numbers or [re, im] pairs, got shape {a.shape}")
 
 
 def instance_to_dict(instance: Instance | PairInstance) -> dict:
@@ -69,7 +67,7 @@ def instance_to_dict(instance: Instance | PairInstance) -> dict:
     payload = {
         "field": ctx.field,
         "dimension": ctx.dimension,
-        "vectors": [encode_vector(row, ctx.field) for row in fam.members],
+        "vectors": encode_vector(fam.members, ctx.field),
         "tolerance": fam.tolerance,
         "indices": list(instance.indices),
         "x": encode_vector(instance.x, ctx.field),
@@ -90,14 +88,14 @@ def instance_from_dict(payload: Mapping) -> Instance | PairInstance:
     ctx = SpaceContext(field, int(payload["dimension"]))
     fam = OrthonormalFamily.from_members(
         ctx,
-        [decode_vector(row) for row in payload["vectors"]],
+        decode_vector(payload["vectors"], 2),
         float(payload.get("tolerance", DEFAULT_ORTHO_TOL)),
     )
     indices = tuple(int(i) for i in payload["indices"])
-    x = as_vector(ctx, decode_vector(payload["x"]))
+    x = as_vector(ctx, decode_vector(payload["x"], 1))
     box = _box_from_dict(payload["box"], indices)
     if "y" in payload:
-        y = as_vector(ctx, decode_vector(payload["y"]))
+        y = as_vector(ctx, decode_vector(payload["y"], 1))
         box_y = _box_from_dict(payload.get("box_y", payload["box"]), indices)
         return PairInstance(ctx, x, y, fam, indices, box, box_y)
     return Instance(ctx, x, fam, indices, box)
@@ -105,15 +103,15 @@ def instance_from_dict(payload: Mapping) -> Instance | PairInstance:
 
 def _box_to_dict(box: CoefficientBox, field: str) -> dict:
     return {
-        "lower": [encode_scalar(v, field) for v in box.lower],
-        "upper": [encode_scalar(v, field) for v in box.upper],
+        "lower": encode_vector(box.lower_array, field),
+        "upper": encode_vector(box.upper_array, field),
     }
 
 
 def _box_from_dict(payload: Mapping, indices: tuple[int, ...]) -> CoefficientBox:
-    lower = decode_vector(payload["lower"])
-    upper = decode_vector(payload["upper"])
-    return CoefficientBox(indices, tuple(lower), tuple(upper))
+    return CoefficientBox(
+        indices, decode_vector(payload["lower"], 1), decode_vector(payload["upper"], 1)
+    )
 
 
 def l2_instance_to_dict(
@@ -122,9 +120,9 @@ def l2_instance_to_dict(
     return {
         "kind": ctx.space.kind,
         "field": ctx.field,
-        "nodes": [float(s) for s in ctx.space.nodes],
-        "weights": [float(w) for w in ctx.space.weights],
-        "rho": [float(r) for r in ctx.rho],
+        "nodes": ctx.space.nodes.tolist(),
+        "weights": ctx.space.weights.tolist(),
+        "rho": ctx.rho.tolist(),
         "functions": {
             name: encode_vector(values, ctx.field) for name, values in functions.items()
         },
@@ -141,7 +139,7 @@ def l2_instance_from_dict(payload: Mapping) -> tuple[WeightedL2Context, dict[str
         space, np.asarray(payload["rho"], dtype=float), payload.get("field", REAL)
     )
     functions = {
-        name: sampled(ctx, decode_vector(values))
+        name: sampled(ctx, decode_vector(values, 1))
         for name, values in payload.get("functions", {}).items()
     }
     return ctx, functions

@@ -146,6 +146,8 @@ class OrthonormalFamily:
     ``gram_defect`` is max_{i,j} |<e_i, e_j> - delta_ij| as measured at
     construction time; the family counts as certified while it stays within
     ``tolerance``.  Members are stored as the rows of a read-only matrix.
+    ``tolerance`` must lie in [0, 1/size]: the bound chains' size guard
+    relies on size * gram_defect <= 1 for a certified family.
     """
 
     members: np.ndarray
@@ -156,6 +158,11 @@ class OrthonormalFamily:
         m = np.asarray(self.members, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] < 1:
             raise ValueError("members must be a nonempty (count x dimension) matrix")
+        if not 0.0 <= self.tolerance <= 1.0 / m.shape[0]:
+            raise ValueError(
+                f"family tolerance {self.tolerance!r} must lie in [0, 1/size] = "
+                f"[0, {1.0 / m.shape[0]:.6g}]"
+            )
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "members", m)

@@ -89,6 +89,11 @@ class TestCoefficientBox:
         assert box.lower_map == {0: -1 + 0j, 2: 1j}
         assert box.upper_map == {0: 1 + 0j, 2: 2j}
 
+    def test_endpoint_norm_sq_is_the_larger_endpoint(self):
+        box = CoefficientBox((0, 1), (3.0, -4j), (1.0, 2.0))
+        assert box.endpoint_norm_sq == 25.0
+        assert CoefficientBox((0,), (1e160,), (1e160 + 1e146,)).endpoint_norm_sq == math.inf
+
     def test_degenerate_box_is_legal(self):
         box = CoefficientBox((0,), (0.7,), (0.7,))
         assert box.half_diameter_sq == 0.0

@@ -269,3 +269,42 @@ def test_overflowing_inputs_are_input_errors(case, command, instance_file, tmp_p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: inputs too large")
+
+
+MALFORMED_ARRAYS = {
+    "string": ("x", lambda x: ["0.5"] + x[1:]),
+    "null": ("x", lambda x: [None] + x[1:]),
+    "object": ("x", lambda x: [{"re": 0.5}] + x[1:]),
+    "three-element-pairs": ("x", lambda x: [[v, 0.0, 0.0] for v in x]),
+    "ragged-member-rows": ("vectors", lambda rows: [rows[0], rows[1][:-1]]),
+    "numbers-mixed-with-pairs": ("x", lambda x: [[x[0], 0.0]] + x[1:]),
+    "scalar-vector": ("x", lambda x: x[0]),
+    "members-not-a-stack": ("vectors", lambda rows: rows[0]),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_ARRAYS)
+def test_malformed_arrays_are_input_errors(case, instance_file, capsys):
+    key, edit = MALFORMED_ARRAYS[case]
+    payload = json.loads(instance_file.read_text())
+    payload[key] = edit(payload[key])
+    instance_file.write_text(json.dumps(payload))
+    assert main(["bounds", str(instance_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_loose_family_tolerance_is_input_error(tmp_path, capsys):
+    # a family 1e150 off unit norm, "certified" by tolerance 1e300: the chains
+    # used to print residual -Infinity with certified true
+    payload = {
+        "field": "real", "dimension": 2, "vectors": [[1e150, 0.0]], "tolerance": 1e300,
+        "indices": [0], "x": [1e10, 1.0], "box": {"lower": [0.0], "upper": [1e10]},
+    }
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps(payload))
+    assert main(["bounds", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: family tolerance")

@@ -283,10 +283,10 @@ class TestTightnessTable:
 
 class TestSerialization:
     def test_scalar_encoding(self):
-        assert serialize.encode_scalar(1.5, REAL) == 1.5
-        assert serialize.encode_scalar(1.5 + 0.5j, COMPLEX) == [1.5, 0.5]
-        assert serialize.decode_scalar(1.5) == 1.5 + 0j
-        assert serialize.decode_scalar([1.5, 0.5]) == 1.5 + 0.5j
+        assert serialize.encode_vector([1.5], REAL) == [1.5]
+        assert serialize.encode_vector([1.5 + 0.5j], COMPLEX) == [[1.5, 0.5]]
+        assert serialize.decode_vector([1.5], 1).tolist() == [1.5 + 0j]
+        assert serialize.decode_vector([[1.5, 0.5]], 1).tolist() == [1.5 + 0.5j]
 
     def test_instance_roundtrip_real(self):
         inst = generate_certified_instance(rng_from_seed(5, 0), 4, 2, REAL)

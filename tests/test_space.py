@@ -291,6 +291,19 @@ class TestVectorValidation:
         with pytest.raises(ValueError, match="exceeds"):
             OrthonormalFamily.from_members(ctx, [(1, 0), (0, 1), (S, S)])
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1e-12, 0.5 + 1e-12, 1e300])
+    def test_family_tolerance_outside_zero_to_one_over_size_rejected(self, tolerance):
+        ctx = SpaceContext(REAL, 2)
+        with pytest.raises(ValueError, match="family tolerance"):
+            OrthonormalFamily.from_members(ctx, np.eye(2), tolerance)
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-3, 0.5])
+    def test_family_tolerance_up_to_one_over_size_accepted(self, tolerance):
+        ctx = SpaceContext(REAL, 2)
+        fam = OrthonormalFamily.from_members(ctx, [(1, 0), (1e-4, 1)], tolerance)
+        assert fam.tolerance == tolerance
+        assert fam.certified == (fam.gram_defect <= tolerance)
+
 
 class TestIndexSet:
     def test_valid(self):
