@@ -32,7 +32,7 @@ Public functions never call one another.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -102,15 +102,6 @@ class CoefficientBox:
         object.__setattr__(self, "endpoint_norm_sq", float(endpoint_norm_sq))
 
     @classmethod
-    def from_maps(
-        cls, lower: Mapping[int, complex], upper: Mapping[int, complex]
-    ) -> "CoefficientBox":
-        if set(lower) != set(upper):
-            raise ValueError("lower and upper must be keyed by the same indices")
-        idx = tuple(sorted(int(i) for i in lower))
-        return cls(idx, tuple(lower[i] for i in idx), tuple(upper[i] for i in idx))
-
-    @classmethod
     def centered(
         cls,
         indices: Sequence[int],
@@ -121,14 +112,6 @@ class CoefficientBox:
         mids = np.asarray(midpoints, dtype=np.complex128)
         hw = np.asarray(half_widths, dtype=np.complex128)
         return cls(tuple(indices), mids - hw, mids + hw)
-
-    @property
-    def lower_map(self) -> dict[int, complex]:
-        return dict(zip(self.indices, self.lower))
-
-    @property
-    def upper_map(self) -> dict[int, complex]:
-        return dict(zip(self.indices, self.upper))
 
     @property
     def diameter_sq_sum(self) -> float:
@@ -143,7 +126,11 @@ class CoefficientBox:
 class ConditionReport:
     """Both slack forms of the box condition, plus the certification verdict.
 
-    ``holds`` is decided by the inner-product slack alone (that is the
+    ``slack_inner`` = Re< sum Phi_i e_i - x, x - sum phi_i e_i >, computed as
+    written and never clamped, so a violated condition shows up negative;
+    ``slack_norm`` = (1/2)(sum |Phi_i - phi_i|^2)^(1/2)
+    - ||x - sum (phi_i+Phi_i)/2 e_i||, nonnegative exactly when the norm form
+    holds.  ``holds`` is decided by the inner-product slack alone (that is the
     quantity the refined bounds subtract); the norm slack is diagnostic.
     ``sign_disagreement`` flags the pathological case where the two slacks
     disagree in sign while both exceed the tolerance in magnitude.
@@ -237,36 +224,6 @@ def pair_scale(
     """Magnitude reference for the two-vector chains: ||x||^2 + ||y||^2 plus both
     half_diameter^2 terms, the size at which ``refined`` cancels."""
     return norm(ctx, x) ** 2 + norm(ctx, y) ** 2 + box_x.half_diameter_sq + box_y.half_diameter_sq
-
-
-def condition_slack_inner(
-    ctx: SpaceContext,
-    x: Vector,
-    fam: OrthonormalFamily,
-    indices: Sequence[int],
-    box: CoefficientBox,
-) -> float:
-    """Re< sum Phi_i e_i - x, x - sum phi_i e_i >, computed exactly as written.
-
-    No clamping: a violated condition shows up as a negative value.
-    """
-    (x,), _, rows = _validated(ctx, fam, indices, (x,), (box,))
-    return _slack_inner(ctx, x, rows, box.lower_array, box.upper_array)
-
-
-def condition_slack_norm(
-    ctx: SpaceContext,
-    x: Vector,
-    fam: OrthonormalFamily,
-    indices: Sequence[int],
-    box: CoefficientBox,
-) -> float:
-    """(1/2)(sum |Phi_i - phi_i|^2)^(1/2) - ||x - sum (phi_i+Phi_i)/2 e_i||.
-
-    Nonnegative exactly when the norm form of the box condition holds.
-    """
-    (x,), _, rows = _validated(ctx, fam, indices, (x,), (box,))
-    return _slack_norm(ctx, x, rows, box)
 
 
 def check_condition(

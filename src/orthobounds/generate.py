@@ -22,7 +22,7 @@ from .space import (
     Vector,
     _coefficients,
     _norm,
-    as_vector,
+    _validated_coords,
     gram_schmidt,
     index_set,
     require_certified,
@@ -83,33 +83,44 @@ def random_family(rng: np.random.Generator, ctx: SpaceContext, size: int) -> Ort
 def certified_box_arrays(
     rng: np.random.Generator,
     ctx: SpaceContext,
-    x: Vector,
+    vectors: Sequence[Vector] | Vector,
     fam: OrthonormalFamily,
     indices: Sequence[int],
     mid_sigma: float = 0.25,
     slack_factor: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Box parameters (midpoints, half-offsets) certifying ``x`` by construction.
+    """Box parameters (midpoints, half-offsets) of one box certifying every
+    vector of ``vectors`` (a sequence of vectors, or a single vector) by
+    construction.
 
-    Midpoints sit at the expansion coefficients plus Gaussian noise of size
-    ``mid_sigma``; the offsets are scaled so that
+    Midpoints sit at the mean of the vectors' expansion coefficients plus
+    Gaussian noise of size ``mid_sigma``; the offsets are scaled so that
 
-        sqrt(sum |d_i|^2) = slack_factor * ||x - sum mid_i e_i||
+        sqrt(sum |d_i|^2) = slack_factor * max_v ||v - sum mid_i e_i||
 
     with ``slack_factor`` drawn uniformly from [1, 2] when not given.  A
-    factor >= 1 makes the norm form of the condition hold, hence the
-    inner-product slack is nonnegative up to the family's Gram defect.
+    factor >= 1 makes the norm form of the condition hold for every vector,
+    hence each inner-product slack is nonnegative up to the family's Gram
+    defect.
     """
     require_certified(fam)
     rows = fam.members[list(index_set(indices, fam.size))]
-    x = as_vector(ctx, x)
+    stack = _validated_coords(ctx, np.atleast_2d(vectors), 2)
+    if slack_factor is not None and slack_factor < 0.0:
+        raise ValueError("slack_factor must be nonnegative")
+    return _box_arrays(rng, ctx, stack, rows, mid_sigma, slack_factor)
+
+
+def _box_arrays(rng, ctx, vectors, rows, mid_sigma=0.25, slack_factor=None):
+    """``certified_box_arrays`` on inputs valid by construction: vectors of
+    ``ctx`` and the selected rows of a certified family."""
     noise = mid_sigma * gaussian_scalars(rng, len(rows), ctx.is_complex)
-    mid = _coefficients(ctx, x, rows) + noise
-    radius = _norm(ctx, x - mid @ rows)
+    coefficients = [_coefficients(ctx, v, rows) for v in vectors]
+    mid = sum(coefficients) / len(coefficients) + noise
+    combination = mid @ rows
+    radius = max(_norm(ctx, v - combination) for v in vectors)
     if slack_factor is None:
         slack_factor = 1.0 + rng.uniform()
-    if slack_factor < 0.0:
-        raise ValueError("slack_factor must be nonnegative")
     return mid, _offsets(rng, ctx, len(rows), slack_factor * radius)
 
 
@@ -136,7 +147,7 @@ def generate_certified_instance(
 ) -> Instance:
     """Random instance whose box condition holds by construction."""
     ctx, fam, idx, (x,) = _draw(rng, dim, family_size, field, 1)
-    mid, d = certified_box_arrays(rng, ctx, x, fam, idx)
+    mid, d = _box_arrays(rng, ctx, (x,), fam.members)
     return Instance(ctx, x, fam, idx, CoefficientBox.centered(idx, mid, d))
 
 
@@ -147,9 +158,7 @@ def generate_unconstrained_instance(
     is drawn from [0, 2), so roughly half of the draws violate the condition.
     """
     ctx, fam, idx, (x,) = _draw(rng, dim, family_size, field, 1)
-    mid, d = certified_box_arrays(
-        rng, ctx, x, fam, idx, slack_factor=float(2.0 * rng.uniform())
-    )
+    mid, d = _box_arrays(rng, ctx, (x,), fam.members, slack_factor=float(2.0 * rng.uniform()))
     return Instance(ctx, x, fam, idx, CoefficientBox.centered(idx, mid, d))
 
 
@@ -159,7 +168,7 @@ def generate_certified_pair(
     """Two vectors over one family, each certified by its own box."""
     ctx, x, fam, idx, box_x = generate_certified_instance(rng, dim, family_size, field)
     y = random_vector(rng, ctx, scale=float(rng.lognormal(0.0, 0.5)))
-    mid, d = certified_box_arrays(rng, ctx, y, fam, idx)
+    mid, d = _box_arrays(rng, ctx, (y,), fam.members)
     return PairInstance(ctx, x, y, fam, idx, box_x, CoefficientBox.centered(idx, mid, d))
 
 
@@ -172,7 +181,7 @@ def generate_midpoint_pair(
     uniformity.
     """
     ctx, fam, idx, (x, y) = _draw(rng, dim, family_size, field, 2)
-    mid, d = certified_box_arrays(rng, ctx, 0.5 * (x + y), fam, idx)
+    mid, d = _box_arrays(rng, ctx, (0.5 * (x + y),), fam.members)
     box = CoefficientBox.centered(idx, mid, d)
     return PairInstance(ctx, x, y, fam, idx, box, box)
 
@@ -187,13 +196,6 @@ def generate_twosided_pair(
     hold by construction.
     """
     ctx, fam, idx, (x, y) = _draw(rng, dim, family_size, field, 2)
-    half_sum = 0.5 * (x + y)
-    half_diff = 0.5 * (x - y)
-    rows = fam.members
-    c_mean = 0.5 * (_coefficients(ctx, half_sum, rows) + _coefficients(ctx, half_diff, rows))
-    mid = c_mean + 0.1 * gaussian_scalars(rng, len(idx), ctx.is_complex)
-    mid_comb = mid @ rows
-    radius = max(_norm(ctx, half_sum - mid_comb), _norm(ctx, half_diff - mid_comb))
-    d = _offsets(rng, ctx, len(idx), (1.0 + rng.uniform()) * radius)
+    mid, d = _box_arrays(rng, ctx, (0.5 * (x + y), 0.5 * (x - y)), fam.members, mid_sigma=0.1)
     box = CoefficientBox.centered(idx, mid, d)
     return PairInstance(ctx, x, y, fam, idx, box, box)

@@ -13,7 +13,7 @@ the Gauss-Legendre rule [-1, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -133,14 +133,9 @@ class WeightedL2Context:
         return self.space.size
 
 
-def sampled(ctx: WeightedL2Context, values: Iterable[complex]) -> Vector:
-    """Validate per-node samples of a function as a vector of the context."""
-    return as_vector(ctx.context, values)
-
-
 def sample(ctx: WeightedL2Context, fn) -> Vector:
     """Sample a callable f(s) at the quadrature nodes."""
-    return sampled(ctx, [fn(s) for s in ctx.space.nodes])
+    return as_vector(ctx.context, [fn(s) for s in ctx.space.nodes])
 
 
 def build_family(ctx: WeightedL2Context, kind: str, count: int) -> OrthonormalFamily:
@@ -222,7 +217,7 @@ def sandwich_check(
     idx = index_set(indices, fam.size)
     if set(m) != set(idx) or set(M) != set(idx):
         raise ValueError("m and M must be keyed exactly by the index set")
-    f = sampled(ctx, f)
+    f = as_vector(ctx.context, f)
     rows = fam.members[list(idx)]
     lower_env = (np.array([m[i] for i in idx], dtype=np.complex128) @ rows).real
     upper_env = (np.array([M[i] for i in idx], dtype=np.complex128) @ rows).real

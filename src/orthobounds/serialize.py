@@ -3,8 +3,10 @@
 The codec works a whole array at a time (one ``tolist`` out, one ``np.array``
 in): real-field files hold bare numbers, complex entries are ``[re, im]``
 pairs, and all scalars of one array take the same form (both forms are read).
-CSV numbers carry 17 significant digits with a ``.`` decimal separator so
-values round-trip exactly.
+A file is read only after its keys and their JSON types are checked, so
+malformed input raises ValueError (CLI exit code 2).  CSV numbers carry 17
+significant digits with a ``.`` decimal separator so values round-trip
+exactly.
 """
 
 from __future__ import annotations
@@ -19,11 +21,7 @@ import numpy as np
 
 from .bounds import CoefficientBox
 from .generate import Instance, PairInstance
-from .quadrature import (
-    DiscretizedMeasureSpace,
-    WeightedL2Context,
-    sampled,
-)
+from .quadrature import DiscretizedMeasureSpace, WeightedL2Context
 from .space import (
     COMPLEX,
     DEFAULT_ORTHO_TOL,
@@ -36,9 +34,17 @@ from .space import (
 
 CSV_DIGITS = 17
 
+#: Keys of an instance file with the JSON types of their values: required,
+#: then optional (``tolerance`` defaults to DEFAULT_ORTHO_TOL).
+_INSTANCE_KEYS = {
+    "field": str, "dimension": int, "vectors": list, "indices": list, "x": list, "box": dict,
+}
+_OPTIONAL_INSTANCE_KEYS = {"tolerance": (int, float), "y": list, "box_y": dict}
+_BOX_KEYS = {"lower": list, "upper": list}
 
-def format_float(value: float) -> str:
-    return f"{float(value):.{CSV_DIGITS}g}"
+#: The same for a weighted-L2 file (``field`` defaults to real).
+_L2_KEYS = {"kind": str, "nodes": list, "weights": list, "rho": list}
+_OPTIONAL_L2_KEYS = {"field": str, "functions": dict}
 
 
 def encode_vector(vector: Vector, field: str) -> list:
@@ -51,14 +57,33 @@ def encode_vector(vector: Vector, field: str) -> list:
 
 def decode_vector(values, depth: int) -> np.ndarray:
     """A ``depth``-d complex array (1: a vector, 2: rows) from numbers or ``[re, im]`` pairs."""
-    a = np.array(values)
-    if a.dtype.kind not in "biuf":
-        raise ValueError(f"expected numbers, got {a.dtype} entries")
+    a = _numbers(values)
     if a.ndim == depth:
         return a.astype(np.complex128)
     if a.ndim == depth + 1 and a.shape[-1] == 2:
         return np.ascontiguousarray(a, dtype=float).view(np.complex128)[..., 0]
     raise ValueError(f"expected {depth}-d numbers or [re, im] pairs, got shape {a.shape}")
+
+
+def _numbers(values) -> np.ndarray:
+    """``values`` as a numeric array; strings, nulls or objects raise ValueError."""
+    a = np.array(values)
+    if a.dtype.kind not in "biuf":
+        raise ValueError(f"expected numbers, got {a.dtype} entries")
+    return a
+
+
+def _check_keys(payload, required: Mapping[str, type], optional: Mapping[str, type]) -> None:
+    """ValueError unless ``payload`` is a JSON object holding every ``required``
+    key and each present key has its listed JSON type."""
+    if not isinstance(payload, Mapping):
+        raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
+    missing = sorted(required.keys() - payload.keys())
+    if missing:
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+    for key, kind in {**required, **optional}.items():
+        if key in payload and not isinstance(payload[key], kind):
+            raise ValueError(f"key {key!r} has a {type(payload[key]).__name__} value")
 
 
 def instance_to_dict(instance: Instance | PairInstance) -> dict:
@@ -82,6 +107,9 @@ def instance_to_dict(instance: Instance | PairInstance) -> dict:
 
 
 def instance_from_dict(payload: Mapping) -> Instance | PairInstance:
+    """The instance a file describes; a missing key, a value of the wrong JSON
+    type or a malformed array raises ValueError."""
+    _check_keys(payload, _INSTANCE_KEYS, _OPTIONAL_INSTANCE_KEYS)
     field = payload["field"]
     if field not in (REAL, COMPLEX):
         raise ValueError(f"unknown field tag {field!r}")
@@ -91,7 +119,9 @@ def instance_from_dict(payload: Mapping) -> Instance | PairInstance:
         decode_vector(payload["vectors"], 2),
         float(payload.get("tolerance", DEFAULT_ORTHO_TOL)),
     )
-    indices = tuple(int(i) for i in payload["indices"])
+    if not all(isinstance(i, int) for i in payload["indices"]):
+        raise ValueError("key 'indices' must hold integers")
+    indices = tuple(map(int, payload["indices"]))
     x = as_vector(ctx, decode_vector(payload["x"], 1))
     box = _box_from_dict(payload["box"], indices)
     if "y" in payload:
@@ -109,6 +139,7 @@ def _box_to_dict(box: CoefficientBox, field: str) -> dict:
 
 
 def _box_from_dict(payload: Mapping, indices: tuple[int, ...]) -> CoefficientBox:
+    _check_keys(payload, _BOX_KEYS, {})
     return CoefficientBox(
         indices, decode_vector(payload["lower"], 1), decode_vector(payload["upper"], 1)
     )
@@ -130,16 +161,15 @@ def l2_instance_to_dict(
 
 
 def l2_instance_from_dict(payload: Mapping) -> tuple[WeightedL2Context, dict[str, Vector]]:
+    """The weighted-L2 context and sampled functions a file describes; a missing
+    key, a value of the wrong JSON type or a non-numeric array raises ValueError."""
+    _check_keys(payload, _L2_KEYS, _OPTIONAL_L2_KEYS)
     space = DiscretizedMeasureSpace(
-        np.asarray(payload["nodes"], dtype=float),
-        np.asarray(payload["weights"], dtype=float),
-        payload["kind"],
+        _numbers(payload["nodes"]), _numbers(payload["weights"]), payload["kind"]
     )
-    ctx = WeightedL2Context(
-        space, np.asarray(payload["rho"], dtype=float), payload.get("field", REAL)
-    )
+    ctx = WeightedL2Context(space, _numbers(payload["rho"]), payload.get("field", REAL))
     functions = {
-        name: sampled(ctx, decode_vector(values, 1))
+        name: as_vector(ctx.context, decode_vector(values, 1))
         for name, values in payload.get("functions", {}).items()
     }
     return ctx, functions
@@ -175,5 +205,5 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
         writer.writerow(header)
         for row in rows:
             writer.writerow(
-                [format_float(v) if isinstance(v, float) else v for v in row]
+                [f"{float(v):.{CSV_DIGITS}g}" if isinstance(v, float) else v for v in row]
             )

@@ -68,9 +68,6 @@ class ExtremalInstance:
     indices: tuple[int, ...]
     box: CoefficientBox
 
-    def as_instance(self) -> Instance:
-        return Instance(self.ctx, self.x, self.family, self.indices, self.box)
-
     def report(self):
         return counterpart_bounds(self.ctx, self.x, self.family, self.indices, self.box)
 

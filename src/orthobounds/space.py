@@ -71,10 +71,6 @@ class SpaceContext:
     def is_complex(self) -> bool:
         return self.field == COMPLEX
 
-    @property
-    def backend(self) -> str:
-        return "coordinate" if self.weights is None else "weighted-quadrature"
-
 
 def as_vector(ctx: SpaceContext, coords: Iterable[complex]) -> Vector:
     """Validate and freeze coordinates as a vector of ``ctx``.
@@ -99,10 +95,6 @@ def _validated_coords(ctx: SpaceContext, coords, ndim: int) -> np.ndarray:
     if not ctx.is_complex and v.imag.any():
         raise ValueError("real-field vector has a nonzero imaginary part")
     return v
-
-
-def zero_vector(ctx: SpaceContext) -> Vector:
-    return as_vector(ctx, np.zeros(ctx.dimension))
 
 
 def inner_product(ctx: SpaceContext, x: Vector, y: Vector) -> complex:
@@ -176,8 +168,8 @@ class OrthonormalFamily:
     ) -> "OrthonormalFamily":
         """Build a family from explicit vectors, measuring its Gram defect.
 
-        The result may be uncertified; use :func:`verify_orthonormal` or
-        ``certified`` to check before feeding it to bound computations.
+        The result may be uncertified; check ``certified`` before feeding it
+        to bound computations.
         """
         rows = _validated_coords(ctx, members, 2)
         if ctx.weights is None and rows.shape[0] > ctx.dimension:
@@ -194,15 +186,6 @@ class OrthonormalFamily:
     def certified(self) -> bool:
         return self.gram_defect <= self.tolerance
 
-    def member(self, index: int) -> Vector:
-        return self.members[index]
-
-
-@dataclass(frozen=True)
-class OrthonormalityReport:
-    gram_defect: float
-    passed: bool
-
 
 def _gram_defect(ctx: SpaceContext, rows: np.ndarray) -> float:
     if ctx.weights is None:
@@ -210,12 +193,6 @@ def _gram_defect(ctx: SpaceContext, rows: np.ndarray) -> float:
     else:
         gram = (rows * ctx.weights) @ rows.conj().T
     return float(np.max(np.abs(gram - np.eye(rows.shape[0]))))
-
-
-def verify_orthonormal(ctx: SpaceContext, fam: OrthonormalFamily) -> OrthonormalityReport:
-    """Recompute the Gram defect and compare against the family tolerance."""
-    defect = _gram_defect(ctx, fam.members)
-    return OrthonormalityReport(gram_defect=defect, passed=defect <= fam.tolerance)
 
 
 def require_certified(fam: OrthonormalFamily) -> None:
@@ -280,19 +257,6 @@ def index_set(indices: Sequence[int], family_size: int) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError(f"index set {idx} must be strictly increasing")
     return idx
-
-
-def fourier_coefficients(
-    ctx: SpaceContext,
-    x: Vector,
-    fam: OrthonormalFamily,
-    indices: Sequence[int],
-) -> dict[int, complex]:
-    """Expansion coefficients <x, e_i> for each selected member."""
-    require_certified(fam)
-    idx = index_set(indices, fam.size)
-    coeffs = _coefficients(ctx, _conforming(ctx, x), fam.members[list(idx)])
-    return dict(zip(idx, coeffs.tolist()))
 
 
 def family_projection(

@@ -219,22 +219,24 @@ def check_gruss_chain(pair: PairInstance, rtol: float) -> tuple[bool, float]:
     return ok, margin
 
 
+def _projection_residuals(pair: PairInstance):
+    """x - Px and y - Py, P the projection onto the pair's selected members."""
+    ctx, x, y, fam, idx = pair.ctx, pair.x, pair.y, pair.family, pair.indices
+    return x - family_projection(ctx, x, fam, idx), y - family_projection(ctx, y, fam, idx)
+
+
 def check_projection_identity(pair: PairInstance, rtol: float) -> tuple[bool, float]:
     """gruss_deviation equals the inner product of the projection residuals."""
-    ctx, x, y, fam, idx = pair.ctx, pair.x, pair.y, pair.family, pair.indices
-    direct = gruss_deviation(ctx, x, y, fam, idx)
-    u = x - family_projection(ctx, x, fam, idx)
-    v = y - family_projection(ctx, y, fam, idx)
-    via_residuals = inner_product(ctx, u, v)
+    direct = gruss_deviation(pair.ctx, pair.x, pair.y, pair.family, pair.indices)
+    via_residuals = inner_product(pair.ctx, *_projection_residuals(pair))
     margin = -abs(direct - via_residuals)
     return margin >= -rtol * _pair_scale(pair), margin
 
 
 def check_schwarz(pair: PairInstance, rtol: float) -> tuple[bool, float]:
     """|<x-Px, y-Py>|^2 <= ||x-Px||^2 ||y-Py||^2."""
-    ctx, x, y, fam, idx = pair.ctx, pair.x, pair.y, pair.family, pair.indices
-    u = x - family_projection(ctx, x, fam, idx)
-    v = y - family_projection(ctx, y, fam, idx)
+    ctx = pair.ctx
+    u, v = _projection_residuals(pair)
     lhs = abs(inner_product(ctx, u, v)) ** 2
     rhs = norm(ctx, u) ** 2 * norm(ctx, v) ** 2
     margin = rhs - lhs

@@ -7,30 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthobounds import (
-    COMPLEX,
-    REAL,
+from orthobounds import bounds
+from orthobounds.bounds import (
     CoefficientBox,
-    OrthonormalFamily,
-    SpaceContext,
-    as_vector,
     bessel_residual,
     check_condition,
     companion_abs_bound,
     companion_bound,
-    condition_slack_inner,
-    condition_slack_norm,
     counterpart_bounds,
-    family_projection,
     gruss_bounds,
     gruss_deviation,
-    inner_product,
     instance_scale,
-    norm,
     residual_identity_sides,
     scalar_lemmas_check,
 )
-from orthobounds import bounds
 from orthobounds.generate import (
     certified_box_arrays,
     gaussian_scalars,
@@ -39,7 +29,17 @@ from orthobounds.generate import (
     generate_unconstrained_instance,
     rng_from_seed,
 )
-from orthobounds.space import gram_schmidt
+from orthobounds.space import (
+    COMPLEX,
+    REAL,
+    OrthonormalFamily,
+    SpaceContext,
+    as_vector,
+    family_projection,
+    gram_schmidt,
+    inner_product,
+    norm,
+)
 from reference import (
     ref_coefficient_term,
     ref_deviation,
@@ -79,16 +79,6 @@ class TestCoefficientBox:
         assert box.half_diameter_sq == 0.5
         assert box.diameter_sq_sum == 2.0
 
-    def test_from_maps_requires_matching_keys(self):
-        with pytest.raises(ValueError, match="same indices"):
-            CoefficientBox.from_maps({0: 0.0}, {1: 1.0})
-
-    def test_from_maps_roundtrip(self):
-        box = CoefficientBox.from_maps({2: 1j, 0: -1.0}, {2: 2j, 0: 1.0})
-        assert box.indices == (0, 2)
-        assert box.lower_map == {0: -1 + 0j, 2: 1j}
-        assert box.upper_map == {0: 1 + 0j, 2: 2j}
-
     def test_endpoint_norm_sq_is_the_larger_endpoint(self):
         box = CoefficientBox((0, 1), (3.0, -4j), (1.0, 2.0))
         assert box.endpoint_norm_sq == 25.0
@@ -114,20 +104,23 @@ class TestCoefficientBox:
 
 
 class TestConditionSlackInner:
+    """``check_condition(...).slack_inner``, the inner-product form."""
+
     def test_extremal_equality_case(self, extremal):
         ctx, x, fam, F, box = extremal
-        assert abs(condition_slack_inner(ctx, x, fam, F, box)) <= 1e-15
+        assert abs(check_condition(ctx, x, fam, F, box).slack_inner) <= 1e-15
 
     def test_unit_box_value(self, r3):
         ctx, x, _, fam, F, box = r3
-        assert condition_slack_inner(ctx, x, fam, F, box) == pytest.approx(0.42, rel=1e-14)
+        value = check_condition(ctx, x, fam, F, box).slack_inner
+        assert value == pytest.approx(0.42, rel=1e-14)
 
     def test_zero_vector_gives_family_count(self):
         ctx = SpaceContext(REAL, 4)
         fam = OrthonormalFamily.from_members(ctx, np.eye(4))
         box = CoefficientBox((0, 1, 2), (-1, -1, -1), (1, 1, 1))
         x = as_vector(ctx, np.zeros(4))
-        value = condition_slack_inner(ctx, x, fam, (0, 1, 2), box)
+        value = check_condition(ctx, x, fam, (0, 1, 2), box).slack_inner
         assert value == pytest.approx(3.0, rel=1e-14)
 
     def test_violated_condition_is_negative(self):
@@ -135,14 +128,15 @@ class TestConditionSlackInner:
         fam = OrthonormalFamily.from_members(ctx, [(1, 0)])
         box = CoefficientBox((0,), (-1,), (1,))
         x = as_vector(ctx, (10, 0))
-        assert condition_slack_inner(ctx, x, fam, (0,), box) == pytest.approx(-99.0, rel=1e-14)
+        value = check_condition(ctx, x, fam, (0,), box).slack_inner
+        assert value == pytest.approx(-99.0, rel=1e-14)
 
     def test_matches_reference_on_random_instances(self):
         for field in (REAL, COMPLEX):
             for i in range(50):
                 rng = rng_from_seed(101, i, field == COMPLEX)
                 inst = generate_unconstrained_instance(rng, 5, 3, field)
-                got = condition_slack_inner(*inst)
+                got = check_condition(*inst).slack_inner
                 want = ref_slack_inner(
                     list(inst.x), [list(r) for r in inst.family.members],
                     inst.indices, inst.box.lower, inst.box.upper,
@@ -153,17 +147,19 @@ class TestConditionSlackInner:
     def test_box_index_mismatch(self, r3):
         ctx, x, _, fam, _, box = r3
         with pytest.raises(ValueError, match="box covers"):
-            condition_slack_inner(ctx, x, fam, (0, 2), box)
+            check_condition(ctx, x, fam, (0, 2), box)
 
 
 class TestConditionSlackNorm:
+    """``check_condition(...).slack_norm``, the norm form."""
+
     def test_extremal_equality_case(self, extremal):
         ctx, x, fam, F, box = extremal
-        assert abs(condition_slack_norm(ctx, x, fam, F, box)) <= 1e-15
+        assert abs(check_condition(ctx, x, fam, F, box).slack_norm) <= 1e-15
 
     def test_unit_box_value(self, r3):
         ctx, x, _, fam, F, box = r3
-        value = condition_slack_norm(ctx, x, fam, F, box)
+        value = check_condition(ctx, x, fam, F, box).slack_norm
         assert value == pytest.approx(0.4242640687119285, rel=1e-13)
 
     def test_degenerate_box_centered_on_projection(self, r3):
@@ -171,12 +167,14 @@ class TestConditionSlackNorm:
         mids = (0.5, 0.3)
         box = CoefficientBox(F, mids, mids)
         x_in_span = as_vector(ctx, (0.5, 0.3, 0.0))
-        assert condition_slack_norm(ctx, x_in_span, fam, F, box) == pytest.approx(0.0, abs=1e-15)
+        value = check_condition(ctx, x_in_span, fam, F, box).slack_norm
+        assert value == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_reference(self, r3):
         ctx, x, _, fam, F, box = r3
         want = ref_slack_norm(list(x), [list(r) for r in fam.members], F, box.lower, box.upper)
-        assert condition_slack_norm(ctx, x, fam, F, box) == pytest.approx(want, rel=1e-13)
+        value = check_condition(ctx, x, fam, F, box).slack_norm
+        assert value == pytest.approx(want, rel=1e-13)
 
 
 class TestCheckCondition:
@@ -228,7 +226,7 @@ class TestCheckCondition:
 class TestBesselResidual:
     def test_family_member(self, r3):
         ctx, _, _, fam, _, _ = r3
-        assert bessel_residual(ctx, fam.member(0), fam, (0,)) == pytest.approx(0.0, abs=1e-15)
+        assert bessel_residual(ctx, fam.members[0], fam, (0,)) == pytest.approx(0.0, abs=1e-15)
 
     def test_extremal_value(self, extremal):
         ctx, x, fam, F, _ = extremal
@@ -304,7 +302,7 @@ class TestCounterpartBounds:
     def test_degenerate_box_equality_throughout(self, r3):
         ctx, _, _, fam, _, _ = r3
         box = CoefficientBox((0,), (1.0,), (1.0,))
-        report = counterpart_bounds(ctx, fam.member(0), fam, (0,), box)
+        report = counterpart_bounds(ctx, fam.members[0], fam, (0,), box)
         assert report.certified
         assert abs(report.residual) <= 1e-15
         assert abs(report.refined) <= 1e-15
@@ -335,14 +333,14 @@ class TestCounterpartBounds:
         fam = OrthonormalFamily.from_members(ctx, [(1, 0), (S, S)])
         box = CoefficientBox((0,), (0,), (1,))
         with pytest.raises(ValueError, match="not certified"):
-            counterpart_bounds(ctx, fam.member(0), fam, (0,), box)
+            counterpart_bounds(ctx, fam.members[0], fam, (0,), box)
 
 
 class TestGrussDeviation:
     def test_projection_reproduces_member(self, r3):
         ctx, x, _, fam, _, _ = r3
-        for vec in (x, fam.member(1), as_vector(ctx, (3.0, -2.0, 0.5))):
-            value = gruss_deviation(ctx, vec, fam.member(0), fam, (0,))
+        for vec in (x, fam.members[1], as_vector(ctx, (3.0, -2.0, 0.5))):
+            value = gruss_deviation(ctx, vec, fam.members[0], fam, (0,))
             assert abs(value) <= 1e-14
 
     def test_equal_vectors_give_residual(self, r3):
@@ -588,9 +586,9 @@ def test_every_chain_matches_the_oracle(context):
                 check_condition(ctx, y, fam, F, box_y).slack_norm,
                 ref_slack_norm(ys, members, F, box_y.lower, box_y.upper, w),
             ),
-            (condition_slack_inner(ctx, y, fam, F, box_y), slack(ys, box_y)),
+            (check_condition(ctx, y, fam, F, box_y).slack_inner, slack(ys, box_y)),
             (
-                condition_slack_norm(ctx, x, fam, F, box_x),
+                check_condition(ctx, x, fam, F, box_x).slack_norm,
                 ref_slack_norm(xs, members, F, box_x.lower, box_x.upper, w),
             ),
             (bessel_residual(ctx, x, fam, F), res_x),
@@ -651,8 +649,6 @@ def _chain_calls(pair):
     ctx, x, y, fam, F, box_x, box_y = pair
     return {
         "check_condition": (ctx, x, fam, F, box_x),
-        "condition_slack_inner": (ctx, x, fam, F, box_x),
-        "condition_slack_norm": (ctx, x, fam, F, box_x),
         "bessel_residual": (ctx, x, fam, F),
         "residual_identity_sides": (ctx, x, fam, F, box_x),
         "counterpart_bounds": (ctx, x, fam, F, box_x),

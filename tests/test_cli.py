@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from orthobounds import REAL, CoefficientBox, OrthonormalFamily, SpaceContext, as_vector
+from orthobounds import serialize
+from orthobounds.bounds import CoefficientBox
 from orthobounds.cli import main
 from orthobounds.generate import (
     Instance,
@@ -16,7 +17,7 @@ from orthobounds.generate import (
     generate_certified_pair,
     rng_from_seed,
 )
-from orthobounds import serialize
+from orthobounds.space import REAL, OrthonormalFamily, SpaceContext, as_vector
 
 
 @pytest.fixture()
@@ -290,6 +291,31 @@ def test_malformed_arrays_are_input_errors(case, instance_file, capsys):
     payload[key] = edit(payload[key])
     instance_file.write_text(json.dumps(payload))
     assert main(["bounds", str(instance_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+MALFORMED_FILES = {
+    "field-only": lambda payload: {"field": "real"},
+    "null-tolerance": lambda payload: {**payload, "tolerance": None},
+    "string-dimension": lambda payload: {**payload, "dimension": "4"},
+    "null-index": lambda payload: {**payload, "indices": [0, None]},
+    "box-without-upper": lambda payload: {**payload, "box": {"lower": payload["box"]["lower"]}},
+    "box-not-an-object": lambda payload: {**payload, "box": payload["box"]["lower"]},
+    "top-level-array": lambda payload: [payload],
+}
+
+
+@pytest.mark.parametrize("command", ["bounds", "gruss"])
+@pytest.mark.parametrize("case", MALFORMED_FILES)
+def test_malformed_instance_files_are_input_errors(case, command, instance_file, capsys):
+    # a missing key or a null scalar used to escape as KeyError/TypeError,
+    # a traceback with exit 1
+    payload = json.loads(instance_file.read_text())
+    payload["y"], payload["box_y"] = payload["x"], payload["box"]
+    instance_file.write_text(json.dumps(MALFORMED_FILES[case](payload)))
+    assert main([command, str(instance_file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

@@ -4,18 +4,14 @@ import json
 import numpy as np
 import pytest
 
-from orthobounds import (
-    COMPLEX,
-    REAL,
+from orthobounds import serialize
+from orthobounds.bounds import (
     CoefficientBox,
-    SuiteConfig,
     check_condition,
-    condition_slack_norm,
+    companion_abs_bound,
+    companion_bound,
     counterpart_bounds,
-    emit_tightness_table,
-    extremal_instance,
     instance_scale,
-    run_suite,
 )
 from orthobounds.generate import (
     Instance,
@@ -28,9 +24,10 @@ from orthobounds.generate import (
     generate_unconstrained_instance,
     rng_from_seed,
 )
-from orthobounds import serialize
-from orthobounds.bounds import companion_abs_bound, companion_bound
-from orthobounds.suite import tightness_rows
+from orthobounds.quadrature import WeightedL2Context, periodic_trapezoid
+from orthobounds.sharpness import extremal_instance
+from orthobounds.space import COMPLEX, REAL, as_vector
+from orthobounds.suite import SuiteConfig, emit_tightness_table, run_suite, tightness_rows
 
 
 def _rounded(value):
@@ -117,7 +114,7 @@ class TestGenerateCertifiedInstance:
         x = random_vector(rng, ctx)
         mid, d = certified_box_arrays(rng, ctx, x, fam, (0, 1), slack_factor=1.0)
         box = CoefficientBox.centered((0, 1), mid, d)
-        slack = condition_slack_norm(ctx, x, fam, (0, 1), box)
+        slack = check_condition(ctx, x, fam, (0, 1), box).slack_norm
         scale = instance_scale(ctx, x, box)
         assert abs(slack) <= 1e-9 * scale
 
@@ -241,7 +238,8 @@ class TestSuite:
 class TestTightnessTable:
     def test_rows_for_worked_examples(self, tmp_path):
         ctx3 = None
-        inst = extremal_instance(1.0).as_instance()
+        extremal = extremal_instance(1.0)
+        inst = Instance(extremal.ctx, extremal.x, extremal.family, extremal.indices, extremal.box)
         from orthobounds.space import OrthonormalFamily, SpaceContext, as_vector
 
         ctx = SpaceContext(REAL, 3)
@@ -251,7 +249,7 @@ class TestTightnessTable:
         box = CoefficientBox((0, 1), (0, 0), (1, 1))
         pair = PairInstance(ctx, x, y, fam, (0, 1), box, box)
         degenerate = Instance(
-            ctx, fam.member(0), fam, (0,), CoefficientBox((0,), (1.0,), (1.0,))
+            ctx, fam.members[0], fam, (0,), CoefficientBox((0,), (1.0,), (1.0,))
         )
         rows = tightness_rows(
             [("extremal", inst), ("r3-gruss", pair), ("degenerate", degenerate)]
@@ -322,10 +320,8 @@ class TestSerialization:
         assert {"residual", "refined", "coarse", "slack_inner", "slack_norm", "certified", "digest"} <= set(body)
 
     def test_l2_instance_roundtrip(self):
-        from orthobounds import WeightedL2Context, periodic_trapezoid, sampled
-
         ctx = WeightedL2Context.uniform_density(periodic_trapezoid(16))
-        f = sampled(ctx, np.sin(ctx.space.nodes))
+        f = as_vector(ctx.context, np.sin(ctx.space.nodes))
         payload = serialize.l2_instance_to_dict(ctx, {"f": f})
         ctx2, funcs = serialize.l2_instance_from_dict(json.loads(json.dumps(payload)))
         assert ctx2.space.kind == "periodic-trapezoid"

@@ -3,27 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from orthobounds import (
-    COMPLEX,
-    REAL,
+from orthobounds.bounds import (
     CoefficientBox,
-    DegeneracyError,
-    OrthonormalFamily,
+    check_condition,
+    counterpart_bounds,
+    gruss_bounds,
+    instance_scale,
+)
+from orthobounds.quadrature import (
     SandwichConditionError,
     WeightedL2Context,
     build_family,
-    counterpart_bounds,
     counting_measure,
     gauss_legendre,
-    gruss_bounds,
-    inner_product,
     l2_sandwich_gruss,
     periodic_trapezoid,
     sample,
-    sampled,
     sandwich_box,
     sandwich_check,
-    verify_orthonormal,
+)
+from orthobounds.space import (
+    COMPLEX,
+    REAL,
+    DegeneracyError,
+    OrthonormalFamily,
+    as_vector,
+    inner_product,
 )
 from orthobounds.generate import generate_certified_instance, generate_certified_pair, rng_from_seed
 from orthobounds.suite import check_l2_embedding
@@ -76,16 +81,16 @@ class TestMeasureSpaces:
 class TestWeightedInner:
     def test_indicator_on_counting_measure(self):
         ctx = WeightedL2Context.uniform_density(counting_measure(3))
-        f = sampled(ctx, [1.0, 0.0, 0.0])
+        f = as_vector(ctx.context, [1.0, 0.0, 0.0])
         assert inner_product(ctx.context, f, f) == 1.0
 
     def test_constant_member_has_unit_norm(self, trig_ctx):
-        f1 = sampled(trig_ctx, np.full(1024, 1.0 / ROOT_2PI))
+        f1 = as_vector(trig_ctx.context, np.full(1024, 1.0 / ROOT_2PI))
         assert inner_product(trig_ctx.context, f1, f1).real == pytest.approx(1.0, abs=1e-12)
 
     def test_coefficient_of_shifted_sine(self, trig_ctx):
         f = sample(trig_ctx, lambda s: 2.0 + np.sin(s))
-        f1 = sampled(trig_ctx, np.full(1024, 1.0 / ROOT_2PI))
+        f1 = as_vector(trig_ctx.context, np.full(1024, 1.0 / ROOT_2PI))
         # closed form: (1/sqrt(2pi)) * integral of (2 + sin) = 4pi/sqrt(2pi)
         assert inner_product(trig_ctx.context, f, f1).real == pytest.approx(
             2.0 * ROOT_2PI, rel=1e-12
@@ -104,18 +109,18 @@ class TestBuildFamily:
 
     def test_trig_family_certifies(self, trig_ctx, trig_family):
         assert trig_family.gram_defect <= 1e-10
-        assert verify_orthonormal(trig_ctx.context, trig_family).passed
+        assert trig_family.certified
 
     def test_trig_members_match_analytic_forms(self, trig_ctx, trig_family):
         s = trig_ctx.space.nodes
         np.testing.assert_allclose(
-            trig_family.member(0).real, np.full(1024, 1.0 / ROOT_2PI), atol=1e-12
+            trig_family.members[0].real, np.full(1024, 1.0 / ROOT_2PI), atol=1e-12
         )
         np.testing.assert_allclose(
-            trig_family.member(1).real, np.cos(s) / math.sqrt(math.pi), atol=1e-10
+            trig_family.members[1].real, np.cos(s) / math.sqrt(math.pi), atol=1e-10
         )
         np.testing.assert_allclose(
-            trig_family.member(2).real, np.sin(s) / math.sqrt(math.pi), atol=1e-10
+            trig_family.members[2].real, np.sin(s) / math.sqrt(math.pi), atol=1e-10
         )
 
     def test_legendre_family_certifies(self):
@@ -125,7 +130,7 @@ class TestBuildFamily:
         # normalized Legendre polynomials: sqrt((2k+1)/2) P_k
         s = ctx.space.nodes
         np.testing.assert_allclose(
-            fam.member(1).real, math.sqrt(1.5) * s, atol=1e-10
+            fam.members[1].real, math.sqrt(1.5) * s, atol=1e-10
         )
 
     def test_trig_defect_at_coarser_grids(self):
@@ -149,7 +154,7 @@ class TestBuildFamily:
 
 class TestSandwichCheck:
     def test_family_member_in_degenerate_sandwich(self, trig_ctx, trig_family):
-        f = trig_family.member(0)
+        f = trig_family.members[0]
         report = sandwich_check(trig_ctx, f, trig_family, (0,), {0: 1.0}, {0: 1.0})
         assert report.holds
         assert report.min_margin_lower == pytest.approx(0.0, abs=1e-12)
@@ -186,15 +191,13 @@ class TestSandwichCheck:
         # a strictly positive bracketing margin must translate into a
         # nonnegative inner-product slack for the derived box, up to
         # quadrature error
-        from orthobounds import check_condition, instance_scale
-
         rng = np.random.default_rng(404)
         nodes = trig_ctx.space.nodes
         root = math.sqrt(TWO_PI)
         for _ in range(25):
             a0, a1, b1 = rng.uniform(-2, 2, 3)
             pad = rng.uniform(0.01, 1.0)
-            f = sampled(trig_ctx, a0 + a1 * np.cos(nodes) + b1 * np.sin(nodes))
+            f = as_vector(trig_ctx.context, a0 + a1 * np.cos(nodes) + b1 * np.sin(nodes))
             # constant-member bracket: m f1 <= f <= M f1 with f1 = 1/sqrt(2pi)
             m = {0: root * (float(np.min(f.real)) - pad)}
             M = {0: root * (float(np.max(f.real)) + pad)}
@@ -258,7 +261,7 @@ class TestClosedFormTrigCase:
         assert not excinfo.value.report.holds
 
     def test_exact_span_membership_gives_zero_everything(self, trig_ctx, trig_family):
-        f = 2.5 * trig_family.member(0)
+        f = 2.5 * trig_family.members[0]
         m = M = {0: 2.5}
         report = l2_sandwich_gruss(trig_ctx, f.real, f.real, trig_family, (0,), m, M, m, M)
         assert report.deviation_abs == pytest.approx(0.0, abs=1e-12)
@@ -271,8 +274,8 @@ class TestBackendEquivalence:
         ctx = WeightedL2Context.uniform_density(counting_measure(3))
         fam = build_family(ctx, "indicator", 3)
         box = CoefficientBox((0, 1), (0, 0), (1, 1))
-        f = sampled(ctx, [0.5, 0.3, 0.2])
-        g = sampled(ctx, [0.2, 0.6, 0.1])
+        f = as_vector(ctx.context, [0.5, 0.3, 0.2])
+        g = as_vector(ctx.context, [0.2, 0.6, 0.1])
         report = counterpart_bounds(ctx.context, f, fam, (0, 1), box)
         assert report.residual == pytest.approx(0.04, rel=1e-12)
         assert report.refined == pytest.approx(0.08, rel=1e-12)

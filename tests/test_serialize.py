@@ -1,19 +1,22 @@
 """The array-at-a-time codec: bit-exact round trips and pinned file bytes."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthobounds import COMPLEX, REAL, serialize
+from orthobounds import serialize
 from orthobounds.cli import main
 from orthobounds.generate import (
     generate_certified_instance,
     generate_certified_pair,
     rng_from_seed,
 )
+from orthobounds.quadrature import WeightedL2Context, periodic_trapezoid
+from orthobounds.space import COMPLEX, REAL, as_vector
 
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
 finite = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
@@ -96,3 +99,31 @@ class TestGoldenBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "e5636559cd4adf7edd970a11492d2820021ed4cb2280c7e0c8053e8c9a7cdcca"
         )
+
+
+class TestWeightedL2Payload:
+    @pytest.fixture()
+    def payload(self):
+        ctx = WeightedL2Context.uniform_density(periodic_trapezoid(4))
+        f = as_vector(ctx.context, np.sin(ctx.space.nodes))
+        return json.loads(json.dumps(serialize.l2_instance_to_dict(ctx, {"f": f})))
+
+    def test_round_trip_is_exact(self, payload):
+        ctx, functions = serialize.l2_instance_from_dict(payload)
+        assert ctx.space.nodes.tolist() == payload["nodes"]
+        assert ctx.space.weights.tolist() == payload["weights"]
+        assert ctx.rho.tolist() == payload["rho"]
+        assert functions["f"].real.tolist() == payload["functions"]["f"]
+
+    @pytest.mark.parametrize("key", ["nodes", "weights", "rho"])
+    def test_numeric_strings_are_rejected(self, key, payload):
+        # the same strings in "functions" were always rejected; these three
+        # arrays used to be converted by np.asarray(..., dtype=float)
+        payload[key] = [repr(v) for v in payload[key]]
+        with pytest.raises(ValueError, match="expected numbers"):
+            serialize.l2_instance_from_dict(payload)
+
+    def test_missing_key_is_rejected(self, payload):
+        del payload["rho"]
+        with pytest.raises(ValueError, match="missing key"):
+            serialize.l2_instance_from_dict(payload)

@@ -1,19 +1,16 @@
 import numpy as np
 import pytest
 
-from orthobounds import (
-    COMPLEX,
-    REAL,
-    CoefficientBox,
+from orthobounds.bounds import CoefficientBox, counterpart_bounds, gruss_bounds
+from orthobounds.serialize import instance_from_dict
+from orthobounds.sharpness import (
     SearchConfig,
-    SpaceContext,
-    counterpart_bounds,
+    _make_evaluator,
     extremal_instance,
     maximize_gruss_ratio,
     maximize_residual_ratio,
 )
-from orthobounds.serialize import instance_from_dict
-from orthobounds.sharpness import _make_evaluator
+from orthobounds.space import COMPLEX, REAL, SpaceContext
 
 FAST = SearchConfig(restarts=6, steps_per_restart=1500, seed=11)
 
@@ -126,8 +123,6 @@ class TestMaximizeGrussRatio:
         result = maximize_gruss_ratio(SearchConfig(restarts=4, steps_per_restart=1200, seed=8))
         pair = instance_from_dict(result.best_instance)
         denominator = np.sqrt(pair.box_x.diameter_sq_sum * pair.box_y.diameter_sq_sum)
-        from orthobounds import gruss_bounds
-
         report = gruss_bounds(
             pair.ctx, pair.x, pair.y, pair.family, pair.indices, pair.box_x, pair.box_y
         )

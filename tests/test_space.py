@@ -5,19 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthobounds import (
+from orthobounds.space import (
     COMPLEX,
     REAL,
     DegeneracyError,
     OrthonormalFamily,
     SpaceContext,
     as_vector,
-    fourier_coefficients,
+    family_projection,
     gram_schmidt,
     index_set,
     inner_product,
     norm,
-    verify_orthonormal,
 )
 from orthobounds.quadrature import (
     WeightedL2Context,
@@ -134,10 +133,15 @@ class TestNorm:
             assert n > 0.0
 
 
+def fourier_coefficients(ctx, x, fam, indices):
+    """<x, e_i> for each selected member, one inner product each."""
+    return {i: inner_product(ctx, x, fam.members[i]) for i in indices}
+
+
 class TestFourierCoefficients:
     def test_family_member(self):
         ctx, fam = std_basis(3)
-        coeffs = fourier_coefficients(ctx, fam.member(0), fam, (0,))
+        coeffs = fourier_coefficients(ctx, fam.members[0], fam, (0,))
         assert coeffs == {0: 1 + 0j}
 
     def test_extremal_orthogonality(self):
@@ -154,7 +158,7 @@ class TestFourierCoefficients:
     def test_invalid_index(self):
         ctx, fam = std_basis(3)
         with pytest.raises(ValueError):
-            fourier_coefficients(ctx, fam.member(0), fam, (0, 3))
+            family_projection(ctx, fam.members[0], fam, (0, 3))
 
     def test_parseval_on_full_basis(self):
         rng = np.random.default_rng(5)
@@ -183,10 +187,10 @@ class TestGramSchmidt:
     def test_two_vector_example(self):
         ctx = SpaceContext(REAL, 2)
         fam = gram_schmidt(ctx, [(1, 1), (1, 0)])
-        np.testing.assert_allclose(fam.member(0).real, [S, S], rtol=1e-15)
+        np.testing.assert_allclose(fam.members[0].real, [S, S], rtol=1e-15)
         # second member is (1, -1)/sqrt(2) up to sign
-        np.testing.assert_allclose(np.abs(fam.member(1).real), [S, S], rtol=1e-12)
-        assert fam.member(1).real[0] * fam.member(1).real[1] < 0
+        np.testing.assert_allclose(np.abs(fam.members[1].real), [S, S], rtol=1e-12)
+        assert fam.members[1].real[0] * fam.members[1].real[1] < 0
 
     def test_near_dependent_pair_raises(self):
         ctx = SpaceContext(REAL, 2)
@@ -199,16 +203,15 @@ class TestGramSchmidt:
             ctx = SpaceContext(COMPLEX, dim)
             raw = rng.standard_normal((size, dim)) + 1j * rng.standard_normal((size, dim))
             fam = gram_schmidt(ctx, raw)
-            report = verify_orthonormal(ctx, fam)
-            assert report.passed
-            assert report.gram_defect <= fam.tolerance
+            assert fam.certified
+            assert fam.gram_defect <= fam.tolerance
 
     def test_weighted_backend(self):
         weights = np.array([0.2, 0.8, 1.7, 0.3])
         ctx = SpaceContext(REAL, 4, weights)
         rng = np.random.default_rng(3)
         fam = gram_schmidt(ctx, rng.standard_normal((3, 4)))
-        assert verify_orthonormal(ctx, fam).passed
+        assert fam.certified
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_dependent_vector_named_by_position(self, field):
@@ -225,7 +228,7 @@ class TestGramSchmidt:
         ctx = SpaceContext(COMPLEX, 128)
         raw = rng.standard_normal((64, 128)) + 1j * rng.standard_normal((64, 128))
         fam = gram_schmidt(ctx, raw)
-        assert verify_orthonormal(ctx, fam).gram_defect <= 1e-10
+        assert fam.gram_defect <= 1e-10
 
     @pytest.mark.parametrize(
         "kind, rule, density, count",
@@ -240,28 +243,28 @@ class TestGramSchmidt:
         # prototypes are far from orthonormal and both passes do real work
         ctx = WeightedL2Context(rule, density(rule.nodes), REAL)
         fam = build_family(ctx, kind, count)
-        assert verify_orthonormal(ctx.context, fam).gram_defect <= 1e-10
+        assert fam.gram_defect <= 1e-10
 
 
 class TestVerifyOrthonormal:
+    """A family's own certificate: ``gram_defect`` measured at construction
+    and ``certified``."""
+
     def test_standard_basis(self):
         ctx, fam = std_basis(4)
-        report = verify_orthonormal(ctx, fam)
-        assert report.passed and report.gram_defect == 0.0
+        assert fam.certified and fam.gram_defect == 0.0
 
     def test_non_orthogonal_pair_fails(self):
         ctx = SpaceContext(REAL, 2)
         fam = OrthonormalFamily.from_members(ctx, [(1, 0), (S, S)])
-        report = verify_orthonormal(ctx, fam)
-        assert not report.passed
-        assert report.gram_defect == pytest.approx(S, rel=1e-12)
+        assert not fam.certified
+        assert fam.gram_defect == pytest.approx(S, rel=1e-12)
 
     def test_single_unit_member(self):
         ctx = SpaceContext(REAL, 2)
         fam = OrthonormalFamily.from_members(ctx, [(S, S)])
-        report = verify_orthonormal(ctx, fam)
-        assert report.passed
-        assert report.gram_defect <= 1e-15
+        assert fam.certified
+        assert fam.gram_defect <= 1e-15
 
 
 class TestVectorValidation:
