@@ -44,16 +44,12 @@ from .space import (
     _inner,
     _norm,
     _norm_sq,
+    allowance,
     as_vector,
     index_set,
     norm,
     require_certified,
 )
-
-#: Relative factor for the default certification tolerance: a condition holds
-#: when its inner slack is >= -DEFAULT_CONDITION_RTOL * scale, with
-#: scale = ||x||^2 + (1/4) sum |Phi_i - phi_i|^2.
-DEFAULT_CONDITION_RTOL = 1e-10
 
 #: Largest accepted squared norm of an input vector or box endpoint vector;
 #: see ``_validated`` for why it keeps every kernel quantity finite.
@@ -236,8 +232,8 @@ def check_condition(
 ) -> ConditionReport:
     """Evaluate both slack forms and certify on the inner-product slack.
 
-    ``tol`` is an absolute slack tolerance; by default it is
-    ``DEFAULT_CONDITION_RTOL * (||x||^2 + half_diameter^2)``.
+    ``tol`` is an absolute slack tolerance; by default it is the rounding
+    term of ``space.allowance`` at scale ||x||^2 + half_diameter^2.
     """
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
     return _condition(ctx, x, norm_sq, rows, box, tol)
@@ -281,7 +277,6 @@ def counterpart_bounds(
     fam: OrthonormalFamily,
     indices: Sequence[int],
     box: CoefficientBox,
-    tol: float | None = None,
 ) -> BesselBoundReport:
     """Residual chain: residual <= coarse - slack_inner <= coarse.
 
@@ -290,7 +285,7 @@ def counterpart_bounds(
     applicable.
     """
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
-    condition = _condition(ctx, x, norm_sq, rows, box, tol)
+    condition = _condition(ctx, x, norm_sq, rows, box)
     coarse = box.half_diameter_sq
     return BesselBoundReport(
         residual=_residual(norm_sq, _coefficients(ctx, x, rows)),
@@ -325,7 +320,6 @@ def gruss_bounds(
     indices: Sequence[int],
     box_x: CoefficientBox,
     box_y: CoefficientBox,
-    tol: float | None = None,
 ) -> GrussBoundReport:
     """Deviation chain with product-form bounds.
 
@@ -338,8 +332,8 @@ def gruss_bounds(
     (x, y), (norm_sq_x, norm_sq_y), rows = _validated(
         ctx, fam, indices, (x, y), (box_x, box_y)
     )
-    condition_x = _condition(ctx, x, norm_sq_x, rows, box_x, tol)
-    condition_y = _condition(ctx, y, norm_sq_y, rows, box_y, tol)
+    condition_x = _condition(ctx, x, norm_sq_x, rows, box_x)
+    condition_y = _condition(ctx, y, norm_sq_y, rows, box_y)
     coarse = 0.25 * float(
         np.sqrt(box_x.diameter_sq_sum) * np.sqrt(box_y.diameter_sq_sum)
     )
@@ -369,7 +363,7 @@ def companion_bound(
     condition evaluated at the midpoint (x+y)/2."""
     (x, y), _, rows = _validated(ctx, fam, indices, (x, y), (box,))
     midpoint = 0.5 * (x + y)
-    condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box, None)
+    condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box)
     return CompanionReport(
         re_deviation=_deviation(ctx, x, y, rows).real,
         bound=box.half_diameter_sq,
@@ -395,8 +389,8 @@ def companion_abs_bound(
     (x, y), _, rows = _validated(ctx, fam, indices, (x, y), (box,))
     half_sum = 0.5 * (x + y)
     half_diff = 0.5 * (x - y)
-    condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box, None)
-    condition_diff = _condition(ctx, half_diff, _norm_sq(ctx, half_diff), rows, box, None)
+    condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box)
+    condition_diff = _condition(ctx, half_diff, _norm_sq(ctx, half_diff), rows, box)
     return CompanionAbsReport(
         abs_re_deviation=abs(_deviation(ctx, x, y, rows).real),
         bound=box.half_diameter_sq,
@@ -443,11 +437,13 @@ def _slack_norm(ctx, x, rows, box: CoefficientBox) -> float:
     return 0.5 * float(np.sqrt(box.diameter_sq_sum)) - _norm(ctx, x - box.midpoints() @ rows)
 
 
-def _condition(ctx, x, norm_sq: float, rows, box: CoefficientBox, tol) -> ConditionReport:
+def _condition(ctx, x, norm_sq: float, rows, box: CoefficientBox, tol=None) -> ConditionReport:
     slack_inner = _slack_inner(ctx, x, rows, box.lower_array, box.upper_array)
     slack_norm = _slack_norm(ctx, x, rows, box)
     if tol is None:
-        tol = DEFAULT_CONDITION_RTOL * (norm_sq + box.half_diameter_sq)
+        # the rounding term only: the slack is computed from the vectors as
+        # written, so the Gram defect does not enter it
+        tol = allowance(norm_sq + box.half_diameter_sq, ctx.dimension + rows.shape[0])
     disagreement = (
         min(abs(slack_inner), abs(slack_norm)) > tol
         and (slack_inner > 0) != (slack_norm > 0)

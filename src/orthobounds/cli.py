@@ -38,9 +38,14 @@ from .quadrature import (
     sample,
     sandwich_box,
 )
-from .sharpness import SearchConfig, maximize_gruss_ratio, maximize_residual_ratio
-from .space import REAL
+from .sharpness import NOISE_FLOOR_REL, SearchConfig, maximize_gruss_ratio, maximize_residual_ratio
+from .space import REAL, allowance
 from .suite import SuiteConfig, run_suite
+
+
+#: Node-wise margin of the trig demo's sandwich check: the bracketing touches
+#: its bounds at the peak nodes, so the margins need room for sin() rounding.
+TRIG_SANDWICH_TOL = 1e-12
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -70,21 +75,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--tightness-out", default=None, help="also emit a per-instance tightness CSV"
     )
     p.add_argument("--seed", type=int, default=SuiteConfig.seed, help="64-bit RNG seed")
-    p.add_argument(
-        "--tol", type=float, default=SuiteConfig.tolerance, help="relative chain tolerance"
-    )
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
     p = sub.add_parser("bounds", help="residual chain report for an instance file")
     p.add_argument("instance", help="instance JSON path")
-    p.add_argument("--tol", type=float, default=None, help="absolute condition tolerance")
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
     p = sub.add_parser("gruss", help="deviation chain report for an instance file")
     p.add_argument("instance", help="instance JSON path (must carry y and box_y)")
-    p.add_argument("--tol", type=float, default=None, help="absolute condition tolerance")
     p.add_argument("--out", default=None, help="output file path")
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
 
@@ -113,7 +113,6 @@ def _cmd_verify(args) -> int:
         family_sizes=tuple(args.family_sizes),
         fields=tuple(args.fields),
         seed=args.seed,
-        tolerance=args.tol,
     )
     outcome = run_suite(cfg)
     for name, tally in sorted(outcome.checks.items()):
@@ -157,13 +156,13 @@ def _cmd_bounds(args) -> int:
     inst = serialize.instance_from_dict(payload)
     if isinstance(inst, PairInstance):
         inst = Instance(inst.ctx, inst.x, inst.family, inst.indices, inst.box_x)
-    report = counterpart_bounds(inst.ctx, inst.x, inst.family, inst.indices, inst.box, args.tol)
+    report = counterpart_bounds(*inst)
     body = serialize.report_payload(report, payload)
-    scale = instance_scale(inst.ctx, inst.x, inst.box)
+    tol = suite.chain_allowance(inst, instance_scale(inst.ctx, inst.x, inst.box))
     chain_ok = (not report.certified) or (
-        report.residual >= -1e-9 * scale
-        and report.residual <= report.refined + 1e-9 * scale
-        and report.refined <= report.coarse + 1e-9 * scale
+        report.residual >= -tol
+        and report.residual <= report.refined + tol
+        and report.refined <= report.coarse + tol
     )
     return _report_exit(body, chain_ok, args)
 
@@ -174,14 +173,12 @@ def _cmd_gruss(args) -> int:
     if not isinstance(inst, PairInstance):
         print("instance file must carry y (and box_y) for a deviation report", file=sys.stderr)
         return 2
-    report = gruss_bounds(
-        inst.ctx, inst.x, inst.y, inst.family, inst.indices, inst.box_x, inst.box_y, args.tol
-    )
+    report = gruss_bounds(*inst)
     body = serialize.report_payload(report, payload)
-    scale = pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y)
+    tol = suite.chain_allowance(inst, pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y))
     chain_ok = (not report.certified) or (
-        report.deviation_abs <= report.refined + 1e-9 * scale
-        and report.refined <= report.coarse + 1e-9 * scale
+        report.deviation_abs <= report.refined + tol
+        and report.refined <= report.coarse + tol
     )
     return _report_exit(body, chain_ok, args)
 
@@ -196,9 +193,7 @@ def _cmd_l2demo(args) -> int:
         m, M = {0: root}, {0: 3.0 * root}
         box = sandwich_box((0,), m, M)
         report = counterpart_bounds(ctx.context, f, fam, (0,), box)
-        # the bracketing touches its bounds at the peak nodes, so give the
-        # node-wise margins room for sin() rounding
-        gruss = l2_sandwich_gruss(ctx, f, g, fam, (0,), m, M, m, M, sandwich_tol=1e-12)
+        gruss = l2_sandwich_gruss(ctx, f, g, fam, (0,), m, M, m, M, TRIG_SANDWICH_TOL)
         payload = serialize.l2_instance_to_dict(ctx, {"f": f, "g": g})
         payload["reports"] = {"counterpart": report.to_dict(), "gruss": gruss.to_dict()}
         ok = report.certified and gruss.certified
@@ -256,7 +251,10 @@ def _cmd_sharpness(args) -> int:
     if not args.out:
         print(text)
     print(f"best_ratio={result.best_ratio:.12f} evaluations={result.evaluations}")
-    return 0 if -1e-12 <= result.best_ratio <= 0.25 + 1e-9 else 1
+    # a nonzero ratio's value is at least NOISE_FLOOR_REL times its state's
+    # scale, so its allowance over the diameter term is at most this one
+    ceiling = 0.25 + allowance(0.25 / NOISE_FLOOR_REL, cfg.dimension + cfg.family_size)
+    return 0 if 0.0 <= result.best_ratio <= ceiling else 1
 
 
 def main(argv=None) -> int:

@@ -66,8 +66,14 @@ class DiscretizedMeasureSpace:
         return int(self.nodes.size)
 
 
+def _check_count(count: int) -> None:
+    if count < 1:
+        raise ValueError(f"a quadrature rule needs at least one node, got {count}")
+
+
 def counting_measure(count: int) -> DiscretizedMeasureSpace:
     """Unit mass at integer nodes 0..count-1; bridges to the coordinate backend."""
+    _check_count(count)
     return DiscretizedMeasureSpace(np.arange(count, dtype=float), np.ones(count), COUNTING)
 
 
@@ -77,6 +83,7 @@ def periodic_trapezoid(count: int) -> DiscretizedMeasureSpace:
     For 2pi-periodic integrands this is the trapezoid rule, which is
     spectrally accurate on trigonometric polynomials.
     """
+    _check_count(count)
     nodes = 2.0 * np.pi * np.arange(count) / count
     weights = np.full(count, 2.0 * np.pi / count)
     return DiscretizedMeasureSpace(nodes, weights, PERIODIC_TRAPEZOID)
@@ -85,6 +92,7 @@ def periodic_trapezoid(count: int) -> DiscretizedMeasureSpace:
 def gauss_legendre(count: int) -> DiscretizedMeasureSpace:
     """Gauss-Legendre rule on [-1, 1]; exact on polynomials of degree
     <= 2*count - 1."""
+    _check_count(count)
     nodes, weights = np.polynomial.legendre.leggauss(count)
     return DiscretizedMeasureSpace(nodes, weights, GAUSS_LEGENDRE)
 

@@ -194,7 +194,8 @@ def _hill_climb(state, evaluate, slots, steps, initial_scale):
 #: count as zero inside the search.  Without the floor, a run that drives the
 #: true residual to zero (x in the span of F) could divide leftover rounding
 #: noise by an ever-shrinking box and report an arbitrary fake ratio; with it
-#: the certified ratios stay below 1/4 + 1e-9 by a wide margin.
+#: a nonzero ratio's rounding error is at most ``space.allowance`` at scale
+#: (1/4) / NOISE_FLOOR_REL, the window the ``sharpness`` command checks.
 NOISE_FLOOR_REL = 1e-5
 
 

@@ -30,6 +30,12 @@ DEFAULT_ORTHO_TOL = 1e-10
 #: orthonormalization with a DegeneracyError.
 RANK_DROP_FACTOR = 1e-12
 
+#: Unit roundoff u of binary64 arithmetic.
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
+
+#: Rounding-error multiple K of :func:`allowance`, counted in its derivation.
+_ROUNDING_MULTIPLE = 16
+
 Vector = np.ndarray
 
 
@@ -193,6 +199,56 @@ def _gram_defect(ctx: SpaceContext, rows: np.ndarray) -> float:
     else:
         gram = (rows * ctx.weights) @ rows.conj().T
     return float(np.max(np.abs(gram - np.eye(rows.shape[0]))))
+
+
+def allowance(scale: float, terms: int, size: int = 0, gram_defect: float = 0.0) -> float:
+    """How far a computed chain value may cross its exact bound:
+    (K gamma_terms + size * gram_defect) * scale, with
+    gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., section 3.1), u the unit roundoff and K = 16.
+
+    ``scale`` is the instance's magnitude (``bounds.instance_scale`` or
+    ``pair_scale``, squared for squared comparisons), ``terms`` = d + |F| and
+    ``size`` = |F|.  Without ``size`` and ``gram_defect`` only the rounding
+    term remains, for a value computed from the vectors as written.
+    """
+    # Rounding term.  A dot product of length n has error at most
+    # gamma_n sum_k |a_k b_k| (Higham (3.5)).  A chain value passes through a
+    # length-|F| combination sum_i c_i e_i and a length-d inner product, so
+    # gamma_terms with terms = d + |F| bounds the relative error of every
+    # summand.  A chain comparison a <= b tests the sign of b - a, a signed
+    # sum of at most ||x||^2, sum_i |c_i|^2, coarse = ||Delta||^2 and
+    # slack_inner = Re<u, v> with u = S(Phi) - x, v = x - S(phi)
+    # (S(a) = sum_i a_i e_i, m and Delta the box's centre and half-widths,
+    # ||Delta||^2 = half_diameter_sq).  On a certified instance the box
+    # condition puts x within ||S(Delta)|| ~ ||Delta|| of S(m), so
+    # ||u||, ||v|| <= 2 ||Delta|| and ||Phi||, ||phi|| <= ||x|| + 2 ||Delta||.
+    # The errors, in units of gamma_terms:
+    #     ||x||^2                     ||x||^2
+    #     sum |c_i|^2                 3 ||x||^2  (c_i to gamma_d, the sum to gamma_F)
+    #     coarse                      ||Delta||^2
+    #     slack_inner (u, v, <u,v>)   ||Phi|| ||v|| + ||phi|| ||u|| + ||u|| ||v||
+    #                                 <= 4 ||x|| ||Delta|| + 12 ||Delta||^2
+    #                                 <= 2 ||x||^2 + 14 ||Delta||^2
+    # which add up to 6 ||x||^2 + 15 ||Delta||^2 <= 15 scale.  K = 16 is the
+    # next power of two.  The bound is first order (it drops products of two
+    # rounding errors) and norm-wise (it reads || |R| || as ||R|| for the
+    # member rows R, a gap of at most sqrt(|F|)); rounding errors that add
+    # like a random walk grow like sqrt(terms), not like gamma_terms, which
+    # leaves far more room than either reading takes.  The two-vector chains
+    # have the same terms per vector, with pair_scale the sum of both scales.
+    #
+    # Gram-defect term.  For rows R with Gram matrix G = R R^H = I + E and
+    # defect delta = max |E_ij|, ||E||_2 <= |F| delta.  The exact chain links
+    # then move by at most |F| delta scale: residual = ||x||^2 - x^H R^H R x
+    # >= -|F| delta ||x||^2, as R^H R has the nonzero eigenvalues of G; and
+    # refined - residual = ||c - m||^2 + m^H E m - Delta^H E Delta, whose
+    # first two terms are at least x^H (R^H R - P) x >= -|F| delta ||x||^2
+    # (the minimum over m, P the projector onto the rows), the last at least
+    # -|F| delta ||Delta||^2.  The term is sharp: at d = |F| = 1, with member
+    # sqrt(1 + delta) and a box of zero width, residual = -delta ||x||^2.
+    rounding = terms * _UNIT_ROUNDOFF
+    return (_ROUNDING_MULTIPLE * rounding / (1.0 - rounding) + size * gram_defect) * scale
 
 
 def require_certified(fam: OrthonormalFamily) -> None:

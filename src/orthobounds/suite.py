@@ -15,8 +15,11 @@ Every check below certifies a different link of the bound chains:
 * ``companion``            - Re(deviation) <= bound under a midpoint box
 * ``companion_abs``        - |Re(deviation)| <= bound under both +/- boxes
 * ``l2_embedding``         - a unit-weight (counting-measure) context
-                             reproduces the coordinate backend to 1e-12
-                             absolute
+                             reproduces the coordinate backend
+
+Each comparison allows ``space.allowance`` at the instance's scale: the
+rounding term for its dot-product length d + |F| plus |F| times the family's
+Gram defect.
 
 Outcomes are deterministic per seed and serialize to JSON byte-identically
 (the ``generated_at`` stamp is the one field excluded from comparisons).
@@ -57,14 +60,11 @@ from .space import (
     COMPLEX,
     REAL,
     SpaceContext,
+    allowance,
     family_projection,
     inner_product,
     norm,
 )
-
-#: Absolute agreement required between the coordinate backend and a
-#: unit-weight context.
-L2_EMBED_ATOL = 1e-12
 
 #: How many failing instances an outcome retains in full.
 MAX_STORED_FAILURES = 25
@@ -80,13 +80,15 @@ class SuiteConfig:
     family_sizes: tuple[int, ...] = (1, 2, 4, 8)
     fields: tuple[str, ...] = (REAL, COMPLEX)
     seed: int = 20230516
-    tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         if self.instance_count < 1:
             raise ValueError("instance_count must be positive")
-        if not self.tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not self.cells():
+            raise ValueError(
+                f"the grid has no cell: no family size in {list(self.family_sizes)} "
+                f"fits a dimension in {list(self.dims)} over fields {list(self.fields)}"
+            )
 
     def cells(self) -> list[tuple[int, int, str]]:
         return [
@@ -102,7 +104,6 @@ class SuiteConfig:
             "family_sizes": list(self.family_sizes),
             "fields": list(self.fields),
             "seed": self.seed,
-            "tolerance": self.tolerance,
         }
 
 
@@ -165,43 +166,51 @@ def _pair_scale(inst: PairInstance) -> float:
     return pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y)
 
 
-def check_counterpart_chain(inst: Instance, rtol: float) -> tuple[bool, float]:
-    """Certified residual chain with per-step slack >= -rtol * scale."""
+def _instance_scale(inst: Instance) -> float:
+    return instance_scale(inst.ctx, inst.x, inst.box)
+
+
+def chain_allowance(inst: Instance | PairInstance, scale: float) -> float:
+    """``space.allowance`` at ``scale`` for the instance's dimension, index
+    set and family: how far any of its chain comparisons may miss."""
+    size = len(inst.indices)
+    return allowance(scale, inst.ctx.dimension + size, size, inst.family.gram_defect)
+
+
+def check_counterpart_chain(inst: Instance) -> tuple[bool, float]:
+    """Certified residual chain with per-step slack >= -allowance."""
     report = counterpart_bounds(*inst)
-    scale = instance_scale(inst.ctx, inst.x, inst.box)
     margin = min(
         report.residual,
         report.refined - report.residual,
         report.coarse - report.refined,
     )
-    return report.certified and margin >= -rtol * scale, margin
+    return report.certified and margin >= -chain_allowance(inst, _instance_scale(inst)), margin
 
 
-def check_identity(inst: Instance, rtol: float) -> tuple[bool, float]:
+def check_identity(inst: Instance) -> tuple[bool, float]:
     """Two evaluation routes of the residual identity agree."""
     left, right = residual_identity_sides(inst.ctx, inst.x, inst.family, inst.indices, inst.box)
-    scale = instance_scale(inst.ctx, inst.x, inst.box)
     margin = -abs(left - right)
-    return margin >= -rtol * scale, margin
+    return margin >= -chain_allowance(inst, _instance_scale(inst)), margin
 
 
-def check_condition_equivalence(inst: Instance, rtol: float) -> tuple[bool, float]:
+def check_condition_equivalence(inst: Instance) -> tuple[bool, float]:
     """Inner and norm slack forms agree in sign when both are resolvable."""
-    scale = instance_scale(inst.ctx, inst.x, inst.box)
-    report = check_condition(
-        inst.ctx, inst.x, inst.family, inst.indices, inst.box, tol=rtol * scale
-    )
+    tol = chain_allowance(inst, _instance_scale(inst))
+    report = check_condition(inst.ctx, inst.x, inst.family, inst.indices, inst.box, tol=tol)
     if report.sign_disagreement:
         return False, -min(abs(report.slack_inner), abs(report.slack_norm))
     return True, 0.0
 
 
-def check_gruss_chain(pair: PairInstance, rtol: float) -> tuple[bool, float]:
+def check_gruss_chain(pair: PairInstance) -> tuple[bool, float]:
     """Certified deviation chain plus the squared Schwarz route."""
     report = gruss_bounds(
         pair.ctx, pair.x, pair.y, pair.family, pair.indices, pair.box_x, pair.box_y
     )
     scale = _pair_scale(pair)
+    tol, tol_sq = chain_allowance(pair, scale), chain_allowance(pair, scale**2)
     margin = min(
         report.refined - report.deviation_abs,
         report.coarse - report.refined,
@@ -212,10 +221,10 @@ def check_gruss_chain(pair: PairInstance, rtol: float) -> tuple[bool, float]:
     refined_x = pair.box_x.half_diameter_sq - report.condition_x.slack_inner
     refined_y = pair.box_y.half_diameter_sq - report.condition_y.slack_inner
     squared_ok = (
-        report.deviation_abs**2 <= res_x * res_y + rtol * scale**2
-        and res_x * res_y <= refined_x * refined_y + rtol * scale**2
+        report.deviation_abs**2 <= res_x * res_y + tol_sq
+        and res_x * res_y <= refined_x * refined_y + tol_sq
     )
-    ok = report.certified and margin >= -rtol * scale and squared_ok
+    ok = report.certified and margin >= -tol and squared_ok
     return ok, margin
 
 
@@ -225,45 +234,45 @@ def _projection_residuals(pair: PairInstance):
     return x - family_projection(ctx, x, fam, idx), y - family_projection(ctx, y, fam, idx)
 
 
-def check_projection_identity(pair: PairInstance, rtol: float) -> tuple[bool, float]:
+def check_projection_identity(pair: PairInstance) -> tuple[bool, float]:
     """gruss_deviation equals the inner product of the projection residuals."""
     direct = gruss_deviation(pair.ctx, pair.x, pair.y, pair.family, pair.indices)
     via_residuals = inner_product(pair.ctx, *_projection_residuals(pair))
     margin = -abs(direct - via_residuals)
-    return margin >= -rtol * _pair_scale(pair), margin
+    return margin >= -chain_allowance(pair, _pair_scale(pair)), margin
 
 
-def check_schwarz(pair: PairInstance, rtol: float) -> tuple[bool, float]:
+def check_schwarz(pair: PairInstance) -> tuple[bool, float]:
     """|<x-Px, y-Py>|^2 <= ||x-Px||^2 ||y-Py||^2."""
     ctx = pair.ctx
     u, v = _projection_residuals(pair)
     lhs = abs(inner_product(ctx, u, v)) ** 2
     rhs = norm(ctx, u) ** 2 * norm(ctx, v) ** 2
     margin = rhs - lhs
-    return margin >= -rtol * _pair_scale(pair) ** 2, margin
+    return margin >= -chain_allowance(pair, _pair_scale(pair) ** 2), margin
 
 
-def check_companion(pair: PairInstance, rtol: float) -> tuple[bool, float]:
+def check_companion(pair: PairInstance) -> tuple[bool, float]:
     """Re(deviation) <= bound under the shared midpoint box."""
     report = companion_bound(
         pair.ctx, pair.x, pair.y, pair.family, pair.indices, pair.box_x
     )
     margin = report.bound - report.re_deviation
-    return report.certified and margin >= -rtol * _pair_scale(pair), margin
+    return report.certified and margin >= -chain_allowance(pair, _pair_scale(pair)), margin
 
 
-def check_companion_abs(pair: PairInstance, rtol: float) -> tuple[bool, float]:
+def check_companion_abs(pair: PairInstance) -> tuple[bool, float]:
     """|Re(deviation)| <= bound under both (x+y)/2 and (x-y)/2 conditions."""
     report = companion_abs_bound(
         pair.ctx, pair.x, pair.y, pair.family, pair.indices, pair.box_x
     )
     margin = report.bound - report.abs_re_deviation
-    return report.certified and margin >= -rtol * _pair_scale(pair), margin
+    return report.certified and margin >= -chain_allowance(pair, _pair_scale(pair)), margin
 
 
 def check_l2_embedding(inst: Instance) -> tuple[bool, float]:
     """A unit-weight (counting-measure) context reproduces the coordinate-backend
-    report to ``L2_EMBED_ATOL``."""
+    report within the instance's allowance."""
     vector_report = counterpart_bounds(*inst)
     counting = SpaceContext(inst.ctx.field, inst.ctx.dimension, np.ones(inst.ctx.dimension))
     l2_report = counterpart_bounds(counting, inst.x, inst.family, inst.indices, inst.box)
@@ -275,7 +284,7 @@ def check_l2_embedding(inst: Instance) -> tuple[bool, float]:
         abs(vector_report.condition.slack_norm - l2_report.condition.slack_norm),
     ]
     margin = -max(deltas)
-    return margin >= -L2_EMBED_ATOL, margin
+    return margin >= -chain_allowance(inst, _instance_scale(inst)), margin
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
@@ -285,40 +294,39 @@ def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
     outcome write ``outcome.to_dict()``.
     """
     outcome = SuiteOutcome(config=cfg)
-    rtol = cfg.tolerance
     for cell_index, (dim, fsize, fld) in enumerate(cfg.cells()):
         for i in range(cfg.instance_count):
             rng = rng_from_seed(cfg.seed, cell_index, i)
             inst = generate_certified_instance(rng, dim, fsize, fld)
             cond = check_condition(inst.ctx, inst.x, inst.family, inst.indices, inst.box)
             outcome.record("generator_soundness", cond.holds, cond.slack_inner, inst)
-            ok, margin = check_counterpart_chain(inst, rtol)
+            ok, margin = check_counterpart_chain(inst)
             outcome.record("counterpart_chain", ok, margin, inst)
-            ok, margin = check_identity(inst, rtol)
+            ok, margin = check_identity(inst)
             outcome.record("identity", ok, margin, inst)
-            ok, margin = check_condition_equivalence(inst, rtol)
+            ok, margin = check_condition_equivalence(inst)
             outcome.record("condition_equivalence", ok, margin, inst)
             ok, margin = check_l2_embedding(inst)
             outcome.record("l2_embedding", ok, margin, inst)
 
             loose = generate_unconstrained_instance(rng, dim, fsize, fld)
-            ok, margin = check_condition_equivalence(loose, rtol)
+            ok, margin = check_condition_equivalence(loose)
             outcome.record("condition_equivalence", ok, margin, loose)
 
             pair = generate_certified_pair(rng, dim, fsize, fld)
-            ok, margin = check_gruss_chain(pair, rtol)
+            ok, margin = check_gruss_chain(pair)
             outcome.record("gruss_chain", ok, margin, pair)
-            ok, margin = check_projection_identity(pair, rtol)
+            ok, margin = check_projection_identity(pair)
             outcome.record("projection_identity", ok, margin, pair)
-            ok, margin = check_schwarz(pair, rtol)
+            ok, margin = check_schwarz(pair)
             outcome.record("schwarz", ok, margin, pair)
 
             mid_pair = generate_midpoint_pair(rng, dim, fsize, fld)
-            ok, margin = check_companion(mid_pair, rtol)
+            ok, margin = check_companion(mid_pair)
             outcome.record("companion", ok, margin, mid_pair)
 
             two_pair = generate_twosided_pair(rng, dim, fsize, fld)
-            ok, margin = check_companion_abs(two_pair, rtol)
+            ok, margin = check_companion_abs(two_pair)
             outcome.record("companion_abs", ok, margin, two_pair)
     return outcome
 

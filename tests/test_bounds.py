@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import math
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthobounds import bounds
+from orthobounds import bounds, serialize
 from orthobounds.bounds import (
     CoefficientBox,
     bessel_residual,
@@ -18,10 +19,13 @@ from orthobounds.bounds import (
     gruss_bounds,
     gruss_deviation,
     instance_scale,
+    pair_scale,
     residual_identity_sides,
     scalar_lemmas_check,
 )
+from orthobounds.cli import main
 from orthobounds.generate import (
+    Instance,
     certified_box_arrays,
     gaussian_scalars,
     generate_certified_instance,
@@ -34,6 +38,7 @@ from orthobounds.space import (
     REAL,
     OrthonormalFamily,
     SpaceContext,
+    allowance,
     as_vector,
     family_projection,
     gram_schmidt,
@@ -716,3 +721,92 @@ def test_inputs_just_under_the_size_limit_stay_finite():
     ]
     for report in reports:
         json.dumps(report.to_dict(), allow_nan=False)  # raises on inf or NaN
+
+
+def _quantities(result, name=""):
+    """(name, value, degree) for every float and verdict of a chain result;
+    the degree is the power of the input scale it carries: 2 for the squared
+    quantities (values, ConditionReport.tolerance), 1 for slack_norm, 0 for
+    the verdicts."""
+    if isinstance(result, bool):
+        return [(name, result, 0)]
+    if isinstance(result, complex):
+        return [(name + ".re", result.real, 2), (name + ".im", result.imag, 2)]
+    if isinstance(result, float):
+        return [(name, result, 1 if name.endswith("slack_norm") else 2)]
+    if isinstance(result, tuple):
+        return [q for i, value in enumerate(result) for q in _quantities(value, f"{name}[{i}]")]
+    return [
+        q for f in dataclasses.fields(result)
+        for q in _quantities(getattr(result, f.name), f"{name}.{f.name}")
+    ]
+
+
+def _results(pair):
+    return {name: _quantities(getattr(bounds, name)(*args)) for name, args in _chain_calls(pair).items()}
+
+
+@pytest.mark.parametrize("context", ORACLE_CONTEXTS)
+@pytest.mark.parametrize("k", [-200, -50, 1, 50, 200])
+def test_reports_scale_covariantly(context, k):
+    # x, y and the box endpoints times 2^k scale every squared quantity by
+    # exactly 4^k and slack_norm by 2^k, and leave every verdict as it was
+    s = 2.0**k
+    for pair in _oracle_pairs(*ORACLE_CONTEXTS[context], count=4):
+        ctx, x, y, fam, F, box_x, box_y = pair
+        box_x, box_y = (CoefficientBox(F, s * b.lower_array, s * b.upper_array) for b in (box_x, box_y))
+        scaled = _results((ctx, s * x, s * y, fam, F, box_x, box_y))
+        for name, quantities in _results(pair).items():
+            want = [(q, v * s**d if d else v) for q, v, d in quantities]
+            assert [(q, v) for q, v, _ in scaled[name]] == want, (name, k)
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_reports_are_unitarily_invariant(field):
+    # a unitary applied to the members, x and y changes every value by no
+    # more than the allowance (at sqrt(scale) for slack_norm, a norm).  The
+    # Gruss refined = coarse - sqrt(slack_x slack_y) is compared as
+    # (coarse - refined)^2, at scale^2: a square root near a zero slack
+    # magnifies rounding (slack_y is ~0 in the pair drawn at slack factor 1)
+    for i, pair in enumerate(_oracle_pairs(field, None, count=6)):
+        ctx, x, y, fam, F, box_x, box_y = pair
+        rng = rng_from_seed(405, i)
+        q, _ = np.linalg.qr(np.stack([gaussian_scalars(rng, 6, ctx.is_complex) for _ in range(6)]))
+        q = q if ctx.is_complex else q.real
+        turned = OrthonormalFamily.from_members(ctx, fam.members @ q.T)
+        rotated_pair = (ctx, as_vector(ctx, q @ x), as_vector(ctx, q @ y), turned, F, box_x, box_y)
+        rotated = _results(rotated_pair)
+        scale = pair_scale(ctx, x, y, box_x, box_y)
+        defect = max(fam.gram_defect, turned.gram_defect)
+        tol = {d: allowance(scale ** (d / 2), ctx.dimension + len(F), len(F), defect) for d in (1, 2, 4)}
+        for name, quantities in _results(pair).items():
+            for (q_name, want, d), (_, got, _) in zip(quantities, rotated[name]):
+                if d and (name, q_name) != ("gruss_bounds", ".refined"):
+                    assert abs(got - want) <= tol[d], (name, q_name, got, want)
+        want, got = ((r.coarse - r.refined) ** 2 for r in (gruss_bounds(*pair), gruss_bounds(*rotated_pair)))
+        assert abs(got - want) <= tol[4], (got, want)
+
+
+def test_certified_flips_at_the_gram_defect(tmp_path, capsys):
+    ctx = SpaceContext(REAL, 2)
+    members = [(1.0, 0.0), (1e-3, 1.0)]
+    defect = OrthonormalFamily.from_members(ctx, members, 0.5).gram_defect
+    x = as_vector(ctx, (1.0, 1.0))
+    box = CoefficientBox((0, 1), (0.9, 0.9), (1.1, 1.1))
+    path = tmp_path / "family.json"
+    for tolerance, certified in [
+        (math.nextafter(defect, math.inf), True),
+        (defect, True),
+        (math.nextafter(defect, -math.inf), False),
+    ]:
+        fam = OrthonormalFamily.from_members(ctx, members, tolerance)
+        assert fam.certified is certified
+        for name, args in _chain_calls((ctx, x, x, fam, (0, 1), box, box)).items():
+            if certified:
+                getattr(bounds, name)(*args)
+            else:
+                with pytest.raises(ValueError, match="not certified"):
+                    getattr(bounds, name)(*args)
+        serialize.dump_json(serialize.instance_to_dict(Instance(ctx, x, fam, (0, 1), box)), path)
+        assert main(["bounds", str(path)]) == (0 if certified else 2)
+        assert (capsys.readouterr().out == "") is not certified

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthobounds import serialize
 from orthobounds.bounds import CoefficientBox
@@ -13,11 +15,14 @@ from orthobounds.cli import main
 from orthobounds.generate import (
     Instance,
     PairInstance,
+    certified_box_arrays,
+    gaussian_scalars,
     generate_certified_instance,
     generate_certified_pair,
+    random_family,
     rng_from_seed,
 )
-from orthobounds.space import REAL, OrthonormalFamily, SpaceContext, as_vector
+from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
 
 
 @pytest.fixture()
@@ -70,6 +75,16 @@ class TestVerifyCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("instance-id,")
         assert len(lines) == 1 + 2 * 2
+
+    @pytest.mark.parametrize(
+        "grid", [["--dims", "0"], ["--dims", "2", "--family-sizes", "4"]]
+    )
+    def test_grid_without_cells_is_input_error(self, grid, capsys):
+        # it used to run no check and pass with total_failed=0
+        assert main(["verify", "--instances", "1", *grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the grid has no cell")
 
 
 class TestBoundsCommand:
@@ -157,6 +172,15 @@ class TestL2DemoCommand:
         assert payload["reports"]["counterpart"]["residual"] == pytest.approx(0.04, rel=1e-12)
         assert payload["reports"]["gruss"]["deviation_abs"] == pytest.approx(0.02, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", ["trig", "legendre"])
+    @pytest.mark.parametrize("nodes", ["0", "-1"])
+    def test_rule_without_nodes_is_input_error(self, kind, nodes, capsys):
+        # trig --nodes 0 used to exit 1 with a ZeroDivisionError traceback
+        assert main(["l2demo", kind, "--nodes", nodes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: a quadrature rule needs at least one node")
+
 
 class TestSharpnessCommand:
     def test_residual_mode(self, tmp_path, capsys):
@@ -194,10 +218,10 @@ class TestConsoleScript:
 COMMAND_OPTIONS = {
     "verify": {
         "--instances", "--dims", "--family-sizes", "--fields", "--tightness-out",
-        "--seed", "--tol", "--out", "--format",
+        "--seed", "--out", "--format",
     },
-    "bounds": {"--tol", "--out", "--format"},
-    "gruss": {"--tol", "--out", "--format"},
+    "bounds": {"--out", "--format"},
+    "gruss": {"--out", "--format"},
     "l2demo": {"--nodes", "--seed", "--out"},
     "sharpness": {
         "--mode", "--dim", "--family-size", "--field", "--restarts", "--steps",
@@ -218,8 +242,11 @@ def test_help_lists_exactly_the_command_options(command, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["verify", "--tol", "1e-9"],
         ["bounds", "instance.json", "--seed", "7"],
+        ["bounds", "instance.json", "--tol", "1e-9"],
         ["gruss", "instance.json", "--seed", "7"],
+        ["gruss", "instance.json", "--tol", "1e-9"],
         ["l2demo", "counting", "--tol", "1e-9"],
         ["l2demo", "counting", "--format", "csv"],
         ["sharpness", "--tol", "1e-9"],
@@ -334,3 +361,71 @@ def test_loose_family_tolerance_is_input_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: family tolerance")
+
+
+def test_gram_defect_within_family_tolerance_passes(tmp_path, capsys):
+    # defect 1e-3 within tolerance 0.01: the report is certified with
+    # residual -2.0e-3, which the allowance's |F| * gram_defect term covers;
+    # a fixed 1e-9 * scale allowance made this exit 1
+    payload = {
+        "field": "real", "dimension": 2, "vectors": [[1.0, 0.0], [1e-3, 1.0]],
+        "tolerance": 0.01, "indices": [0, 1], "x": [1.0, 1.0],
+        "box": {"lower": [0.9, 0.9], "upper": [1.1, 1.1]},
+    }
+    path = tmp_path / "defect.json"
+    path.write_text(json.dumps(payload))
+    assert main(["bounds", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["certified"] is True
+    assert report["residual"] == pytest.approx(-2.0e-3, rel=1e-3)
+
+
+#: (dimension, family size, field) cells of the perturbed-family draws; d = |F|
+#: = 1 is where the residual reaches the allowance's Gram-defect term.
+PERTURBED_CELLS = [(1, 1, REAL), (2, 1, REAL), (2, 2, COMPLEX), (3, 3, REAL), (6, 3, COMPLEX)]
+
+
+def _perturbed_pair(seed, cell, size, shift):
+    """A pair over a family perturbed to a Gram defect of at most 0.9/|F|
+    (certified at tolerance = its defect), or None past that.  Both vectors
+    and their boxes move by ``shift`` along the family, which leaves each
+    condition slack as it was."""
+    d, f, fld = cell
+    rng = rng_from_seed(seed)
+    ctx = SpaceContext(fld, d)
+    noise = np.stack([gaussian_scalars(rng, d, ctx.is_complex) for _ in range(f)])
+    members = random_family(rng, ctx, f).members + size / f * noise
+    defect = OrthonormalFamily.from_members(ctx, members, 1.0 / f).gram_defect
+    if defect > 0.9 / f:
+        return None
+    fam = OrthonormalFamily.from_members(ctx, members, defect)
+    idx = tuple(range(f))
+    vectors, boxes = [], []
+    for _ in range(2):
+        v = gaussian_scalars(rng, d, ctx.is_complex)
+        mid, half = certified_box_arrays(rng, ctx, v, fam, idx, slack_factor=rng.uniform(0.9, 1.5))
+        move = shift * gaussian_scalars(rng, f, ctx.is_complex)
+        vectors.append(as_vector(ctx, v + move @ fam.members))
+        boxes.append(CoefficientBox.centered(idx, mid + move, half))
+    return PairInstance(ctx, vectors[0], vectors[1], fam, idx, boxes[0], boxes[1])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cell=st.sampled_from(PERTURBED_CELLS),
+    size=st.floats(0.0, 1.0),
+    shift=st.floats(0.0, 1e4),
+)
+def test_certified_reports_exit_zero(tmp_path_factory, seed, cell, size, shift):
+    # exit 1 means a certified report whose chain misses by more than the
+    # allowance; an uncertified report exits 0 as well
+    pair = _perturbed_pair(seed, cell, size, shift)
+    if pair is None:
+        return
+    path = tmp_path_factory.mktemp("perturbed") / "pair.json"
+    serialize.dump_json(serialize.instance_to_dict(pair), path)
+    for command in ("bounds", "gruss"):
+        out = path.with_suffix(f".{command}.json")
+        assert main([command, str(path), "--out", str(out)]) == 0
+        assert isinstance(json.loads(out.read_text())["certified"], bool)

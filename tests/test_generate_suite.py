@@ -231,8 +231,6 @@ class TestSuite:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SuiteConfig(instance_count=0)
-        with pytest.raises(ValueError):
-            SuiteConfig(tolerance=0.0)
 
 
 class TestTightnessTable:

@@ -66,6 +66,13 @@ class TestMeasureSpaces:
             value = float(np.sum(space.weights * space.nodes**degree))
             assert value == pytest.approx(exact, rel=1e-14)
 
+    @pytest.mark.parametrize("rule", [counting_measure, periodic_trapezoid, gauss_legendre])
+    @pytest.mark.parametrize("count", [0, -1])
+    def test_rules_need_at_least_one_node(self, rule, count):
+        # periodic_trapezoid(0) used to divide by zero before any check
+        with pytest.raises(ValueError, match="at least one node"):
+            rule(count)
+
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError, match="positive"):
             counting_measure(3).__class__(np.arange(3.0), np.array([1.0, 0.0, 1.0]), "counting")
