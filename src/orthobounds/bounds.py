@@ -26,13 +26,15 @@ Every public function validates its inputs once, at the edge (``_validated``),
 then computes each quantity once, on arrays, in a private kernel over the
 selected member rows: the coefficients <x, e_i> by one matvec with the weights
 folded in, ||x||^2, the residual, both condition slacks and the deviation.
-Public functions never call one another.
+The kernel takes stacks (a leading batch axis over instances, or none): the
+suite runs it on a whole cell, a public function on one instance, whose
+report it converts to Python scalars.  Public functions never call one another.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,13 +43,17 @@ from .space import (
     SpaceContext,
     Vector,
     _coefficients,
+    _combine,
+    _conforming,
+    _dot,
     _inner,
+    _modulus,
     _norm,
     _norm_sq,
+    _square,
     allowance,
     as_vector,
     index_set,
-    norm,
     require_certified,
 )
 
@@ -89,8 +95,7 @@ class CoefficientBox:
             endpoints.setflags(write=False)
             object.__setattr__(self, name, tuple(endpoints.tolist()))
             object.__setattr__(self, f"{name}_array", endpoints)
-        diff = self.upper_array - self.lower_array
-        half_diameter_sq = 0.25 * float(np.vdot(diff, diff).real)
+        half_diameter_sq = float(_half_diameter_sq(self.lower_array, self.upper_array))
         if not np.isfinite(half_diameter_sq):
             raise ValueError("box is too wide: sum |Phi_i - phi_i|^2 overflows")
         object.__setattr__(self, "half_diameter_sq", half_diameter_sq)
@@ -114,8 +119,26 @@ class CoefficientBox:
         """sum_i |Phi_i - phi_i|^2."""
         return 4.0 * self.half_diameter_sq
 
-    def midpoints(self) -> np.ndarray:
-        return 0.5 * (self.lower_array + self.upper_array)
+
+class _Boxes(NamedTuple):
+    """Coefficient boxes stacked along leading axes: the endpoint arrays
+    (..., F) and half_diameter_sq (...) the kernel reads of a CoefficientBox,
+    unvalidated (the suite's generated boxes are valid by construction)."""
+
+    lower_array: np.ndarray
+    upper_array: np.ndarray
+    half_diameter_sq: np.ndarray
+
+    @classmethod
+    def centered(cls, midpoints: np.ndarray, half_widths: np.ndarray) -> "_Boxes":
+        lower, upper = midpoints - half_widths, midpoints + half_widths
+        return cls(lower, upper, _half_diameter_sq(lower, upper))
+
+
+def _half_diameter_sq(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """(1/4) sum_i |Phi_i - phi_i|^2."""
+    diff = upper - lower
+    return 0.25 * _dot(diff, diff).real
 
 
 @dataclass(frozen=True)
@@ -184,7 +207,7 @@ class GrussBoundReport(_Report):
 
     @property
     def deviation_abs(self) -> float:
-        return abs(self.deviation)
+        return _modulus(self.deviation)
 
 
 @dataclass(frozen=True)
@@ -211,7 +234,7 @@ class CompanionAbsReport(_Report):
 
 def instance_scale(ctx: SpaceContext, x: Vector, box: CoefficientBox) -> float:
     """Magnitude reference for relative tolerances: ||x||^2 + half_diameter^2."""
-    return norm(ctx, x) ** 2 + box.half_diameter_sq
+    return float(_instance_scale(ctx, _conforming(ctx, x), box))
 
 
 def pair_scale(
@@ -219,7 +242,7 @@ def pair_scale(
 ) -> float:
     """Magnitude reference for the two-vector chains: ||x||^2 + ||y||^2 plus both
     half_diameter^2 terms, the size at which ``refined`` cancels."""
-    return norm(ctx, x) ** 2 + norm(ctx, y) ** 2 + box_x.half_diameter_sq + box_y.half_diameter_sq
+    return float(_pair_scale(ctx, _conforming(ctx, x), _conforming(ctx, y), box_x, box_y))
 
 
 def check_condition(
@@ -236,7 +259,7 @@ def check_condition(
     term of ``space.allowance`` at scale ||x||^2 + half_diameter^2.
     """
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
-    return _condition(ctx, x, norm_sq, rows, box, tol)
+    return _scalars(_condition(ctx, x, norm_sq, rows, box, tol))
 
 
 def bessel_residual(
@@ -244,7 +267,7 @@ def bessel_residual(
 ) -> float:
     """||x||^2 - sum_F |<x, e_i>|^2 (nonnegative for certified families)."""
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,))
-    return _residual(norm_sq, _coefficients(ctx, x, rows))
+    return float(_residual(norm_sq, _coefficients(ctx, x, rows)))
 
 
 def residual_identity_sides(
@@ -264,11 +287,8 @@ def residual_identity_sides(
     takes ``slack_inner`` from the vectors, as written, so it is a second route.
     """
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
-    c = _coefficients(ctx, x, rows)
-    left = _residual(norm_sq, c)
-    lower, upper = box.lower_array, box.upper_array
-    coefficient_term = float(np.vdot(c - lower, upper - c).real)
-    return left, coefficient_term - _slack_inner(ctx, x, rows, lower, upper)
+    left, right = _identity_sides(ctx, x, norm_sq, rows, box)
+    return float(left), float(right)
 
 
 def counterpart_bounds(
@@ -285,15 +305,7 @@ def counterpart_bounds(
     applicable.
     """
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
-    condition = _condition(ctx, x, norm_sq, rows, box)
-    coarse = box.half_diameter_sq
-    return BesselBoundReport(
-        residual=_residual(norm_sq, _coefficients(ctx, x, rows)),
-        refined=coarse - condition.slack_inner,
-        coarse=coarse,
-        condition=condition,
-        certified=condition.holds,
-    )
+    return _scalars(_counterpart(ctx, x, norm_sq, rows, box))
 
 
 def gruss_deviation(
@@ -309,7 +321,7 @@ def gruss_deviation(
     <x - Px, y - Py> for exactly orthonormal families.
     """
     (x, y), _, rows = _validated(ctx, fam, indices, (x, y))
-    return _deviation(ctx, x, y, rows)
+    return complex(_deviation(ctx, x, y, rows))
 
 
 def gruss_bounds(
@@ -332,23 +344,7 @@ def gruss_bounds(
     (x, y), (norm_sq_x, norm_sq_y), rows = _validated(
         ctx, fam, indices, (x, y), (box_x, box_y)
     )
-    condition_x = _condition(ctx, x, norm_sq_x, rows, box_x)
-    condition_y = _condition(ctx, y, norm_sq_y, rows, box_y)
-    coarse = 0.25 * float(
-        np.sqrt(box_x.diameter_sq_sum) * np.sqrt(box_y.diameter_sq_sum)
-    )
-    refined = coarse - float(
-        np.sqrt(max(condition_x.slack_inner, 0.0))
-        * np.sqrt(max(condition_y.slack_inner, 0.0))
-    )
-    return GrussBoundReport(
-        deviation=_deviation(ctx, x, y, rows),
-        refined=refined,
-        coarse=coarse,
-        condition_x=condition_x,
-        condition_y=condition_y,
-        certified=condition_x.holds and condition_y.holds,
-    )
+    return _scalars(_gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, box_x, box_y))
 
 
 def companion_bound(
@@ -362,14 +358,7 @@ def companion_bound(
     """Re(deviation) <= (1/4) sum_F |Phi_i - phi_i|^2, certified by the box
     condition evaluated at the midpoint (x+y)/2."""
     (x, y), _, rows = _validated(ctx, fam, indices, (x, y), (box,))
-    midpoint = 0.5 * (x + y)
-    condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box)
-    return CompanionReport(
-        re_deviation=_deviation(ctx, x, y, rows).real,
-        bound=box.half_diameter_sq,
-        condition=condition,
-        certified=condition.holds,
-    )
+    return _scalars(_companion(ctx, x, y, rows, box))
 
 
 def companion_abs_bound(
@@ -387,17 +376,7 @@ def companion_abs_bound(
     Gruss-type bound with m_i = phi_i, M_i = Phi_i.
     """
     (x, y), _, rows = _validated(ctx, fam, indices, (x, y), (box,))
-    half_sum = 0.5 * (x + y)
-    half_diff = 0.5 * (x - y)
-    condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box)
-    condition_diff = _condition(ctx, half_diff, _norm_sq(ctx, half_diff), rows, box)
-    return CompanionAbsReport(
-        abs_re_deviation=abs(_deviation(ctx, x, y, rows).real),
-        bound=box.half_diameter_sq,
-        condition_sum=condition_sum,
-        condition_diff=condition_diff,
-        certified=condition_sum.holds and condition_diff.holds,
-    )
+    return _scalars(_companion_abs(ctx, x, y, rows, box))
 
 
 def _validated(
@@ -420,7 +399,7 @@ def _validated(
     # plus M^2, that is by 7 M^2 (refined = coarse - slack_inner is the
     # largest).  M^2 < finfo.max / 16 keeps all of them finite.  np.vdot
     # overflows to inf without a warning, which the comparison also rejects.
-    norms_sq = [_norm_sq(ctx, v) for v in vectors]
+    norms_sq = [float(_norm_sq(ctx, v)) for v in vectors]
     if not max(norms_sq + [box.endpoint_norm_sq for box in boxes]) < _MAX_SQUARED_NORM:
         raise ValueError(
             "inputs too large: squared norms of the vectors and box endpoints "
@@ -429,35 +408,130 @@ def _validated(
     return vectors, norms_sq, fam.members[list(idx)]
 
 
-def _slack_inner(ctx, x, rows, lower: np.ndarray, upper: np.ndarray) -> float:
-    return _inner(ctx, upper @ rows - x, x - lower @ rows).real
+def _scalars(report):
+    """A kernel report over no batch axis, with every field a Python scalar."""
+    return type(report)(**{
+        f.name: _scalars(value) if is_dataclass(value) else np.asarray(value).item()
+        for f in fields(report)
+        for value in (getattr(report, f.name),)
+    })
 
 
-def _slack_norm(ctx, x, rows, box: CoefficientBox) -> float:
-    return 0.5 * float(np.sqrt(box.diameter_sq_sum)) - _norm(ctx, x - box.midpoints() @ rows)
+# The kernel.  ``x``/``y`` are stacks of vectors (..., d), ``rows`` the selected
+# members (..., F, d), ``norm_sq`` the vectors' squared norms and ``box`` a
+# CoefficientBox or _Boxes of matching stack shape.  Python's float ``**`` and
+# complex ``abs`` are libm's pow and hypot (``_square``, ``_modulus``), and its
+# max(v, 0.0) keeps v unless v < 0: the stacked values are the per-instance
+# ones bit for bit.
 
 
-def _condition(ctx, x, norm_sq: float, rows, box: CoefficientBox, tol=None) -> ConditionReport:
-    slack_inner = _slack_inner(ctx, x, rows, box.lower_array, box.upper_array)
-    slack_norm = _slack_norm(ctx, x, rows, box)
+def _instance_scale(ctx, x, box):
+    return _square(_norm(ctx, x)) + box.half_diameter_sq
+
+
+def _pair_scale(ctx, x, y, box_x, box_y):
+    return (
+        _square(_norm(ctx, x)) + _square(_norm(ctx, y))
+        + box_x.half_diameter_sq + box_y.half_diameter_sq
+    )
+
+
+def _slack_inner(ctx, x, rows, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    return _inner(ctx, _combine(upper, rows) - x, x - _combine(lower, rows)).real
+
+
+def _condition(ctx, x, norm_sq, rows, box, tol=None) -> ConditionReport:
+    lower, upper, half_diameter_sq = box.lower_array, box.upper_array, box.half_diameter_sq
+    slack_inner = _slack_inner(ctx, x, rows, lower, upper)
+    midpoint = _combine(0.5 * (lower + upper), rows)
+    slack_norm = 0.5 * np.sqrt(4.0 * half_diameter_sq) - _norm(ctx, x - midpoint)
     if tol is None:
         # the rounding term only: the slack is computed from the vectors as
         # written, so the Gram defect does not enter it
-        tol = allowance(norm_sq + box.half_diameter_sq, ctx.dimension + rows.shape[0])
-    disagreement = (
-        min(abs(slack_inner), abs(slack_norm)) > tol
-        and (slack_inner > 0) != (slack_norm > 0)
+        tol = allowance(norm_sq + half_diameter_sq, ctx.dimension + rows.shape[-2])
+    disagreement = (np.minimum(np.abs(slack_inner), np.abs(slack_norm)) > tol) & (
+        (slack_inner > 0) != (slack_norm > 0)
     )
     return ConditionReport(slack_inner, slack_norm, slack_inner >= -tol, tol, disagreement)
 
 
-def _residual(norm_sq: float, coeffs: np.ndarray) -> float:
-    return norm_sq - float(np.sum(np.abs(coeffs) ** 2))
+def _residual(norm_sq, coeffs: np.ndarray) -> np.ndarray:
+    # np.add.reduce is np.sum without its Python wrapper, which costs the
+    # sharpness search's residual evaluation about 5%
+    return norm_sq - np.add.reduce(np.abs(coeffs) ** 2, axis=-1)
 
 
-def _deviation(ctx, x, y, rows) -> complex:
-    truncated = np.vdot(_coefficients(ctx, y, rows), _coefficients(ctx, x, rows))
-    return _inner(ctx, x, y) - complex(truncated)
+def _deviation(ctx, x, y, rows) -> np.ndarray:
+    truncated = _dot(_coefficients(ctx, x, rows), _coefficients(ctx, y, rows))
+    return _inner(ctx, x, y) - truncated
+
+
+def _identity_sides(ctx, x, norm_sq, rows, box):
+    c = _coefficients(ctx, x, rows)
+    lower, upper = box.lower_array, box.upper_array
+    coefficient_term = _dot(upper - c, c - lower).real
+    return _residual(norm_sq, c), coefficient_term - _slack_inner(ctx, x, rows, lower, upper)
+
+
+def _counterpart(ctx, x, norm_sq, rows, box) -> BesselBoundReport:
+    condition = _condition(ctx, x, norm_sq, rows, box)
+    coarse = box.half_diameter_sq
+    return BesselBoundReport(
+        residual=_residual(norm_sq, _coefficients(ctx, x, rows)),
+        refined=coarse - condition.slack_inner,
+        coarse=coarse,
+        condition=condition,
+        certified=condition.holds,
+    )
+
+
+def _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, box_x, box_y) -> GrussBoundReport:
+    condition_x = _condition(ctx, x, norm_sq_x, rows, box_x)
+    condition_y = _condition(ctx, y, norm_sq_y, rows, box_y)
+    coarse = 0.25 * (
+        np.sqrt(4.0 * box_x.half_diameter_sq) * np.sqrt(4.0 * box_y.half_diameter_sq)
+    )
+    refined = coarse - np.sqrt(_clamped(condition_x.slack_inner)) * np.sqrt(
+        _clamped(condition_y.slack_inner)
+    )
+    return GrussBoundReport(
+        deviation=_deviation(ctx, x, y, rows),
+        refined=refined,
+        coarse=coarse,
+        condition_x=condition_x,
+        condition_y=condition_y,
+        certified=condition_x.holds & condition_y.holds,
+    )
+
+
+def _clamped(slack):
+    """max(slack, 0.0) as Python evaluates it: slack unless slack < 0."""
+    return np.where(slack < 0.0, 0.0, slack)
+
+
+def _companion(ctx, x, y, rows, box) -> CompanionReport:
+    midpoint = 0.5 * (x + y)
+    condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box)
+    return CompanionReport(
+        re_deviation=_deviation(ctx, x, y, rows).real,
+        bound=box.half_diameter_sq,
+        condition=condition,
+        certified=condition.holds,
+    )
+
+
+def _companion_abs(ctx, x, y, rows, box) -> CompanionAbsReport:
+    half_sum = 0.5 * (x + y)
+    half_diff = 0.5 * (x - y)
+    condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box)
+    condition_diff = _condition(ctx, half_diff, _norm_sq(ctx, half_diff), rows, box)
+    return CompanionAbsReport(
+        abs_re_deviation=np.abs(_deviation(ctx, x, y, rows).real),
+        bound=box.half_diameter_sq,
+        condition_sum=condition_sum,
+        condition_diff=condition_diff,
+        certified=condition_sum.holds & condition_diff.holds,
+    )
 
 
 def scalar_lemmas_check(

@@ -6,6 +6,12 @@ streams from a 64-bit seed plus an integer key path.  Instances manufactured
 by the ``generate_*`` functions certify by construction: box midpoints are
 placed near the expansion coefficients and the box diameters are scaled so
 the norm form of the condition holds with a nonnegative margin.
+
+Each generator works on a stack of instances, one per stream: every draw is
+made from each stream in turn, in one fixed order per stream, and the
+arithmetic runs on the stacked draws.  A stream whose family CGS2 rejects, or
+whose box direction is zero, redraws alone, as a single stream would.  The
+public generators are stacks of one; ``suite.run_suite`` stacks a cell.
 """
 
 from __future__ import annotations
@@ -14,16 +20,17 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import CoefficientBox
+from .bounds import CoefficientBox, _Boxes
 from .space import (
-    DegeneracyError,
     OrthonormalFamily,
     SpaceContext,
     Vector,
+    _cgs2,
     _coefficients,
+    _combine,
     _norm,
+    _rejected,
     _validated_coords,
-    gram_schmidt,
     index_set,
     require_certified,
 )
@@ -57,10 +64,32 @@ def rng_from_seed(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), *map(int, key)))))
 
 
+class _Families(NamedTuple):
+    """Orthonormal families stacked along a leading axis: members (B, F, d)
+    and Gram defects (B,)."""
+
+    members: np.ndarray
+    gram_defect: np.ndarray
+
+
 def gaussian_scalars(rng: np.random.Generator, count: int, complex_field: bool) -> np.ndarray:
-    z = rng.standard_normal(count).astype(np.complex128)
+    return _gaussians([rng], (count,), complex_field)[0]
+
+
+def _gaussians(rngs, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
+    """Standard Gaussian scalars of ``shape`` from each stream, stacked.
+
+    Each vector along the last axis takes ``shape[-1]`` real parts, then (for
+    the complex field) as many imaginary parts; the draws of one stream are a
+    single standard_normal call, which yields the same numbers as one call
+    per part."""
+    parts = 2 if complex_field else 1
+    draws = np.empty((len(rngs), *shape[:-1], parts, shape[-1]))
+    for row, rng in zip(draws.reshape(len(rngs), -1), rngs):
+        rng.standard_normal(out=row)
+    z = draws[..., 0, :].astype(np.complex128)
     if complex_field:
-        z = z + 1j * rng.standard_normal(count)
+        z = z + 1j * draws[..., 1, :]
     return z
 
 
@@ -70,14 +99,27 @@ def random_vector(rng: np.random.Generator, ctx: SpaceContext, scale: float = 1.
 
 def random_family(rng: np.random.Generator, ctx: SpaceContext, size: int) -> OrthonormalFamily:
     """Orthonormalized random Gaussian vectors (retrying degenerate draws)."""
+    fam = _families([rng], ctx, size)
+    return OrthonormalFamily(fam.members[0], float(fam.gram_defect[0]))
+
+
+def _families(rngs, ctx: SpaceContext, size: int) -> _Families:
+    """``random_family`` on each stream: a stream whose draw CGS2 rejects
+    draws again, alone."""
     if size > ctx.dimension:
         raise ValueError("family size cannot exceed the dimension")
-    while True:
-        raw = [gaussian_scalars(rng, ctx.dimension, ctx.is_complex) for _ in range(size)]
-        try:
-            return gram_schmidt(ctx, raw)
-        except DegeneracyError:  # pragma: no cover - probability ~0
-            continue
+    members, pivots, drop, defect = _cgs2(
+        ctx, _gaussians(rngs, (size, ctx.dimension), ctx.is_complex)
+    )
+    for i in np.flatnonzero(_rejected(pivots, drop, defect)):
+        members[i], defect[i] = (a[0] for a in _families(rngs[i : i + 1], ctx, size))
+    return _Families(members, defect)
+
+
+def _vectors(rngs, ctx: SpaceContext) -> np.ndarray:
+    """``random_vector`` on each stream at a log-normal scale, drawn first."""
+    scales = np.array([rng.lognormal(0.0, 0.5) for rng in rngs])
+    return scales[:, None] * _gaussians(rngs, (ctx.dimension,), ctx.is_complex)
 
 
 def certified_box_arrays(
@@ -108,47 +150,96 @@ def certified_box_arrays(
     stack = _validated_coords(ctx, np.atleast_2d(vectors), 2)
     if slack_factor is not None and slack_factor < 0.0:
         raise ValueError("slack_factor must be nonnegative")
-    return _box_arrays(rng, ctx, stack, rows, mid_sigma, slack_factor)
+    vectors = [v[None] for v in stack]
+    mid, half = _box_arrays([rng], ctx, vectors, rows[None], mid_sigma, slack_factor)
+    return mid[0], half[0]
 
 
-def _box_arrays(rng, ctx, vectors, rows, mid_sigma=0.25, slack_factor=None):
-    """``certified_box_arrays`` on inputs valid by construction: vectors of
-    ``ctx`` and the selected rows of a certified family."""
-    noise = mid_sigma * gaussian_scalars(rng, len(rows), ctx.is_complex)
+def _box_arrays(rngs, ctx, vectors, rows, mid_sigma=0.25, slack_factor=None):
+    """``certified_box_arrays`` on each stream, for inputs valid by
+    construction: ``vectors`` a list of stacks (B, d), ``rows`` (B, F, d) the
+    selected rows of certified families."""
+    count = rows.shape[-2]
+    noise = mid_sigma * _gaussians(rngs, (count,), ctx.is_complex)
     coefficients = [_coefficients(ctx, v, rows) for v in vectors]
     mid = sum(coefficients) / len(coefficients) + noise
-    combination = mid @ rows
-    radius = max(_norm(ctx, v - combination) for v in vectors)
+    combination = _combine(mid, rows)
+    radius = np.maximum.reduce([_norm(ctx, v - combination) for v in vectors])
     if slack_factor is None:
-        slack_factor = 1.0 + rng.uniform()
-    return mid, _offsets(rng, ctx, len(rows), slack_factor * radius)
+        slack_factor = 1.0 + _uniforms(rngs)
+    return mid, _offsets(rngs, ctx, count, slack_factor * radius)
 
 
-def _draw(rng: np.random.Generator, dim: int, family_size: int, field: str, count: int):
-    """Context, random family, the full index set and ``count`` random vectors."""
-    ctx = SpaceContext(field, dim)
-    fam = random_family(rng, ctx, family_size)
-    vectors = [random_vector(rng, ctx, float(rng.lognormal(0.0, 0.5))) for _ in range(count)]
-    return ctx, fam, tuple(range(family_size)), vectors
+def _uniforms(rngs) -> np.ndarray:
+    return np.array([rng.uniform() for rng in rngs])
 
 
-def _offsets(rng: np.random.Generator, ctx: SpaceContext, count: int, target: float):
+def _offsets(rngs, ctx: SpaceContext, count: int, target: np.ndarray) -> np.ndarray:
     """Half-offsets in a random direction with sqrt(sum |d_i|^2) = target."""
-    direction = gaussian_scalars(rng, count, ctx.is_complex)
-    length = float(np.sqrt(np.sum(np.abs(direction) ** 2)))
-    while length == 0.0:  # pragma: no cover - probability ~0
-        direction = gaussian_scalars(rng, count, ctx.is_complex)
-        length = float(np.sqrt(np.sum(np.abs(direction) ** 2)))
-    return direction * (target / length) if target > 0.0 else np.zeros(count, dtype=np.complex128)
+    direction, length = _direction(rngs, ctx, count)
+    return np.where((target > 0.0)[:, None], direction * (target / length)[:, None], 0.0)
+
+
+def _direction(rngs, ctx: SpaceContext, count: int):
+    """A Gaussian direction and its length per stream; a stream that draws the
+    zero vector draws again, alone."""
+    direction = _gaussians(rngs, (count,), ctx.is_complex)
+    length = np.sqrt(np.sum(np.abs(direction) ** 2, axis=-1))
+    for i in np.flatnonzero(length == 0.0):
+        direction[i], length[i] = (a[0] for a in _direction(rngs[i : i + 1], ctx, count))
+    return direction, length
+
+
+def _instances(rngs, ctx: SpaceContext, size: int, loose: bool = False) -> Instance:
+    """Certified instances, or (``loose``) unconstrained ones, one per stream."""
+    fam = _families(rngs, ctx, size)
+    x = _vectors(rngs, ctx)
+    factor = 2.0 * _uniforms(rngs) if loose else None
+    box = _Boxes.centered(*_box_arrays(rngs, ctx, [x], fam.members, slack_factor=factor))
+    return Instance(ctx, x, fam, tuple(range(size)), box)
+
+
+def _certified_pairs(rngs, ctx: SpaceContext, size: int) -> PairInstance:
+    ctx, x, fam, indices, box_x = _instances(rngs, ctx, size)
+    y = _vectors(rngs, ctx)
+    box_y = _Boxes.centered(*_box_arrays(rngs, ctx, [y], fam.members))
+    return PairInstance(ctx, x, y, fam, indices, box_x, box_y)
+
+
+def _shared_box_pairs(rngs, ctx: SpaceContext, size: int, twosided: bool) -> PairInstance:
+    """Pairs whose one box certifies (x+y)/2 and, when ``twosided``, (x-y)/2."""
+    fam = _families(rngs, ctx, size)
+    x = _vectors(rngs, ctx)
+    y = _vectors(rngs, ctx)
+    if twosided:
+        mid, half = _box_arrays(rngs, ctx, [0.5 * (x + y), 0.5 * (x - y)], fam.members, 0.1)
+    else:
+        mid, half = _box_arrays(rngs, ctx, [0.5 * (x + y)], fam.members)
+    box = _Boxes.centered(mid, half)
+    return PairInstance(ctx, x, y, fam, tuple(range(size)), box, box)
+
+
+def _row(stack: Instance | PairInstance, i: int) -> Instance | PairInstance:
+    """Instance ``i`` of a stack, as the public generators return it."""
+    fam = OrthonormalFamily(stack.family.members[i], float(stack.family.gram_defect[i]))
+    indices = stack.indices
+    if isinstance(stack, PairInstance):
+        return PairInstance(
+            stack.ctx, stack.x[i], stack.y[i], fam, indices,
+            _box_row(stack.box_x, indices, i), _box_row(stack.box_y, indices, i),
+        )
+    return Instance(stack.ctx, stack.x[i], fam, indices, _box_row(stack.box, indices, i))
+
+
+def _box_row(boxes: _Boxes, indices: tuple[int, ...], i: int) -> CoefficientBox:
+    return CoefficientBox(indices, boxes.lower_array[i], boxes.upper_array[i])
 
 
 def generate_certified_instance(
     rng: np.random.Generator, dim: int, family_size: int, field: str
 ) -> Instance:
     """Random instance whose box condition holds by construction."""
-    ctx, fam, idx, (x,) = _draw(rng, dim, family_size, field, 1)
-    mid, d = _box_arrays(rng, ctx, (x,), fam.members)
-    return Instance(ctx, x, fam, idx, CoefficientBox.centered(idx, mid, d))
+    return _row(_instances([rng], SpaceContext(field, dim), family_size), 0)
 
 
 def generate_unconstrained_instance(
@@ -157,19 +248,14 @@ def generate_unconstrained_instance(
     """Random instance with no feasibility guarantee: the box diameter scale
     is drawn from [0, 2), so roughly half of the draws violate the condition.
     """
-    ctx, fam, idx, (x,) = _draw(rng, dim, family_size, field, 1)
-    mid, d = _box_arrays(rng, ctx, (x,), fam.members, slack_factor=float(2.0 * rng.uniform()))
-    return Instance(ctx, x, fam, idx, CoefficientBox.centered(idx, mid, d))
+    return _row(_instances([rng], SpaceContext(field, dim), family_size, loose=True), 0)
 
 
 def generate_certified_pair(
     rng: np.random.Generator, dim: int, family_size: int, field: str
 ) -> PairInstance:
     """Two vectors over one family, each certified by its own box."""
-    ctx, x, fam, idx, box_x = generate_certified_instance(rng, dim, family_size, field)
-    y = random_vector(rng, ctx, scale=float(rng.lognormal(0.0, 0.5)))
-    mid, d = _box_arrays(rng, ctx, (y,), fam.members)
-    return PairInstance(ctx, x, y, fam, idx, box_x, CoefficientBox.centered(idx, mid, d))
+    return _row(_certified_pairs([rng], SpaceContext(field, dim), family_size), 0)
 
 
 def generate_midpoint_pair(
@@ -180,10 +266,7 @@ def generate_midpoint_pair(
     ``box_x`` is the shared midpoint box; ``box_y`` repeats it for interface
     uniformity.
     """
-    ctx, fam, idx, (x, y) = _draw(rng, dim, family_size, field, 2)
-    mid, d = _box_arrays(rng, ctx, (0.5 * (x + y),), fam.members)
-    box = CoefficientBox.centered(idx, mid, d)
-    return PairInstance(ctx, x, y, fam, idx, box, box)
+    return _row(_shared_box_pairs([rng], SpaceContext(field, dim), family_size, False), 0)
 
 
 def generate_twosided_pair(
@@ -195,7 +278,4 @@ def generate_twosided_pair(
     the diameter covers the larger of the two distances, so both conditions
     hold by construction.
     """
-    ctx, fam, idx, (x, y) = _draw(rng, dim, family_size, field, 2)
-    mid, d = _box_arrays(rng, ctx, (0.5 * (x + y), 0.5 * (x - y)), fam.members, mid_sigma=0.1)
-    box = CoefficientBox.centered(idx, mid, d)
-    return PairInstance(ctx, x, y, fam, idx, box, box)
+    return _row(_shared_box_pairs([rng], SpaceContext(field, dim), family_size, True), 0)

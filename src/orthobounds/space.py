@@ -105,36 +105,77 @@ def _validated_coords(ctx: SpaceContext, coords, ndim: int) -> np.ndarray:
 
 def inner_product(ctx: SpaceContext, x: Vector, y: Vector) -> complex:
     """<x, y>: linear in ``x``, conjugate-linear in ``y``."""
-    return _inner(ctx, _conforming(ctx, x), _conforming(ctx, y))
+    return complex(_inner(ctx, _conforming(ctx, x), _conforming(ctx, y)))
 
 
 def norm(ctx: SpaceContext, x: Vector) -> float:
     """||x|| = sqrt(Re <x, x>)."""
-    return _norm(ctx, _conforming(ctx, x))
+    return float(_norm(ctx, _conforming(ctx, x)))
 
 
-# Array arithmetic on validated shapes; the weights fold into the first argument.
+# Array arithmetic on validated shapes.  Every function takes stacks: vectors
+# are the last axis, members the last two, and any leading axes are a batch
+# (none for a single instance).  Each row goes through the same BLAS call
+# whatever the batch shape, so a stacked result equals the single-instance one
+# bit for bit.  A single vector takes the plain product: the sharpness search
+# evaluates single vectors some 2,000 times per restart, and the stacked
+# spelling's extra views cost its residual evaluation about 10%.  The weights
+# fold into the first argument.
 
 
 def _weighted(ctx: SpaceContext, x: np.ndarray) -> np.ndarray:
     return x if ctx.weights is None else ctx.weights * x
 
 
-def _inner(ctx: SpaceContext, x: np.ndarray, y: np.ndarray) -> complex:
-    return complex(np.vdot(y, _weighted(ctx, x)))
+def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_k x_k conj(y_k) over the last axis.  A stack takes one matmul dot
+    per row, the BLAS kernel of np.vdot on the conjugated operand: the same
+    bits."""
+    if x.ndim == 1 and y.ndim == 1:
+        return np.vdot(y, x)
+    return (y.conj()[..., None, :] @ x[..., :, None])[..., 0, 0]
 
 
-def _norm_sq(ctx: SpaceContext, x: np.ndarray) -> float:
-    return float(np.vdot(x, _weighted(ctx, x)).real)
+def _inner(ctx: SpaceContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _dot(_weighted(ctx, x), y)
 
 
-def _norm(ctx: SpaceContext, x: np.ndarray) -> float:
-    return float(np.sqrt(max(_norm_sq(ctx, x), 0.0)))
+def _norm_sq(ctx: SpaceContext, x: np.ndarray) -> np.ndarray:
+    return _dot(_weighted(ctx, x), x).real
+
+
+def _norm(ctx: SpaceContext, x: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(_norm_sq(ctx, x), 0.0))
+
+
+def _square(v):
+    """v ** 2 as Python evaluates it on a float (libm ``pow``), which
+    np.square does not reproduce in the last bit."""
+    return np.float_power(v, 2.0)
+
+
+def _modulus(z):
+    """|z| as Python evaluates it on a complex (libm ``hypot``), which
+    np.abs does not reproduce in the last bit."""
+    return np.hypot(np.real(z), np.imag(z))
 
 
 def _coefficients(ctx: SpaceContext, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """<x, e_i> for every row e_i of ``rows``, as one matvec."""
-    return rows.conj() @ _weighted(ctx, x)
+    """<x, e_i> for every row e_i of ``rows``, as one matvec per vector."""
+    x = _weighted(ctx, x)
+    return rows.conj() @ x if x.ndim == 1 else (rows.conj() @ x[..., None])[..., 0]
+
+
+def _combine(coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """sum_i c_i e_i, as one vector-matrix product per coefficient row."""
+    if coefficients.ndim == 1:
+        return coefficients @ rows
+    return (coefficients[..., None, :] @ rows)[..., 0, :]
+
+
+def _projection(ctx: SpaceContext, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of x onto the span of ``rows``."""
+    return _combine(_coefficients(ctx, x, rows), rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,7 +223,7 @@ class OrthonormalFamily:
             raise ValueError(
                 "family size exceeds the dimension of a coordinate backend"
             )
-        return cls(rows, _gram_defect(ctx, rows), tolerance)
+        return cls(rows, float(_gram_defect(ctx, rows)), tolerance)
 
     @property
     def size(self) -> int:
@@ -193,12 +234,10 @@ class OrthonormalFamily:
         return self.gram_defect <= self.tolerance
 
 
-def _gram_defect(ctx: SpaceContext, rows: np.ndarray) -> float:
-    if ctx.weights is None:
-        gram = rows @ rows.conj().T
-    else:
-        gram = (rows * ctx.weights) @ rows.conj().T
-    return float(np.max(np.abs(gram - np.eye(rows.shape[0]))))
+def _gram_defect(ctx: SpaceContext, rows: np.ndarray) -> np.ndarray:
+    """max_{i,j} |<e_i, e_j> - delta_ij| per stack of rows."""
+    gram = _weighted(ctx, rows) @ rows.conj().swapaxes(-1, -2)
+    return np.abs(gram - np.eye(rows.shape[-2])).max(axis=(-2, -1))
 
 
 def allowance(scale: float, terms: int, size: int = 0, gram_defect: float = 0.0) -> float:
@@ -273,31 +312,48 @@ def gram_schmidt(ctx: SpaceContext, raw: Sequence[Iterable[complex]]) -> Orthono
     """
     if len(raw) == 0:
         raise ValueError("gram_schmidt needs at least one input vector")
-    rows = _validated_coords(ctx, raw, 2)
-    norms_sq = _weighted(ctx, np.abs(rows) ** 2).sum(axis=1)
-    drop = RANK_DROP_FACTOR * float(np.sqrt(norms_sq.max()))
-    members = np.empty_like(rows)
-    conj = np.empty_like(rows)  # conj(members), kept so no pass re-conjugates
-    for position, u in enumerate(rows):
-        done, done_conj = members[:position], conj[:position]
-        if position:
-            u = u - (done_conj @ _weighted(ctx, u)) @ done
-            u = u - (done_conj @ _weighted(ctx, u)) @ done
-        pivot = _norm(ctx, u)
-        if pivot <= drop:
-            raise DegeneracyError(
-                f"input vector {position} is numerically dependent on its "
-                f"predecessors (pivot norm {pivot:.3e}, drop threshold {drop:.3e})"
-            )
-        members[position] = u / pivot
-        conj[position] = members[position].conj()
-    defect = _gram_defect(ctx, members)
+    members, pivots, drop, defect = _cgs2(ctx, _validated_coords(ctx, raw, 2))
+    dependent = np.flatnonzero(pivots <= drop)
+    if dependent.size:
+        position = int(dependent[0])
+        raise DegeneracyError(
+            f"input vector {position} is numerically dependent on its "
+            f"predecessors (pivot norm {pivots[position]:.3e}, drop threshold {drop:.3e})"
+        )
     if defect > DEFAULT_ORTHO_TOL:
         raise DegeneracyError(
             f"orthonormalization stalled at gram defect {defect:.3e} > tol "
             f"{DEFAULT_ORTHO_TOL:.3e}; the input is too ill-conditioned for this tolerance"
         )
-    return OrthonormalFamily(members, defect)
+    return OrthonormalFamily(members, float(defect))
+
+
+def _cgs2(ctx: SpaceContext, rows: np.ndarray):
+    """CGS2 on stacks of rows (..., F, d): the members, each row's pivot norm,
+    each stack's drop threshold and Gram defect.  A stack is accepted when
+    ``_rejected`` is false; a rejected stack's members are not meaningful."""
+    norms_sq = _weighted(ctx, np.abs(rows) ** 2).sum(axis=-1)
+    drop = RANK_DROP_FACTOR * np.sqrt(norms_sq.max(axis=-1))
+    members = np.empty_like(rows)
+    conj = np.empty_like(rows)  # conj(members), kept so no pass re-conjugates
+    pivots = np.empty(rows.shape[:-1])
+    for position in range(rows.shape[-2]):
+        u = rows[..., position, :]
+        done, done_conj = members[..., :position, :], conj[..., :position, :]
+        if position:
+            for _ in range(2):
+                u = u - _combine((done_conj @ _weighted(ctx, u)[..., None])[..., 0], done)
+        pivot = pivots[..., position] = _norm(ctx, u)
+        # a dependent row divides by 1, not by a vanishing pivot
+        members[..., position, :] = u / np.where(pivot > drop, pivot, 1.0)[..., None]
+        conj[..., position, :] = members[..., position, :].conj()
+    return members, pivots, drop, _gram_defect(ctx, members)
+
+
+def _rejected(pivots: np.ndarray, drop: np.ndarray, defect: np.ndarray) -> np.ndarray:
+    """Stacks ``gram_schmidt`` refuses: a pivot at or below the drop threshold,
+    or a Gram defect above ``DEFAULT_ORTHO_TOL``."""
+    return (pivots <= drop[..., None]).any(axis=-1) | (defect > DEFAULT_ORTHO_TOL)
 
 
 def index_set(indices: Sequence[int], family_size: int) -> tuple[int, ...]:
@@ -321,7 +377,7 @@ def family_projection(
     """Orthogonal projection of x onto span{e_i : i in indices}."""
     require_certified(fam)
     rows = fam.members[list(index_set(indices, fam.size))]
-    return _coefficients(ctx, _conforming(ctx, x), rows) @ rows
+    return _projection(ctx, _conforming(ctx, x), rows)
 
 
 def _conforming(ctx: SpaceContext, x: Vector) -> np.ndarray:

@@ -21,6 +21,10 @@ Each comparison allows ``space.allowance`` at the instance's scale: the
 rounding term for its dot-product length d + |F| plus |F| times the family's
 Gram defect.
 
+``run_suite`` generates and checks one cell at a time, its instances stacked
+along a leading axis, on the kernel of :mod:`orthobounds.bounds`.  Each public
+``check_*`` validates one instance and runs the same check on it unstacked.
+
 Outcomes are deterministic per seed and serialize to JSON byte-identically
 (the ``generated_at`` stamp is the one field excluded from comparisons).
 """
@@ -35,35 +39,42 @@ import numpy as np
 
 from . import serialize
 from .bounds import (
-    bessel_residual,
-    check_condition,
-    companion_abs_bound,
-    companion_bound,
+    _companion,
+    _companion_abs,
+    _condition,
+    _counterpart,
+    _deviation,
+    _gruss,
+    _identity_sides,
+    _instance_scale,
+    _pair_scale,
+    _residual,
+    _validated,
     counterpart_bounds,
     gruss_bounds,
-    gruss_deviation,
-    instance_scale,
-    pair_scale,
-    residual_identity_sides,
 )
 from .generate import (
     Instance,
     PairInstance,
-    generate_certified_instance,
-    generate_certified_pair,
-    generate_midpoint_pair,
-    generate_twosided_pair,
-    generate_unconstrained_instance,
+    _certified_pairs,
+    _Families,
+    _instances,
+    _row,
+    _shared_box_pairs,
     rng_from_seed,
 )
 from .space import (
     COMPLEX,
     REAL,
     SpaceContext,
+    _coefficients,
+    _inner,
+    _modulus,
+    _norm,
+    _norm_sq,
+    _projection,
+    _square,
     allowance,
-    family_projection,
-    inner_product,
-    norm,
 )
 
 #: How many failing instances an outcome retains in full.
@@ -89,6 +100,13 @@ class SuiteConfig:
                 f"the grid has no cell: no family size in {list(self.family_sizes)} "
                 f"fits a dimension in {list(self.dims)} over fields {list(self.fields)}"
             )
+        for name in ("dims", "family_sizes"):
+            for value in getattr(self, name):
+                if value < 1:
+                    raise ValueError(f"{name} must be positive integers, got {value!r}")
+        for value in self.fields:
+            if value not in (REAL, COMPLEX):
+                raise ValueError(f"fields must be {REAL!r} or {COMPLEX!r}, got {value!r}")
 
     def cells(self) -> list[tuple[int, int, str]]:
         return [
@@ -162,14 +180,6 @@ class SuiteOutcome:
         }
 
 
-def _pair_scale(inst: PairInstance) -> float:
-    return pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y)
-
-
-def _instance_scale(inst: Instance) -> float:
-    return instance_scale(inst.ctx, inst.x, inst.box)
-
-
 def chain_allowance(inst: Instance | PairInstance, scale: float) -> float:
     """``space.allowance`` at ``scale`` for the instance's dimension, index
     set and family: how far any of its chain comparisons may miss."""
@@ -179,155 +189,236 @@ def chain_allowance(inst: Instance | PairInstance, scale: float) -> float:
 
 def check_counterpart_chain(inst: Instance) -> tuple[bool, float]:
     """Certified residual chain with per-step slack >= -allowance."""
-    report = counterpart_bounds(*inst)
-    margin = min(
-        report.residual,
-        report.refined - report.residual,
-        report.coarse - report.refined,
-    )
-    return report.certified and margin >= -chain_allowance(inst, _instance_scale(inst)), margin
+    return _scalar_check(_counterpart_chain, inst)
 
 
 def check_identity(inst: Instance) -> tuple[bool, float]:
     """Two evaluation routes of the residual identity agree."""
-    left, right = residual_identity_sides(inst.ctx, inst.x, inst.family, inst.indices, inst.box)
-    margin = -abs(left - right)
-    return margin >= -chain_allowance(inst, _instance_scale(inst)), margin
+    return _scalar_check(_identity, inst)
 
 
 def check_condition_equivalence(inst: Instance) -> tuple[bool, float]:
     """Inner and norm slack forms agree in sign when both are resolvable."""
-    tol = chain_allowance(inst, _instance_scale(inst))
-    report = check_condition(inst.ctx, inst.x, inst.family, inst.indices, inst.box, tol=tol)
-    if report.sign_disagreement:
-        return False, -min(abs(report.slack_inner), abs(report.slack_norm))
-    return True, 0.0
+    return _scalar_check(_condition_equivalence, inst)
 
 
 def check_gruss_chain(pair: PairInstance) -> tuple[bool, float]:
     """Certified deviation chain plus the squared Schwarz route."""
-    report = gruss_bounds(
-        pair.ctx, pair.x, pair.y, pair.family, pair.indices, pair.box_x, pair.box_y
-    )
-    scale = _pair_scale(pair)
-    tol, tol_sq = chain_allowance(pair, scale), chain_allowance(pair, scale**2)
-    margin = min(
-        report.refined - report.deviation_abs,
-        report.coarse - report.refined,
-        report.refined,
-    )
-    res_x = bessel_residual(pair.ctx, pair.x, pair.family, pair.indices)
-    res_y = bessel_residual(pair.ctx, pair.y, pair.family, pair.indices)
-    refined_x = pair.box_x.half_diameter_sq - report.condition_x.slack_inner
-    refined_y = pair.box_y.half_diameter_sq - report.condition_y.slack_inner
-    squared_ok = (
-        report.deviation_abs**2 <= res_x * res_y + tol_sq
-        and res_x * res_y <= refined_x * refined_y + tol_sq
-    )
-    ok = report.certified and margin >= -tol and squared_ok
-    return ok, margin
-
-
-def _projection_residuals(pair: PairInstance):
-    """x - Px and y - Py, P the projection onto the pair's selected members."""
-    ctx, x, y, fam, idx = pair.ctx, pair.x, pair.y, pair.family, pair.indices
-    return x - family_projection(ctx, x, fam, idx), y - family_projection(ctx, y, fam, idx)
+    return _scalar_check(_gruss_chain, pair)
 
 
 def check_projection_identity(pair: PairInstance) -> tuple[bool, float]:
     """gruss_deviation equals the inner product of the projection residuals."""
-    direct = gruss_deviation(pair.ctx, pair.x, pair.y, pair.family, pair.indices)
-    via_residuals = inner_product(pair.ctx, *_projection_residuals(pair))
-    margin = -abs(direct - via_residuals)
-    return margin >= -chain_allowance(pair, _pair_scale(pair)), margin
+    return _scalar_check(_projection_identity, pair)
 
 
 def check_schwarz(pair: PairInstance) -> tuple[bool, float]:
     """|<x-Px, y-Py>|^2 <= ||x-Px||^2 ||y-Py||^2."""
-    ctx = pair.ctx
-    u, v = _projection_residuals(pair)
-    lhs = abs(inner_product(ctx, u, v)) ** 2
-    rhs = norm(ctx, u) ** 2 * norm(ctx, v) ** 2
-    margin = rhs - lhs
-    return margin >= -chain_allowance(pair, _pair_scale(pair) ** 2), margin
+    return _scalar_check(_schwarz, pair)
 
 
 def check_companion(pair: PairInstance) -> tuple[bool, float]:
     """Re(deviation) <= bound under the shared midpoint box."""
-    report = companion_bound(
-        pair.ctx, pair.x, pair.y, pair.family, pair.indices, pair.box_x
-    )
-    margin = report.bound - report.re_deviation
-    return report.certified and margin >= -chain_allowance(pair, _pair_scale(pair)), margin
+    return _scalar_check(_companion_check, pair)
 
 
 def check_companion_abs(pair: PairInstance) -> tuple[bool, float]:
     """|Re(deviation)| <= bound under both (x+y)/2 and (x-y)/2 conditions."""
-    report = companion_abs_bound(
-        pair.ctx, pair.x, pair.y, pair.family, pair.indices, pair.box_x
-    )
-    margin = report.bound - report.abs_re_deviation
-    return report.certified and margin >= -chain_allowance(pair, _pair_scale(pair)), margin
+    return _scalar_check(_companion_abs_check, pair)
 
 
 def check_l2_embedding(inst: Instance) -> tuple[bool, float]:
     """A unit-weight (counting-measure) context reproduces the coordinate-backend
     report within the instance's allowance."""
-    vector_report = counterpart_bounds(*inst)
-    counting = SpaceContext(inst.ctx.field, inst.ctx.dimension, np.ones(inst.ctx.dimension))
-    l2_report = counterpart_bounds(counting, inst.x, inst.family, inst.indices, inst.box)
+    return _scalar_check(_l2_embedding, inst)
+
+
+def _scalar_check(check, inst):
+    """``check`` on one instance, validated once: the family is cut down to
+    the selected rows, which is what the stacked checks read."""
+    if isinstance(inst, PairInstance):
+        (x, y), _, rows = _validated(
+            inst.ctx, inst.family, inst.indices, (inst.x, inst.y), (inst.box_x, inst.box_y)
+        )
+        inst = inst._replace(x=x, y=y)
+    else:
+        (x,), _, rows = _validated(inst.ctx, inst.family, inst.indices, (inst.x,), (inst.box,))
+        inst = inst._replace(x=x)
+    inst = inst._replace(family=_Families(rows, inst.family.gram_defect))
+    ok, margin = check(inst, _scale(inst))
+    return bool(ok), float(margin)
+
+
+# The checks on stacks: ``inst`` holds arrays with a leading batch axis (or
+# none), its family the selected rows, and ``scale`` is its ``_scale``.  Each
+# returns (ok, margin) arrays.  As
+# in the kernel, Python's min/max keep the first of equal values and its float
+# ** and complex abs are _square and _modulus, so a stacked margin is the
+# per-instance one bit for bit.
+
+
+def _least(first, *rest):
+    """min(first, *rest) as Python evaluates it elementwise."""
+    for value in rest:
+        first = np.where(value < first, value, first)
+    return first
+
+
+def _single(inst: Instance):
+    """(ctx, x, ||x||^2, rows, box): the kernel's arguments for one vector."""
+    return inst.ctx, inst.x, _norm_sq(inst.ctx, inst.x), inst.family.members, inst.box
+
+
+def _scale(inst: Instance | PairInstance):
+    """``bounds.instance_scale`` or ``bounds.pair_scale`` of the instance."""
+    if isinstance(inst, PairInstance):
+        return _pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y)
+    return _instance_scale(inst.ctx, inst.x, inst.box)
+
+
+def _generator_soundness(inst: Instance, scale):
+    condition = _condition(*_single(inst))
+    return condition.holds, condition.slack_inner
+
+
+def _counterpart_chain(inst: Instance, scale):
+    report = _counterpart(*_single(inst))
+    margin = _least(
+        report.residual,
+        report.refined - report.residual,
+        report.coarse - report.refined,
+    )
+    return report.certified & (margin >= -chain_allowance(inst, scale)), margin
+
+
+def _identity(inst: Instance, scale):
+    left, right = _identity_sides(*_single(inst))
+    margin = -np.abs(left - right)
+    return margin >= -chain_allowance(inst, scale), margin
+
+
+def _condition_equivalence(inst: Instance, scale):
+    report = _condition(*_single(inst), chain_allowance(inst, scale))
+    closest = np.minimum(np.abs(report.slack_inner), np.abs(report.slack_norm))
+    return ~report.sign_disagreement, np.where(report.sign_disagreement, -closest, 0.0)
+
+
+def _gruss_chain(pair: PairInstance, scale):
+    ctx, x, y, rows = pair.ctx, pair.x, pair.y, pair.family.members
+    norm_sq_x, norm_sq_y = _norm_sq(ctx, x), _norm_sq(ctx, y)
+    report = _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, pair.box_x, pair.box_y)
+    margin = _least(
+        report.refined - report.deviation_abs,
+        report.coarse - report.refined,
+        report.refined,
+    )
+    res_x = _residual(norm_sq_x, _coefficients(ctx, x, rows))
+    res_y = _residual(norm_sq_y, _coefficients(ctx, y, rows))
+    refined_x = pair.box_x.half_diameter_sq - report.condition_x.slack_inner
+    refined_y = pair.box_y.half_diameter_sq - report.condition_y.slack_inner
+    tol_sq = chain_allowance(pair, _square(scale))
+    squared_ok = (_square(report.deviation_abs) <= res_x * res_y + tol_sq) & (
+        res_x * res_y <= refined_x * refined_y + tol_sq
+    )
+    return report.certified & (margin >= -chain_allowance(pair, scale)) & squared_ok, margin
+
+
+def _projection_residuals(pair: PairInstance):
+    """x - Px and y - Py, P the projection onto the pair's selected members."""
+    ctx, rows = pair.ctx, pair.family.members
+    return pair.x - _projection(ctx, pair.x, rows), pair.y - _projection(ctx, pair.y, rows)
+
+
+def _projection_identity(pair: PairInstance, scale):
+    direct = _deviation(pair.ctx, pair.x, pair.y, pair.family.members)
+    margin = -_modulus(direct - _inner(pair.ctx, *_projection_residuals(pair)))
+    return margin >= -chain_allowance(pair, scale), margin
+
+
+def _schwarz(pair: PairInstance, scale):
+    ctx = pair.ctx
+    u, v = _projection_residuals(pair)
+    lhs = _square(_modulus(_inner(ctx, u, v)))
+    rhs = _square(_norm(ctx, u)) * _square(_norm(ctx, v))
+    margin = rhs - lhs
+    return margin >= -chain_allowance(pair, _square(scale)), margin
+
+
+def _companion_check(pair: PairInstance, scale):
+    report = _companion(pair.ctx, pair.x, pair.y, pair.family.members, pair.box_x)
+    margin = report.bound - report.re_deviation
+    return report.certified & (margin >= -chain_allowance(pair, scale)), margin
+
+
+def _companion_abs_check(pair: PairInstance, scale):
+    report = _companion_abs(pair.ctx, pair.x, pair.y, pair.family.members, pair.box_x)
+    margin = report.bound - report.abs_re_deviation
+    return report.certified & (margin >= -chain_allowance(pair, scale)), margin
+
+
+def _l2_embedding(inst: Instance, scale):
+    ctx = inst.ctx
+    counting = SpaceContext(ctx.field, ctx.dimension, np.ones(ctx.dimension))
+    vector_report = _counterpart(*_single(inst))
+    l2_report = _counterpart(*_single(inst._replace(ctx=counting)))
     deltas = [
-        abs(vector_report.residual - l2_report.residual),
-        abs(vector_report.refined - l2_report.refined),
-        abs(vector_report.coarse - l2_report.coarse),
-        abs(vector_report.condition.slack_inner - l2_report.condition.slack_inner),
-        abs(vector_report.condition.slack_norm - l2_report.condition.slack_norm),
+        np.abs(vector_report.residual - l2_report.residual),
+        np.abs(vector_report.refined - l2_report.refined),
+        np.abs(vector_report.coarse - l2_report.coarse),
+        np.abs(vector_report.condition.slack_inner - l2_report.condition.slack_inner),
+        np.abs(vector_report.condition.slack_norm - l2_report.condition.slack_norm),
     ]
-    margin = -max(deltas)
-    return margin >= -chain_allowance(inst, _instance_scale(inst)), margin
+    margin = -np.maximum.reduce(deltas)
+    return margin >= -chain_allowance(inst, scale), margin
+
+
+#: The records of one (cell, instance) step, in order: check name, the
+#: generated instance it reads (see ``run_suite``) and the check.
+_STEP = (
+    ("generator_soundness", "instance", _generator_soundness),
+    ("counterpart_chain", "instance", _counterpart_chain),
+    ("identity", "instance", _identity),
+    ("condition_equivalence", "instance", _condition_equivalence),
+    ("l2_embedding", "instance", _l2_embedding),
+    ("condition_equivalence", "loose", _condition_equivalence),
+    ("gruss_chain", "pair", _gruss_chain),
+    ("projection_identity", "pair", _projection_identity),
+    ("schwarz", "pair", _schwarz),
+    ("companion", "midpoint_pair", _companion_check),
+    ("companion_abs", "twosided_pair", _companion_abs_check),
+)
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
     """Execute every check over ``cfg.instance_count`` instances per cell.
 
-    Results are deterministic for a given config; callers that keep the
-    outcome write ``outcome.to_dict()``.
+    Instance i of cell c draws from the stream ``rng_from_seed(seed, c, i)``:
+    a certified instance, an unconstrained one, a certified pair, a midpoint
+    pair and a two-sided pair, in that order.  A cell's instances are
+    generated and checked as one stack; records go out instance by instance,
+    and a failing instance is rebuilt from its row of the stack.  Results are
+    deterministic for a given config; callers that keep the outcome write
+    ``outcome.to_dict()``.
     """
     outcome = SuiteOutcome(config=cfg)
     for cell_index, (dim, fsize, fld) in enumerate(cfg.cells()):
+        ctx = SpaceContext(fld, dim)
+        rngs = [rng_from_seed(cfg.seed, cell_index, i) for i in range(cfg.instance_count)]
+        stacks = {
+            "instance": _instances(rngs, ctx, fsize),
+            "loose": _instances(rngs, ctx, fsize, loose=True),
+            "pair": _certified_pairs(rngs, ctx, fsize),
+            "midpoint_pair": _shared_box_pairs(rngs, ctx, fsize, twosided=False),
+            "twosided_pair": _shared_box_pairs(rngs, ctx, fsize, twosided=True),
+        }
+        scales = {source: _scale(stack) for source, stack in stacks.items()}
+        results = []
+        for name, source, check in _STEP:
+            ok, margin = check(stacks[source], scales[source])
+            results.append((name, stacks[source], ok.tolist(), margin.tolist()))
         for i in range(cfg.instance_count):
-            rng = rng_from_seed(cfg.seed, cell_index, i)
-            inst = generate_certified_instance(rng, dim, fsize, fld)
-            cond = check_condition(inst.ctx, inst.x, inst.family, inst.indices, inst.box)
-            outcome.record("generator_soundness", cond.holds, cond.slack_inner, inst)
-            ok, margin = check_counterpart_chain(inst)
-            outcome.record("counterpart_chain", ok, margin, inst)
-            ok, margin = check_identity(inst)
-            outcome.record("identity", ok, margin, inst)
-            ok, margin = check_condition_equivalence(inst)
-            outcome.record("condition_equivalence", ok, margin, inst)
-            ok, margin = check_l2_embedding(inst)
-            outcome.record("l2_embedding", ok, margin, inst)
-
-            loose = generate_unconstrained_instance(rng, dim, fsize, fld)
-            ok, margin = check_condition_equivalence(loose)
-            outcome.record("condition_equivalence", ok, margin, loose)
-
-            pair = generate_certified_pair(rng, dim, fsize, fld)
-            ok, margin = check_gruss_chain(pair)
-            outcome.record("gruss_chain", ok, margin, pair)
-            ok, margin = check_projection_identity(pair)
-            outcome.record("projection_identity", ok, margin, pair)
-            ok, margin = check_schwarz(pair)
-            outcome.record("schwarz", ok, margin, pair)
-
-            mid_pair = generate_midpoint_pair(rng, dim, fsize, fld)
-            ok, margin = check_companion(mid_pair)
-            outcome.record("companion", ok, margin, mid_pair)
-
-            two_pair = generate_twosided_pair(rng, dim, fsize, fld)
-            ok, margin = check_companion_abs(two_pair)
-            outcome.record("companion_abs", ok, margin, two_pair)
+            for name, stack, ok, margin in results:
+                outcome.record(name, ok[i], margin[i], None if ok[i] else _row(stack, i))
     return outcome
 
 

@@ -761,30 +761,59 @@ def test_reports_scale_covariantly(context, k):
             assert [(q, v) for q, v, _ in scaled[name]] == want, (name, k)
 
 
+def _assert_reports_agree(pair, moved, verdicts=False):
+    """Every value of ``moved``'s reports within the allowance of ``pair``'s
+    (at sqrt(scale) for slack_norm, a norm), and with ``verdicts`` every
+    verdict equal.  The Gruss refined = coarse - sqrt(slack_x slack_y) is
+    compared as (coarse - refined)^2, at scale^2: a square root near a zero
+    slack magnifies rounding (slack_y is ~0 in the pair drawn at slack factor 1)."""
+    ctx, x, y, fam, F, box_x, box_y = pair
+    scale = pair_scale(ctx, x, y, box_x, box_y)
+    defect = max(fam.gram_defect, moved[3].gram_defect)
+    tol = {d: allowance(scale ** (d / 2), ctx.dimension + len(F), len(F), defect) for d in (1, 2, 4)}
+    results = _results(moved)
+    for name, quantities in _results(pair).items():
+        for (q_name, want, d), (_, got, _) in zip(quantities, results[name]):
+            if not d:
+                assert got == want or not verdicts, (name, q_name, got, want)
+            elif (name, q_name) != ("gruss_bounds", ".refined"):
+                assert abs(got - want) <= tol[d], (name, q_name, got, want)
+    want, got = ((r.coarse - r.refined) ** 2 for r in (gruss_bounds(*pair), gruss_bounds(*moved)))
+    assert abs(got - want) <= tol[4], (got, want)
+
+
 @pytest.mark.parametrize("field", [REAL, COMPLEX])
 def test_reports_are_unitarily_invariant(field):
     # a unitary applied to the members, x and y changes every value by no
-    # more than the allowance (at sqrt(scale) for slack_norm, a norm).  The
-    # Gruss refined = coarse - sqrt(slack_x slack_y) is compared as
-    # (coarse - refined)^2, at scale^2: a square root near a zero slack
-    # magnifies rounding (slack_y is ~0 in the pair drawn at slack factor 1)
+    # more than the allowance
     for i, pair in enumerate(_oracle_pairs(field, None, count=6)):
         ctx, x, y, fam, F, box_x, box_y = pair
         rng = rng_from_seed(405, i)
         q, _ = np.linalg.qr(np.stack([gaussian_scalars(rng, 6, ctx.is_complex) for _ in range(6)]))
         q = q if ctx.is_complex else q.real
         turned = OrthonormalFamily.from_members(ctx, fam.members @ q.T)
-        rotated_pair = (ctx, as_vector(ctx, q @ x), as_vector(ctx, q @ y), turned, F, box_x, box_y)
-        rotated = _results(rotated_pair)
-        scale = pair_scale(ctx, x, y, box_x, box_y)
-        defect = max(fam.gram_defect, turned.gram_defect)
-        tol = {d: allowance(scale ** (d / 2), ctx.dimension + len(F), len(F), defect) for d in (1, 2, 4)}
-        for name, quantities in _results(pair).items():
-            for (q_name, want, d), (_, got, _) in zip(quantities, rotated[name]):
-                if d and (name, q_name) != ("gruss_bounds", ".refined"):
-                    assert abs(got - want) <= tol[d], (name, q_name, got, want)
-        want, got = ((r.coarse - r.refined) ** 2 for r in (gruss_bounds(*pair), gruss_bounds(*rotated_pair)))
-        assert abs(got - want) <= tol[4], (got, want)
+        _assert_reports_agree(
+            pair, (ctx, as_vector(ctx, q @ x), as_vector(ctx, q @ y), turned, F, box_x, box_y)
+        )
+
+
+@pytest.mark.parametrize("context", ORACLE_CONTEXTS)
+def test_reports_are_invariant_under_index_permutation(context):
+    # reordering the members, with the box entries moved along, changes every
+    # value by no more than the allowance and no verdict: the chains sum over
+    # the index set, and only the order of the sums changes
+    for i, pair in enumerate(_oracle_pairs(*ORACLE_CONTEXTS[context], count=6)):
+        ctx, x, y, fam, F, box_x, box_y = pair
+        order = rng_from_seed(406, i).permutation(fam.size)
+        permuted = OrthonormalFamily.from_members(ctx, fam.members[order])
+        # member order[p] of the family sits at position p of the permuted one
+        moved = sorted((int(np.flatnonzero(order == j)[0]), k) for k, j in enumerate(F))
+        G = tuple(p for p, _ in moved)
+        box_x2, box_y2 = (
+            CoefficientBox(G, [b.lower[k] for _, k in moved], [b.upper[k] for _, k in moved])
+            for b in (box_x, box_y)
+        )
+        _assert_reports_agree(pair, (ctx, x, y, permuted, G, box_x2, box_y2), verdicts=True)
 
 
 def test_certified_flips_at_the_gram_defect(tmp_path, capsys):

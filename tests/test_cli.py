@@ -86,6 +86,22 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err.startswith("error: the grid has no cell")
 
+    @pytest.mark.parametrize(
+        "grid, value",
+        [
+            (["--dims", "2", "--family-sizes", "1,0"], "0"),
+            (["--dims", "0,2", "--family-sizes", "1"], "0"),
+            (["--dims", "2", "--family-sizes", "1", "--fields", "real,quaternion"], "'quaternion'"),
+        ],
+    )
+    def test_grid_with_a_bad_value_is_input_error(self, grid, value, capsys):
+        # each used to run the valid cells first: the first exited 2 naming
+        # gram_schmidt, the second dropped the 0 and exited 0
+        assert main(["verify", "--instances", "1", *grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.rstrip().endswith(value)
+
 
 class TestBoundsCommand:
     def test_report_written_with_digest(self, instance_file, tmp_path):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from orthobounds import serialize
+from orthobounds import serialize, suite
 from orthobounds.bounds import (
     CoefficientBox,
     check_condition,
@@ -167,6 +167,85 @@ class TestPairGenerators:
             assert report.certified
 
 
+def _per_instance_outcome(cfg, stream=rng_from_seed):
+    """The outcome of ``cfg`` assembled one instance at a time, in the order
+    run_suite documents, from the public generators and checks."""
+    outcome = suite.SuiteOutcome(config=cfg)
+    for c, (dim, fsize, fld) in enumerate(cfg.cells()):
+        for i in range(cfg.instance_count):
+            rng = stream(cfg.seed, c, i)
+            inst, loose, pair, mid_pair, two_pair = (
+                generator(rng, dim, fsize, fld) for generator in GENERATORS
+            )
+            condition = check_condition(*inst)
+            records = [
+                ("generator_soundness", inst, (condition.holds, condition.slack_inner)),
+                ("counterpart_chain", inst, suite.check_counterpart_chain(inst)),
+                ("identity", inst, suite.check_identity(inst)),
+                ("condition_equivalence", inst, suite.check_condition_equivalence(inst)),
+                ("l2_embedding", inst, suite.check_l2_embedding(inst)),
+                ("condition_equivalence", loose, suite.check_condition_equivalence(loose)),
+                ("gruss_chain", pair, suite.check_gruss_chain(pair)),
+                ("projection_identity", pair, suite.check_projection_identity(pair)),
+                ("schwarz", pair, suite.check_schwarz(pair)),
+                ("companion", mid_pair, suite.check_companion(mid_pair)),
+                ("companion_abs", two_pair, suite.check_companion_abs(two_pair)),
+            ]
+            for name, instance, (ok, margin) in records:
+                outcome.record(name, ok, margin, instance)
+    return outcome
+
+
+def _outcome_text(outcome):
+    payload = outcome.to_dict()
+    payload.pop("generated_at")
+    return json.dumps(payload, sort_keys=True)
+
+
+class _ZeroedDraw(np.random.Generator):
+    """A stream whose ``call``-th standard_normal call (1-based) returns zeros
+    in place of the numbers it drew."""
+
+    def __init__(self, seed, key, call):
+        super().__init__(rng_from_seed(seed, *key).bit_generator)
+        self.calls_left = call
+
+    def standard_normal(self, *args, **kwargs):
+        values = super().standard_normal(*args, **kwargs)
+        self.calls_left -= 1
+        if self.calls_left == 0:
+            values[...] = 0.0
+        return values
+
+
+class TestStackedSuite:
+    @pytest.mark.parametrize(
+        "cell, count", [((2, 1, REAL), 6), ((16, 8, COMPLEX), 6), ((128, 64, COMPLEX), 2)], ids=str
+    )
+    def test_stacked_cell_matches_the_per_instance_route(self, cell, count):
+        dim, fsize, fld = cell
+        cfg = SuiteConfig(
+            instance_count=count, dims=(dim,), family_sizes=(fsize,), fields=(fld,), seed=11
+        )
+        assert _outcome_text(run_suite(cfg)) == _outcome_text(_per_instance_outcome(cfg))
+
+    @pytest.mark.parametrize("call, what", [(1, "family"), (4, "box direction")])
+    def test_a_redrawn_stream_matches_the_per_instance_route(self, monkeypatch, call, what):
+        # instance 1's first family draw is all zeros, which CGS2 rejects, or
+        # the first box direction is zero; that stream alone draws again
+        cfg = SuiteConfig(instance_count=3, dims=(4,), family_sizes=(2,), fields=(COMPLEX,), seed=5)
+
+        def stream(seed, *key):
+            return _ZeroedDraw(seed, key, call) if key == (0, 1) else rng_from_seed(seed, *key)
+
+        monkeypatch.setattr(suite, "rng_from_seed", stream)
+        redrawn = run_suite(cfg)
+        assert redrawn.ok
+        assert _outcome_text(redrawn) == _outcome_text(_per_instance_outcome(cfg, stream))
+        monkeypatch.undo()
+        assert _outcome_text(redrawn) != _outcome_text(run_suite(cfg)), what
+
+
 class TestSuite:
     def test_default_grid_small_count_passes(self):
         outcome = run_suite(SuiteConfig(instance_count=2))
@@ -231,6 +310,22 @@ class TestSuite:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SuiteConfig(instance_count=0)
+        for bad in ({"dims": (0, 2)}, {"family_sizes": (1, 0)}, {"fields": (REAL, "quaternion")}):
+            with pytest.raises(ValueError, match="got"):
+                SuiteConfig(**bad)
+
+    def test_stored_failures_replay_from_their_payload(self, monkeypatch):
+        # a negative allowance fails most checks; every stored payload,
+        # rebuilt from its JSON, must fail its check again with the stored
+        # margin, bit for bit
+        monkeypatch.setattr(suite, "chain_allowance", lambda inst, scale: -1.0)
+        outcome = run_suite(SuiteConfig(instance_count=3, dims=(4, 16), family_sizes=(2, 8)))
+        assert (outcome.total_failed, len(outcome.failures)) == (79, 25)
+        for payload in outcome.failures:
+            inst = serialize.instance_from_dict(json.loads(json.dumps(payload)))
+            ok, margin = getattr(suite, "check_" + payload["check"])(inst)
+            assert ok is False
+            assert np.float64(margin).tobytes() == np.float64(payload["margin"]).tobytes()
 
 
 class TestTightnessTable:
