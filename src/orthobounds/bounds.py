@@ -20,7 +20,8 @@ confirms that numerically.
 
 Condition failure never aborts a computation: reports carry
 ``certified=False`` together with the numeric values so that near-misses
-stay inspectable.
+stay inspectable.  Each chain report's ``margin`` is its tightest link, the
+one number the suite and the CLI compare with an allowance.
 
 Every public function validates its inputs once, at the edge (``_validated``),
 then computes each quantity once, on arrays, in a private kernel over the
@@ -44,7 +45,6 @@ from .space import (
     Vector,
     _coefficients,
     _combine,
-    _conforming,
     _dot,
     _inner,
     _modulus,
@@ -193,6 +193,11 @@ class BesselBoundReport(_Report):
     condition: ConditionReport
     certified: bool
 
+    @property
+    def margin(self) -> float:
+        """The tightest link: min(residual, refined - residual, coarse - refined)."""
+        return _least(self.residual, self.refined - self.residual, self.coarse - self.refined)
+
 
 @dataclass(frozen=True)
 class GrussBoundReport(_Report):
@@ -209,6 +214,11 @@ class GrussBoundReport(_Report):
     def deviation_abs(self) -> float:
         return _modulus(self.deviation)
 
+    @property
+    def margin(self) -> float:
+        """The tightest link: min(refined - |deviation|, coarse - refined, refined)."""
+        return _least(self.refined - self.deviation_abs, self.coarse - self.refined, self.refined)
+
 
 @dataclass(frozen=True)
 class CompanionReport(_Report):
@@ -218,6 +228,10 @@ class CompanionReport(_Report):
     bound: float
     condition: ConditionReport
     certified: bool
+
+    @property
+    def margin(self) -> float:
+        return self.bound - self.re_deviation
 
 
 @dataclass(frozen=True)
@@ -231,10 +245,14 @@ class CompanionAbsReport(_Report):
     condition_diff: ConditionReport
     certified: bool
 
+    @property
+    def margin(self) -> float:
+        return self.bound - self.abs_re_deviation
+
 
 def instance_scale(ctx: SpaceContext, x: Vector, box: CoefficientBox) -> float:
     """Magnitude reference for relative tolerances: ||x||^2 + half_diameter^2."""
-    return float(_instance_scale(ctx, _conforming(ctx, x), box))
+    return float(_instance_scale(ctx, as_vector(ctx, x), box))
 
 
 def pair_scale(
@@ -242,7 +260,7 @@ def pair_scale(
 ) -> float:
     """Magnitude reference for the two-vector chains: ||x||^2 + ||y||^2 plus both
     half_diameter^2 terms, the size at which ``refined`` cancels."""
-    return float(_pair_scale(ctx, _conforming(ctx, x), _conforming(ctx, y), box_x, box_y))
+    return float(_pair_scale(ctx, as_vector(ctx, x), as_vector(ctx, y), box_x, box_y))
 
 
 def check_condition(
@@ -449,10 +467,15 @@ def _condition(ctx, x, norm_sq, rows, box, tol=None) -> ConditionReport:
         # the rounding term only: the slack is computed from the vectors as
         # written, so the Gram defect does not enter it
         tol = allowance(norm_sq + half_diameter_sq, ctx.dimension + rows.shape[-2])
-    disagreement = (np.minimum(np.abs(slack_inner), np.abs(slack_norm)) > tol) & (
+    disagreement = _disagreement(slack_inner, slack_norm, tol)
+    return ConditionReport(slack_inner, slack_norm, slack_inner >= -tol, tol, disagreement)
+
+
+def _disagreement(slack_inner, slack_norm, tol):
+    """Both slacks exceed ``tol`` in magnitude and disagree in sign."""
+    return (np.minimum(np.abs(slack_inner), np.abs(slack_norm)) > tol) & (
         (slack_inner > 0) != (slack_norm > 0)
     )
-    return ConditionReport(slack_inner, slack_norm, slack_inner >= -tol, tol, disagreement)
 
 
 def _residual(norm_sq, coeffs: np.ndarray) -> np.ndarray:
@@ -502,6 +525,14 @@ def _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, box_x, box_y) -> GrussBoundRep
         condition_y=condition_y,
         certified=condition_x.holds & condition_y.holds,
     )
+
+
+def _least(first, *rest):
+    """min(first, *rest) as Python evaluates it (the first of equal values),
+    elementwise on stacks; a float when there is no batch axis."""
+    for value in rest:
+        first = np.where(value < first, value, first)
+    return first if first.ndim else float(first)
 
 
 def _clamped(slack):

@@ -140,7 +140,10 @@ def _cmd_verify(args) -> int:
     return 0 if outcome.ok else 1
 
 
-def _report_exit(payload: dict, certified_ok: bool, args) -> int:
+def _report_exit(payload: dict, report, tol: float, args) -> int:
+    """Write ``report`` for the instance file ``payload``; exit 0 unless the
+    chain is certified and its tightest link misses by more than ``tol``."""
+    payload = serialize.report_payload(report, payload)
     if args.format == "csv":
         rows = [(key, value if isinstance(value, float) else str(value)) for key, value in payload.items()]
         serialize.write_csv(args.out, ("field", "value"), rows)
@@ -148,7 +151,7 @@ def _report_exit(payload: dict, certified_ok: bool, args) -> int:
         text = serialize.dump_json(payload, args.out)
         if not args.out:
             print(text)
-    return 0 if certified_ok else 1
+    return 0 if not report.certified or report.margin >= -tol else 1
 
 
 def _cmd_bounds(args) -> int:
@@ -157,14 +160,8 @@ def _cmd_bounds(args) -> int:
     if isinstance(inst, PairInstance):
         inst = Instance(inst.ctx, inst.x, inst.family, inst.indices, inst.box_x)
     report = counterpart_bounds(*inst)
-    body = serialize.report_payload(report, payload)
     tol = suite.chain_allowance(inst, instance_scale(inst.ctx, inst.x, inst.box))
-    chain_ok = (not report.certified) or (
-        report.residual >= -tol
-        and report.residual <= report.refined + tol
-        and report.refined <= report.coarse + tol
-    )
-    return _report_exit(body, chain_ok, args)
+    return _report_exit(payload, report, tol, args)
 
 
 def _cmd_gruss(args) -> int:
@@ -174,13 +171,8 @@ def _cmd_gruss(args) -> int:
         print("instance file must carry y (and box_y) for a deviation report", file=sys.stderr)
         return 2
     report = gruss_bounds(*inst)
-    body = serialize.report_payload(report, payload)
     tol = suite.chain_allowance(inst, pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y))
-    chain_ok = (not report.certified) or (
-        report.deviation_abs <= report.refined + tol
-        and report.refined <= report.coarse + tol
-    )
-    return _report_exit(body, chain_ok, args)
+    return _report_exit(payload, report, tol, args)
 
 
 def _cmd_l2demo(args) -> int:

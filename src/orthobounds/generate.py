@@ -30,7 +30,7 @@ from .space import (
     _combine,
     _norm,
     _rejected,
-    _validated_coords,
+    as_vector,
     index_set,
     require_certified,
 )
@@ -93,8 +93,8 @@ def _gaussians(rngs, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
     return z
 
 
-def random_vector(rng: np.random.Generator, ctx: SpaceContext, scale: float = 1.0) -> Vector:
-    return scale * gaussian_scalars(rng, ctx.dimension, ctx.is_complex)
+def random_vector(rng: np.random.Generator, ctx: SpaceContext) -> Vector:
+    return gaussian_scalars(rng, ctx.dimension, ctx.is_complex)
 
 
 def random_family(rng: np.random.Generator, ctx: SpaceContext, size: int) -> OrthonormalFamily:
@@ -125,40 +125,39 @@ def _vectors(rngs, ctx: SpaceContext) -> np.ndarray:
 def certified_box_arrays(
     rng: np.random.Generator,
     ctx: SpaceContext,
-    vectors: Sequence[Vector] | Vector,
+    x: Vector,
     fam: OrthonormalFamily,
     indices: Sequence[int],
-    mid_sigma: float = 0.25,
     slack_factor: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Box parameters (midpoints, half-offsets) of one box certifying every
-    vector of ``vectors`` (a sequence of vectors, or a single vector) by
+    """Box parameters (midpoints, half-offsets) of a box certifying ``x`` by
     construction.
 
-    Midpoints sit at the mean of the vectors' expansion coefficients plus
-    Gaussian noise of size ``mid_sigma``; the offsets are scaled so that
+    Midpoints sit at the expansion coefficients of ``x`` plus Gaussian noise
+    of size 0.25; the offsets are scaled so that
 
-        sqrt(sum |d_i|^2) = slack_factor * max_v ||v - sum mid_i e_i||
+        sqrt(sum |d_i|^2) = slack_factor * ||x - sum mid_i e_i||
 
     with ``slack_factor`` drawn uniformly from [1, 2] when not given.  A
-    factor >= 1 makes the norm form of the condition hold for every vector,
-    hence each inner-product slack is nonnegative up to the family's Gram
-    defect.
+    factor >= 1 makes the norm form of the condition hold, hence the
+    inner-product slack is nonnegative up to the family's Gram defect.
     """
     require_certified(fam)
     rows = fam.members[list(index_set(indices, fam.size))]
-    stack = _validated_coords(ctx, np.atleast_2d(vectors), 2)
+    x = as_vector(ctx, x)
     if slack_factor is not None and slack_factor < 0.0:
         raise ValueError("slack_factor must be nonnegative")
-    vectors = [v[None] for v in stack]
-    mid, half = _box_arrays([rng], ctx, vectors, rows[None], mid_sigma, slack_factor)
+    mid, half = _box_arrays([rng], ctx, [x[None]], rows[None], slack_factor=slack_factor)
     return mid[0], half[0]
 
 
 def _box_arrays(rngs, ctx, vectors, rows, mid_sigma=0.25, slack_factor=None):
-    """``certified_box_arrays`` on each stream, for inputs valid by
-    construction: ``vectors`` a list of stacks (B, d), ``rows`` (B, F, d) the
-    selected rows of certified families."""
+    """``certified_box_arrays`` on each stream for one box that certifies
+    every vector of ``vectors``, for inputs valid by construction:
+    ``vectors`` a list of stacks (B, d), ``rows`` (B, F, d) the selected rows
+    of certified families.  The midpoints are the mean of the vectors'
+    coefficients plus noise of size ``mid_sigma``, and the radius covers the
+    farthest vector."""
     count = rows.shape[-2]
     noise = mid_sigma * _gaussians(rngs, (count,), ctx.is_complex)
     coefficients = [_coefficients(ctx, v, rows) for v in vectors]

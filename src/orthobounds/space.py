@@ -105,12 +105,12 @@ def _validated_coords(ctx: SpaceContext, coords, ndim: int) -> np.ndarray:
 
 def inner_product(ctx: SpaceContext, x: Vector, y: Vector) -> complex:
     """<x, y>: linear in ``x``, conjugate-linear in ``y``."""
-    return complex(_inner(ctx, _conforming(ctx, x), _conforming(ctx, y)))
+    return complex(_inner(ctx, as_vector(ctx, x), as_vector(ctx, y)))
 
 
 def norm(ctx: SpaceContext, x: Vector) -> float:
     """||x|| = sqrt(Re <x, x>)."""
-    return float(_norm(ctx, _conforming(ctx, x)))
+    return float(_norm(ctx, as_vector(ctx, x)))
 
 
 # Array arithmetic on validated shapes.  Every function takes stacks: vectors
@@ -377,13 +377,5 @@ def family_projection(
     """Orthogonal projection of x onto span{e_i : i in indices}."""
     require_certified(fam)
     rows = fam.members[list(index_set(indices, fam.size))]
-    return _projection(ctx, _conforming(ctx, x), rows)
+    return _projection(ctx, as_vector(ctx, x), rows)
 
-
-def _conforming(ctx: SpaceContext, x: Vector) -> np.ndarray:
-    v = np.asarray(x, dtype=np.complex128)
-    if v.shape != (ctx.dimension,):
-        raise ValueError(
-            f"vector has shape {v.shape}, context dimension is {ctx.dimension}"
-        )
-    return v

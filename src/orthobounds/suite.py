@@ -22,8 +22,13 @@ rounding term for its dot-product length d + |F| plus |F| times the family's
 Gram defect.
 
 ``run_suite`` generates and checks one cell at a time, its instances stacked
-along a leading axis, on the kernel of :mod:`orthobounds.bounds`.  Each public
-``check_*`` validates one instance and runs the same check on it unstacked.
+along a leading axis, on the kernel of :mod:`orthobounds.bounds`.  Each of the
+five sources has one evaluator: it computes the source's kernel report once
+and derives all of the source's records from it, a chain holding when it is
+certified and its ``margin`` is at least minus the allowance.  The second
+routes of ``identity`` (``_identity_sides``) and ``l2_embedding`` (a
+counting-context report) are computed on purpose.  Each public ``check_*``
+validates one instance and returns its record of the unstacked evaluator.
 
 Outcomes are deterministic per seed and serialize to JSON byte-identically
 (the ``generated_at`` stamp is the one field excluded from comparisons).
@@ -39,11 +44,12 @@ import numpy as np
 
 from . import serialize
 from .bounds import (
+    ConditionReport,
     _companion,
     _companion_abs,
     _condition,
     _counterpart,
-    _deviation,
+    _disagreement,
     _gruss,
     _identity_sides,
     _instance_scale,
@@ -68,11 +74,11 @@ from .space import (
     REAL,
     SpaceContext,
     _coefficients,
+    _combine,
     _inner,
     _modulus,
     _norm,
     _norm_sq,
-    _projection,
     _square,
     allowance,
 )
@@ -187,55 +193,61 @@ def chain_allowance(inst: Instance | PairInstance, scale: float) -> float:
     return allowance(scale, inst.ctx.dimension + size, size, inst.family.gram_defect)
 
 
+def check_generator_soundness(inst: Instance) -> tuple[bool, float]:
+    """The generated box certifies x, with the inner-product slack as margin."""
+    return _scalar_check("instance", "generator_soundness", inst)
+
+
 def check_counterpart_chain(inst: Instance) -> tuple[bool, float]:
     """Certified residual chain with per-step slack >= -allowance."""
-    return _scalar_check(_counterpart_chain, inst)
+    return _scalar_check("instance", "counterpart_chain", inst)
 
 
 def check_identity(inst: Instance) -> tuple[bool, float]:
     """Two evaluation routes of the residual identity agree."""
-    return _scalar_check(_identity, inst)
+    return _scalar_check("instance", "identity", inst)
 
 
 def check_condition_equivalence(inst: Instance) -> tuple[bool, float]:
     """Inner and norm slack forms agree in sign when both are resolvable."""
-    return _scalar_check(_condition_equivalence, inst)
+    return _scalar_check("loose", "condition_equivalence", inst)
 
 
 def check_gruss_chain(pair: PairInstance) -> tuple[bool, float]:
     """Certified deviation chain plus the squared Schwarz route."""
-    return _scalar_check(_gruss_chain, pair)
+    return _scalar_check("pair", "gruss_chain", pair)
 
 
 def check_projection_identity(pair: PairInstance) -> tuple[bool, float]:
     """gruss_deviation equals the inner product of the projection residuals."""
-    return _scalar_check(_projection_identity, pair)
+    return _scalar_check("pair", "projection_identity", pair)
 
 
 def check_schwarz(pair: PairInstance) -> tuple[bool, float]:
     """|<x-Px, y-Py>|^2 <= ||x-Px||^2 ||y-Py||^2."""
-    return _scalar_check(_schwarz, pair)
+    return _scalar_check("pair", "schwarz", pair)
 
 
 def check_companion(pair: PairInstance) -> tuple[bool, float]:
     """Re(deviation) <= bound under the shared midpoint box."""
-    return _scalar_check(_companion_check, pair)
+    return _scalar_check("midpoint_pair", "companion", pair)
 
 
 def check_companion_abs(pair: PairInstance) -> tuple[bool, float]:
     """|Re(deviation)| <= bound under both (x+y)/2 and (x-y)/2 conditions."""
-    return _scalar_check(_companion_abs_check, pair)
+    return _scalar_check("twosided_pair", "companion_abs", pair)
 
 
 def check_l2_embedding(inst: Instance) -> tuple[bool, float]:
     """A unit-weight (counting-measure) context reproduces the coordinate-backend
     report within the instance's allowance."""
-    return _scalar_check(_l2_embedding, inst)
+    return _scalar_check("instance", "l2_embedding", inst)
 
 
-def _scalar_check(check, inst):
-    """``check`` on one instance, validated once: the family is cut down to
-    the selected rows, which is what the stacked checks read."""
+def _scalar_check(source: str, name: str, inst):
+    """Record ``name`` of the ``source`` evaluator on one instance, validated
+    once: the family is cut down to the selected rows, which is what the
+    evaluators read."""
     if isinstance(inst, PairInstance):
         (x, y), _, rows = _validated(
             inst.ctx, inst.family, inst.indices, (inst.x, inst.y), (inst.box_x, inst.box_y)
@@ -245,28 +257,8 @@ def _scalar_check(check, inst):
         (x,), _, rows = _validated(inst.ctx, inst.family, inst.indices, (inst.x,), (inst.box,))
         inst = inst._replace(x=x)
     inst = inst._replace(family=_Families(rows, inst.family.gram_defect))
-    ok, margin = check(inst, _scale(inst))
+    ok, margin = _EVALUATORS[source](inst, _scale(inst))[name]
     return bool(ok), float(margin)
-
-
-# The checks on stacks: ``inst`` holds arrays with a leading batch axis (or
-# none), its family the selected rows, and ``scale`` is its ``_scale``.  Each
-# returns (ok, margin) arrays.  As
-# in the kernel, Python's min/max keep the first of equal values and its float
-# ** and complex abs are _square and _modulus, so a stacked margin is the
-# per-instance one bit for bit.
-
-
-def _least(first, *rest):
-    """min(first, *rest) as Python evaluates it elementwise."""
-    for value in rest:
-        first = np.where(value < first, value, first)
-    return first
-
-
-def _single(inst: Instance):
-    """(ctx, x, ||x||^2, rows, box): the kernel's arguments for one vector."""
-    return inst.ctx, inst.x, _norm_sq(inst.ctx, inst.x), inst.family.members, inst.box
 
 
 def _scale(inst: Instance | PairInstance):
@@ -276,117 +268,106 @@ def _scale(inst: Instance | PairInstance):
     return _instance_scale(inst.ctx, inst.x, inst.box)
 
 
-def _generator_soundness(inst: Instance, scale):
-    condition = _condition(*_single(inst))
-    return condition.holds, condition.slack_inner
+# The evaluators, one per generated source.  ``inst`` holds arrays with a
+# leading batch axis (or none), its family the selected rows, and ``scale`` is
+# its ``_scale``.  Each computes its kernel report once and returns the
+# source's records {name: (ok, margin)}, arrays, in the order ``run_suite``
+# records them.  As in the kernel, Python's min/max keep the first of equal
+# values and its float ** and complex abs are _square and _modulus, so a
+# stacked margin is the per-instance one bit for bit.
 
 
-def _counterpart_chain(inst: Instance, scale):
-    report = _counterpart(*_single(inst))
-    margin = _least(
-        report.residual,
-        report.refined - report.residual,
-        report.coarse - report.refined,
-    )
-    return report.certified & (margin >= -chain_allowance(inst, scale)), margin
+def _verdict(report, tol):
+    """A certified chain whose tightest link misses by at most ``tol``."""
+    margin = report.margin
+    return report.certified & (margin >= -tol), margin
 
 
-def _identity(inst: Instance, scale):
-    left, right = _identity_sides(*_single(inst))
-    margin = -np.abs(left - right)
-    return margin >= -chain_allowance(inst, scale), margin
+def _equivalence(condition: ConditionReport, tol):
+    """The two slack forms agree in sign wherever both exceed ``tol``."""
+    disagreement = _disagreement(condition.slack_inner, condition.slack_norm, tol)
+    closest = np.minimum(np.abs(condition.slack_inner), np.abs(condition.slack_norm))
+    return ~disagreement, np.where(disagreement, -closest, 0.0)
 
 
-def _condition_equivalence(inst: Instance, scale):
-    report = _condition(*_single(inst), chain_allowance(inst, scale))
-    closest = np.minimum(np.abs(report.slack_inner), np.abs(report.slack_norm))
-    return ~report.sign_disagreement, np.where(report.sign_disagreement, -closest, 0.0)
+def _instance_records(inst: Instance, scale):
+    ctx, x, rows, box = inst.ctx, inst.x, inst.family.members, inst.box
+    norm_sq = _norm_sq(ctx, x)
+    report = _counterpart(ctx, x, norm_sq, rows, box)
+    tol = chain_allowance(inst, scale)
+    # two deliberate second routes: the identity's right side takes the slack
+    # from the vectors, and a unit-weight context recomputes the whole report
+    left, right = _identity_sides(ctx, x, norm_sq, rows, box)
+    identity = -np.abs(left - right)
+    counting = SpaceContext(ctx.field, ctx.dimension, np.ones(ctx.dimension))
+    l2_report = _counterpart(counting, x, _norm_sq(counting, x), rows, box)
+    embedding = -np.maximum.reduce([
+        np.abs(report.residual - l2_report.residual),
+        np.abs(report.refined - l2_report.refined),
+        np.abs(report.coarse - l2_report.coarse),
+        np.abs(report.condition.slack_inner - l2_report.condition.slack_inner),
+        np.abs(report.condition.slack_norm - l2_report.condition.slack_norm),
+    ])
+    return {
+        "generator_soundness": (report.condition.holds, report.condition.slack_inner),
+        "counterpart_chain": _verdict(report, tol),
+        "identity": (identity >= -tol, identity),
+        "condition_equivalence": _equivalence(report.condition, tol),
+        "l2_embedding": (embedding >= -tol, embedding),
+    }
 
 
-def _gruss_chain(pair: PairInstance, scale):
+def _loose_records(inst: Instance, scale):
+    ctx, x = inst.ctx, inst.x
+    condition = _condition(ctx, x, _norm_sq(ctx, x), inst.family.members, inst.box)
+    return {"condition_equivalence": _equivalence(condition, chain_allowance(inst, scale))}
+
+
+def _pair_records(pair: PairInstance, scale):
     ctx, x, y, rows = pair.ctx, pair.x, pair.y, pair.family.members
     norm_sq_x, norm_sq_y = _norm_sq(ctx, x), _norm_sq(ctx, y)
     report = _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, pair.box_x, pair.box_y)
-    margin = _least(
-        report.refined - report.deviation_abs,
-        report.coarse - report.refined,
-        report.refined,
-    )
-    res_x = _residual(norm_sq_x, _coefficients(ctx, x, rows))
-    res_y = _residual(norm_sq_y, _coefficients(ctx, y, rows))
+    tol, tol_sq = chain_allowance(pair, scale), chain_allowance(pair, _square(scale))
+    coefficients_x, coefficients_y = _coefficients(ctx, x, rows), _coefficients(ctx, y, rows)
+    # the squared Schwarz route of the chain
+    res_x, res_y = _residual(norm_sq_x, coefficients_x), _residual(norm_sq_y, coefficients_y)
     refined_x = pair.box_x.half_diameter_sq - report.condition_x.slack_inner
     refined_y = pair.box_y.half_diameter_sq - report.condition_y.slack_inner
-    tol_sq = chain_allowance(pair, _square(scale))
     squared_ok = (_square(report.deviation_abs) <= res_x * res_y + tol_sq) & (
         res_x * res_y <= refined_x * refined_y + tol_sq
     )
-    return report.certified & (margin >= -chain_allowance(pair, scale)) & squared_ok, margin
+    chain_ok, chain_margin = _verdict(report, tol)
+    # the projection residuals x - Px and y - Py
+    u, v = x - _combine(coefficients_x, rows), y - _combine(coefficients_y, rows)
+    uv = _inner(ctx, u, v)
+    identity = -_modulus(report.deviation - uv)
+    schwarz = _square(_norm(ctx, u)) * _square(_norm(ctx, v)) - _square(_modulus(uv))
+    return {
+        "gruss_chain": (chain_ok & squared_ok, chain_margin),
+        "projection_identity": (identity >= -tol, identity),
+        "schwarz": (schwarz >= -tol_sq, schwarz),
+    }
 
 
-def _projection_residuals(pair: PairInstance):
-    """x - Px and y - Py, P the projection onto the pair's selected members."""
-    ctx, rows = pair.ctx, pair.family.members
-    return pair.x - _projection(ctx, pair.x, rows), pair.y - _projection(ctx, pair.y, rows)
-
-
-def _projection_identity(pair: PairInstance, scale):
-    direct = _deviation(pair.ctx, pair.x, pair.y, pair.family.members)
-    margin = -_modulus(direct - _inner(pair.ctx, *_projection_residuals(pair)))
-    return margin >= -chain_allowance(pair, scale), margin
-
-
-def _schwarz(pair: PairInstance, scale):
-    ctx = pair.ctx
-    u, v = _projection_residuals(pair)
-    lhs = _square(_modulus(_inner(ctx, u, v)))
-    rhs = _square(_norm(ctx, u)) * _square(_norm(ctx, v))
-    margin = rhs - lhs
-    return margin >= -chain_allowance(pair, _square(scale)), margin
-
-
-def _companion_check(pair: PairInstance, scale):
+def _midpoint_records(pair: PairInstance, scale):
     report = _companion(pair.ctx, pair.x, pair.y, pair.family.members, pair.box_x)
-    margin = report.bound - report.re_deviation
-    return report.certified & (margin >= -chain_allowance(pair, scale)), margin
+    return {"companion": _verdict(report, chain_allowance(pair, scale))}
 
 
-def _companion_abs_check(pair: PairInstance, scale):
+def _twosided_records(pair: PairInstance, scale):
     report = _companion_abs(pair.ctx, pair.x, pair.y, pair.family.members, pair.box_x)
-    margin = report.bound - report.abs_re_deviation
-    return report.certified & (margin >= -chain_allowance(pair, scale)), margin
+    return {"companion_abs": _verdict(report, chain_allowance(pair, scale))}
 
 
-def _l2_embedding(inst: Instance, scale):
-    ctx = inst.ctx
-    counting = SpaceContext(ctx.field, ctx.dimension, np.ones(ctx.dimension))
-    vector_report = _counterpart(*_single(inst))
-    l2_report = _counterpart(*_single(inst._replace(ctx=counting)))
-    deltas = [
-        np.abs(vector_report.residual - l2_report.residual),
-        np.abs(vector_report.refined - l2_report.refined),
-        np.abs(vector_report.coarse - l2_report.coarse),
-        np.abs(vector_report.condition.slack_inner - l2_report.condition.slack_inner),
-        np.abs(vector_report.condition.slack_norm - l2_report.condition.slack_norm),
-    ]
-    margin = -np.maximum.reduce(deltas)
-    return margin >= -chain_allowance(inst, scale), margin
-
-
-#: The records of one (cell, instance) step, in order: check name, the
-#: generated instance it reads (see ``run_suite``) and the check.
-_STEP = (
-    ("generator_soundness", "instance", _generator_soundness),
-    ("counterpart_chain", "instance", _counterpart_chain),
-    ("identity", "instance", _identity),
-    ("condition_equivalence", "instance", _condition_equivalence),
-    ("l2_embedding", "instance", _l2_embedding),
-    ("condition_equivalence", "loose", _condition_equivalence),
-    ("gruss_chain", "pair", _gruss_chain),
-    ("projection_identity", "pair", _projection_identity),
-    ("schwarz", "pair", _schwarz),
-    ("companion", "midpoint_pair", _companion_check),
-    ("companion_abs", "twosided_pair", _companion_abs_check),
-)
+#: The evaluator of each generated source, in the order ``run_suite`` draws
+#: and records them.
+_EVALUATORS = {
+    "instance": _instance_records,
+    "loose": _loose_records,
+    "pair": _pair_records,
+    "midpoint_pair": _midpoint_records,
+    "twosided_pair": _twosided_records,
+}
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
@@ -411,11 +392,11 @@ def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
             "midpoint_pair": _shared_box_pairs(rngs, ctx, fsize, twosided=False),
             "twosided_pair": _shared_box_pairs(rngs, ctx, fsize, twosided=True),
         }
-        scales = {source: _scale(stack) for source, stack in stacks.items()}
-        results = []
-        for name, source, check in _STEP:
-            ok, margin = check(stacks[source], scales[source])
-            results.append((name, stacks[source], ok.tolist(), margin.tolist()))
+        results = [
+            (name, stack, ok.tolist(), margin.tolist())
+            for source, stack in stacks.items()
+            for name, (ok, margin) in _EVALUATORS[source](stack, _scale(stack)).items()
+        ]
         for i in range(cfg.instance_count):
             for name, stack, ok, margin in results:
                 outcome.record(name, ok[i], margin[i], None if ok[i] else _row(stack, i))

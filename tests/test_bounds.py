@@ -650,6 +650,38 @@ def test_identity_right_side_takes_slack_from_vectors():
     assert left - right == pytest.approx(2e-4, rel=1e-3)
 
 
+#: The chain links whose least is each report's ``margin``.
+MARGIN_LINKS = {
+    "counterpart_bounds": lambda r: [r.residual, r.refined - r.residual, r.coarse - r.refined],
+    "gruss_bounds": lambda r: [r.refined - abs(r.deviation), r.coarse - r.refined, r.refined],
+    "companion_bound": lambda r: [r.bound - r.re_deviation],
+    "companion_abs_bound": lambda r: [r.bound - r.abs_re_deviation],
+}
+
+#: Each report's ``to_dict`` keys, which ``margin`` (a property) leaves alone.
+REPORT_KEYS = {
+    "counterpart_bounds": {"residual", "refined", "coarse", "slack_inner", "slack_norm", "certified"},
+    "gruss_bounds": {
+        "deviation", "deviation_abs", "refined", "coarse",
+        "slack_inner_x", "slack_norm_x", "slack_inner_y", "slack_norm_y", "certified",
+    },
+    "companion_bound": {"re_deviation", "bound", "slack_inner", "slack_norm", "certified"},
+    "companion_abs_bound": {
+        "abs_re_deviation", "bound",
+        "slack_inner_sum", "slack_norm_sum", "slack_inner_diff", "slack_norm_diff", "certified",
+    },
+}
+
+
+@pytest.mark.parametrize("chain", sorted(MARGIN_LINKS))
+def test_margin_is_the_tightest_link_and_no_field(chain):
+    for pair in _oracle_pairs(COMPLEX, None, count=4):
+        report = getattr(bounds, chain)(*_chain_calls(pair)[chain])
+        assert type(report.margin) is float
+        assert report.margin == min(MARGIN_LINKS[chain](report))
+        assert set(report.to_dict()) == REPORT_KEYS[chain]
+
+
 def _chain_calls(pair):
     ctx, x, y, fam, F, box_x, box_y = pair
     return {

@@ -1,10 +1,11 @@
 import hashlib
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from orthobounds import serialize, suite
+from orthobounds import bounds, serialize, suite
 from orthobounds.bounds import (
     CoefficientBox,
     check_condition,
@@ -326,6 +327,43 @@ class TestSuite:
             ok, margin = getattr(suite, "check_" + payload["check"])(inst)
             assert ok is False
             assert np.float64(margin).tobytes() == np.float64(payload["margin"]).tobytes()
+
+    def test_every_recorded_check_has_a_public_replay(self):
+        outcome = run_suite(SuiteConfig(instance_count=1, dims=(2,), family_sizes=(1,)))
+        assert len(outcome.checks) == 10
+        for name in outcome.checks:
+            check = getattr(suite, "check_" + name, None)
+            assert inspect.isfunction(check) and check.__module__ == suite.__name__, name
+
+    def test_generator_soundness_failures_replay_from_their_payload(self, monkeypatch):
+        # a negative rounding allowance in the box condition fails the
+        # generated boxes' certification; every stored payload must fail its
+        # check again with the stored margin, bit for bit
+        monkeypatch.setattr(bounds, "allowance", lambda *args: -1.0)
+        outcome = run_suite(SuiteConfig(instance_count=2, dims=(4,), family_sizes=(2,)))
+        assert "generator_soundness" in {payload["check"] for payload in outcome.failures}
+        for payload in outcome.failures:
+            inst = serialize.instance_from_dict(json.loads(json.dumps(payload)))
+            ok, margin = getattr(suite, "check_" + payload["check"])(inst)
+            assert ok is False
+            assert np.float64(margin).tobytes() == np.float64(payload["margin"]).tobytes()
+
+    def test_a_cell_evaluates_the_box_condition_eight_times(self, monkeypatch):
+        # one report per generated stack: the certified instance's counterpart
+        # and its counting-context second route (1 + 1), the loose instance
+        # (1), the pair's Gruss report (2), the companion (1) and the
+        # two-sided companion (2)
+        condition = bounds._condition
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].dimension)
+            return condition(*args, **kwargs)
+
+        monkeypatch.setattr(bounds, "_condition", counting)
+        monkeypatch.setattr(suite, "_condition", counting)
+        run_suite(SuiteConfig(instance_count=3, dims=(4,), family_sizes=(2,), fields=(COMPLEX,)))
+        assert len(calls) == 8
 
 
 class TestTightnessTable:

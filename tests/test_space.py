@@ -24,6 +24,7 @@ from orthobounds.quadrature import (
     gauss_legendre,
     periodic_trapezoid,
 )
+from orthobounds.bounds import CoefficientBox, instance_scale, pair_scale
 from reference import ref_inner
 
 S = 1.0 / math.sqrt(2.0)
@@ -282,6 +283,35 @@ class TestVectorValidation:
         ctx = SpaceContext(REAL, 2)
         with pytest.raises(ValueError, match="imaginary"):
             as_vector(ctx, (1j, 0.0))
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ((np.nan, 0.0), "finite"),
+            ((np.inf, 0.0), "finite"),
+            ((1j, 0.0), "imaginary"),
+            ((1.0, 0.0, 0.0), "shape"),
+        ],
+        ids=["nan", "inf", "imaginary", "shape"],
+    )
+    @pytest.mark.parametrize(
+        "function",
+        ["inner_product", "norm", "family_projection", "instance_scale", "pair_scale"],
+    )
+    def test_public_functions_reject_what_as_vector_rejects(self, function, bad, message):
+        ctx = SpaceContext(REAL, 2)
+        good = (1.0, 0.0)
+        fam = OrthonormalFamily.from_members(ctx, np.eye(2))
+        box = CoefficientBox((0,), (0.0,), (1.0,))
+        calls = {
+            "inner_product": lambda v: inner_product(ctx, good, v),
+            "norm": lambda v: norm(ctx, v),
+            "family_projection": lambda v: family_projection(ctx, v, fam, (0,)),
+            "instance_scale": lambda v: instance_scale(ctx, v, box),
+            "pair_scale": lambda v: pair_scale(ctx, good, v, box, box),
+        }
+        with pytest.raises(ValueError, match=message):
+            calls[function](bad)
 
     def test_vectors_are_read_only(self):
         ctx = SpaceContext(REAL, 2)
