@@ -114,11 +114,6 @@ class CoefficientBox:
         hw = np.asarray(half_widths, dtype=np.complex128)
         return cls(tuple(indices), mids - hw, mids + hw)
 
-    @property
-    def diameter_sq_sum(self) -> float:
-        """sum_i |Phi_i - phi_i|^2."""
-        return 4.0 * self.half_diameter_sq
-
 
 class _Boxes(NamedTuple):
     """Coefficient boxes stacked along leading axes: the endpoint arrays
@@ -151,15 +146,12 @@ class ConditionReport:
     - ||x - sum (phi_i+Phi_i)/2 e_i||, nonnegative exactly when the norm form
     holds.  ``holds`` is decided by the inner-product slack alone (that is the
     quantity the refined bounds subtract); the norm slack is diagnostic.
-    ``sign_disagreement`` flags the pathological case where the two slacks
-    disagree in sign while both exceed the tolerance in magnitude.
     """
 
     slack_inner: float
     slack_norm: float
     holds: bool
     tolerance: float
-    sign_disagreement: bool = False
 
 
 class _Report:
@@ -280,14 +272,6 @@ def check_condition(
     return _scalars(_condition(ctx, x, norm_sq, rows, box, tol))
 
 
-def bessel_residual(
-    ctx: SpaceContext, x: Vector, fam: OrthonormalFamily, indices: Sequence[int]
-) -> float:
-    """||x||^2 - sum_F |<x, e_i>|^2 (nonnegative for certified families)."""
-    (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,))
-    return float(_residual(norm_sq, _coefficients(ctx, x, rows)))
-
-
 def residual_identity_sides(
     ctx: SpaceContext,
     x: Vector,
@@ -324,22 +308,6 @@ def counterpart_bounds(
     """
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
     return _scalars(_counterpart(ctx, x, norm_sq, rows, box))
-
-
-def gruss_deviation(
-    ctx: SpaceContext,
-    x: Vector,
-    y: Vector,
-    fam: OrthonormalFamily,
-    indices: Sequence[int],
-) -> complex:
-    """<x,y> - sum_F <x,e_i><e_i,y>.
-
-    Equals the inner product of the two projection residuals
-    <x - Px, y - Py> for exactly orthonormal families.
-    """
-    (x, y), _, rows = _validated(ctx, fam, indices, (x, y))
-    return complex(_deviation(ctx, x, y, rows))
 
 
 def gruss_bounds(
@@ -467,15 +435,7 @@ def _condition(ctx, x, norm_sq, rows, box, tol=None) -> ConditionReport:
         # the rounding term only: the slack is computed from the vectors as
         # written, so the Gram defect does not enter it
         tol = allowance(norm_sq + half_diameter_sq, ctx.dimension + rows.shape[-2])
-    disagreement = _disagreement(slack_inner, slack_norm, tol)
-    return ConditionReport(slack_inner, slack_norm, slack_inner >= -tol, tol, disagreement)
-
-
-def _disagreement(slack_inner, slack_norm, tol):
-    """Both slacks exceed ``tol`` in magnitude and disagree in sign."""
-    return (np.minimum(np.abs(slack_inner), np.abs(slack_norm)) > tol) & (
-        (slack_inner > 0) != (slack_norm > 0)
-    )
+    return ConditionReport(slack_inner, slack_norm, slack_inner >= -tol, tol)
 
 
 def _residual(norm_sq, coeffs: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from .generate import (
     Instance,
     PairInstance,
     certified_box_arrays,
+    check_seed,
     generate_certified_instance,
     generate_certified_pair,
     rng_from_seed,
@@ -31,6 +32,7 @@ from .generate import (
 from .quadrature import (
     WeightedL2Context,
     build_family,
+    check_count,
     counting_measure,
     gauss_legendre,
     l2_sandwich_gruss,
@@ -176,6 +178,10 @@ def _cmd_gruss(args) -> int:
 
 
 def _cmd_l2demo(args) -> int:
+    # every kind takes these rules, though only legendre reads --seed and
+    # counting reads neither
+    check_count(args.nodes)
+    check_seed(args.seed)
     if args.kind == "trig":
         ctx = WeightedL2Context.uniform_density(periodic_trapezoid(args.nodes))
         fam = build_family(ctx, "trig", 3)

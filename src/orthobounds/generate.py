@@ -64,6 +64,13 @@ def rng_from_seed(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), *map(int, key)))))
 
 
+def check_seed(seed: int) -> None:
+    """The seed rule of every command and seeded config: a seed must fit in
+    64 unsigned bits."""
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+
+
 class _Families(NamedTuple):
     """Orthonormal families stacked along a leading axis: members (B, F, d)
     and Gram defects (B,)."""
@@ -128,7 +135,6 @@ def certified_box_arrays(
     x: Vector,
     fam: OrthonormalFamily,
     indices: Sequence[int],
-    slack_factor: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Box parameters (midpoints, half-offsets) of a box certifying ``x`` by
     construction.
@@ -138,16 +144,14 @@ def certified_box_arrays(
 
         sqrt(sum |d_i|^2) = slack_factor * ||x - sum mid_i e_i||
 
-    with ``slack_factor`` drawn uniformly from [1, 2] when not given.  A
-    factor >= 1 makes the norm form of the condition hold, hence the
-    inner-product slack is nonnegative up to the family's Gram defect.
+    with ``slack_factor`` drawn uniformly from [1, 2].  A factor >= 1 makes
+    the norm form of the condition hold, hence the inner-product slack is
+    nonnegative up to the family's Gram defect.
     """
     require_certified(fam)
     rows = fam.members[list(index_set(indices, fam.size))]
     x = as_vector(ctx, x)
-    if slack_factor is not None and slack_factor < 0.0:
-        raise ValueError("slack_factor must be nonnegative")
-    mid, half = _box_arrays([rng], ctx, [x[None]], rows[None], slack_factor=slack_factor)
+    mid, half = _box_arrays([rng], ctx, [x[None]], rows[None])
     return mid[0], half[0]
 
 

@@ -66,14 +66,15 @@ class DiscretizedMeasureSpace:
         return int(self.nodes.size)
 
 
-def _check_count(count: int) -> None:
+def check_count(count: int) -> None:
+    """The node rule of every quadrature rule: at least one node."""
     if count < 1:
         raise ValueError(f"a quadrature rule needs at least one node, got {count}")
 
 
 def counting_measure(count: int) -> DiscretizedMeasureSpace:
     """Unit mass at integer nodes 0..count-1; bridges to the coordinate backend."""
-    _check_count(count)
+    check_count(count)
     return DiscretizedMeasureSpace(np.arange(count, dtype=float), np.ones(count), COUNTING)
 
 
@@ -83,7 +84,7 @@ def periodic_trapezoid(count: int) -> DiscretizedMeasureSpace:
     For 2pi-periodic integrands this is the trapezoid rule, which is
     spectrally accurate on trigonometric polynomials.
     """
-    _check_count(count)
+    check_count(count)
     nodes = 2.0 * np.pi * np.arange(count) / count
     weights = np.full(count, 2.0 * np.pi / count)
     return DiscretizedMeasureSpace(nodes, weights, PERIODIC_TRAPEZOID)
@@ -92,7 +93,7 @@ def periodic_trapezoid(count: int) -> DiscretizedMeasureSpace:
 def gauss_legendre(count: int) -> DiscretizedMeasureSpace:
     """Gauss-Legendre rule on [-1, 1]; exact on polynomials of degree
     <= 2*count - 1."""
-    _check_count(count)
+    check_count(count)
     nodes, weights = np.polynomial.legendre.leggauss(count)
     return DiscretizedMeasureSpace(nodes, weights, GAUSS_LEGENDRE)
 
@@ -131,10 +132,9 @@ class WeightedL2Context:
         return self._context
 
     @classmethod
-    def uniform_density(
-        cls, space: DiscretizedMeasureSpace, field: str = REAL
-    ) -> "WeightedL2Context":
-        return cls(space, np.ones(space.size), field)
+    def uniform_density(cls, space: DiscretizedMeasureSpace) -> "WeightedL2Context":
+        """Real context with rho = 1 at every node."""
+        return cls(space, np.ones(space.size), REAL)
 
     @property
     def size(self) -> int:

@@ -66,23 +66,31 @@ def decode_vector(values, depth: int) -> np.ndarray:
 
 
 def _numbers(values) -> np.ndarray:
-    """``values`` as a numeric array; strings, nulls or objects raise ValueError."""
+    """``values`` as a numeric array; booleans, strings, nulls or objects raise
+    ValueError."""
     a = np.array(values)
-    if a.dtype.kind not in "biuf":
+    if a.dtype.kind not in "iuf":
         raise ValueError(f"expected numbers, got {a.dtype} entries")
     return a
 
 
+def _is_json(value, kind) -> bool:
+    """``value`` has the JSON type ``kind``; Python's bool is an int, JSON's
+    true and false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _check_keys(payload, required: Mapping[str, type], optional: Mapping[str, type]) -> None:
     """ValueError unless ``payload`` is a JSON object holding every ``required``
-    key and each present key has its listed JSON type."""
+    key and each present key has its listed JSON type (a boolean is not a
+    number)."""
     if not isinstance(payload, Mapping):
         raise ValueError(f"expected a JSON object, got {type(payload).__name__}")
     missing = sorted(required.keys() - payload.keys())
     if missing:
         raise ValueError(f"missing key(s) {', '.join(missing)}")
     for key, kind in {**required, **optional}.items():
-        if key in payload and not isinstance(payload[key], kind):
+        if key in payload and not _is_json(payload[key], kind):
             raise ValueError(f"key {key!r} has a {type(payload[key]).__name__} value")
 
 
@@ -119,7 +127,7 @@ def instance_from_dict(payload: Mapping) -> Instance | PairInstance:
         decode_vector(payload["vectors"], 2),
         float(payload.get("tolerance", DEFAULT_ORTHO_TOL)),
     )
-    if not all(isinstance(i, int) for i in payload["indices"]):
+    if not all(_is_json(i, int) for i in payload["indices"]):
         raise ValueError("key 'indices' must hold integers")
     indices = tuple(map(int, payload["indices"]))
     x = as_vector(ctx, decode_vector(payload["x"], 1))

@@ -37,7 +37,7 @@ from . import serialize
 from .bounds import CoefficientBox, counterpart_bounds, gruss_bounds
 from .bounds import _deviation, _residual, _slack_inner
 from .generate import Instance, PairInstance, certified_box_arrays
-from .generate import random_family, random_vector, rng_from_seed
+from .generate import check_seed, random_family, random_vector, rng_from_seed
 from .space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, Vector, as_vector
 from .space import _coefficients, _norm_sq
 
@@ -102,8 +102,7 @@ class SearchConfig:
             raise ValueError("need 1 <= family_size <= dimension")
         if self.field not in (REAL, COMPLEX):
             raise ValueError(f"unknown field tag {self.field!r}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

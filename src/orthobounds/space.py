@@ -173,11 +173,6 @@ def _combine(coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return (coefficients[..., None, :] @ rows)[..., 0, :]
 
 
-def _projection(ctx: SpaceContext, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of x onto the span of ``rows``."""
-    return _combine(_coefficients(ctx, x, rows), rows)
-
-
 @dataclass(frozen=True, eq=False)
 class OrthonormalFamily:
     """Ordered finite family of unit vectors with a Gram-matrix certificate.
@@ -369,13 +364,3 @@ def index_set(indices: Sequence[int], family_size: int) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(idx, idx[1:])):
         raise ValueError(f"index set {idx} must be strictly increasing")
     return idx
-
-
-def family_projection(
-    ctx: SpaceContext, x: Vector, fam: OrthonormalFamily, indices: Sequence[int]
-) -> Vector:
-    """Orthogonal projection of x onto span{e_i : i in indices}."""
-    require_certified(fam)
-    rows = fam.members[list(index_set(indices, fam.size))]
-    return _projection(ctx, as_vector(ctx, x), rows)
-

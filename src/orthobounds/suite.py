@@ -49,7 +49,6 @@ from .bounds import (
     _companion_abs,
     _condition,
     _counterpart,
-    _disagreement,
     _gruss,
     _identity_sides,
     _instance_scale,
@@ -67,6 +66,7 @@ from .generate import (
     _instances,
     _row,
     _shared_box_pairs,
+    check_seed,
     rng_from_seed,
 )
 from .space import (
@@ -113,6 +113,7 @@ class SuiteConfig:
         for value in self.fields:
             if value not in (REAL, COMPLEX):
                 raise ValueError(f"fields must be {REAL!r} or {COMPLEX!r}, got {value!r}")
+        check_seed(self.seed)
 
     def cells(self) -> list[tuple[int, int, str]]:
         return [
@@ -219,7 +220,7 @@ def check_gruss_chain(pair: PairInstance) -> tuple[bool, float]:
 
 
 def check_projection_identity(pair: PairInstance) -> tuple[bool, float]:
-    """gruss_deviation equals the inner product of the projection residuals."""
+    """The deviation equals the inner product of the projection residuals."""
     return _scalar_check("pair", "projection_identity", pair)
 
 
@@ -284,9 +285,11 @@ def _verdict(report, tol):
 
 
 def _equivalence(condition: ConditionReport, tol):
-    """The two slack forms agree in sign wherever both exceed ``tol``."""
-    disagreement = _disagreement(condition.slack_inner, condition.slack_norm, tol)
-    closest = np.minimum(np.abs(condition.slack_inner), np.abs(condition.slack_norm))
+    """The two slack forms agree in sign wherever both exceed ``tol`` in
+    magnitude; a disagreement's margin is minus the smaller magnitude."""
+    slack_inner, slack_norm = condition.slack_inner, condition.slack_norm
+    closest = np.minimum(np.abs(slack_inner), np.abs(slack_norm))
+    disagreement = (closest > tol) & ((slack_inner > 0) != (slack_norm > 0))
     return ~disagreement, np.where(disagreement, -closest, 0.0)
 
 

@@ -23,6 +23,7 @@ from orthobounds.generate import (
     rng_from_seed,
 )
 from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
+from test_bounds import rescaled_offsets
 
 
 @pytest.fixture()
@@ -92,6 +93,9 @@ class TestVerifyCommand:
             (["--dims", "2", "--family-sizes", "1,0"], "0"),
             (["--dims", "0,2", "--family-sizes", "1"], "0"),
             (["--dims", "2", "--family-sizes", "1", "--fields", "real,quaternion"], "'quaternion'"),
+            # -1 was rejected only by numpy's own message, 2^64 ran and passed
+            (["--dims", "2", "--family-sizes", "1", "--seed", "-1"], "-1"),
+            (["--dims", "2", "--family-sizes", "1", "--seed", str(2**64)], str(2**64)),
         ],
     )
     def test_grid_with_a_bad_value_is_input_error(self, grid, value, capsys):
@@ -188,14 +192,25 @@ class TestL2DemoCommand:
         assert payload["reports"]["counterpart"]["residual"] == pytest.approx(0.04, rel=1e-12)
         assert payload["reports"]["gruss"]["deviation_abs"] == pytest.approx(0.02, rel=1e-12)
 
-    @pytest.mark.parametrize("kind", ["trig", "legendre"])
+    @pytest.mark.parametrize("kind", ["trig", "legendre", "counting"])
     @pytest.mark.parametrize("nodes", ["0", "-1"])
     def test_rule_without_nodes_is_input_error(self, kind, nodes, capsys):
-        # trig --nodes 0 used to exit 1 with a ZeroDivisionError traceback
+        # trig --nodes 0 used to exit 1 with a ZeroDivisionError traceback,
+        # and counting, which reads no --nodes, exited 0
         assert main(["l2demo", kind, "--nodes", nodes]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: a quadrature rule needs at least one node")
+
+
+@pytest.mark.parametrize("command", [["l2demo", "legendre"], ["l2demo", "trig"], ["sharpness"]])
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_seed_outside_64_unsigned_bits_is_input_error(command, seed, capsys):
+    # l2demo legendre used to stop at numpy's own message, trig ran
+    assert main([*command, "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.rstrip() == f"error: seed must fit in 64 unsigned bits, got {seed}"
 
 
 class TestSharpnessCommand:
@@ -324,6 +339,9 @@ MALFORMED_ARRAYS = {
     "numbers-mixed-with-pairs": ("x", lambda x: [[x[0], 0.0]] + x[1:]),
     "scalar-vector": ("x", lambda x: x[0]),
     "members-not-a-stack": ("vectors", lambda rows: rows[0]),
+    # true/false used to read as 1/0
+    "booleans": ("x", lambda x: [v > 0 for v in x]),
+    "boolean-members": ("vectors", lambda rows: [[v != 0 for v in row] for row in rows]),
 }
 
 
@@ -347,6 +365,15 @@ MALFORMED_FILES = {
     "box-without-upper": lambda payload: {**payload, "box": {"lower": payload["box"]["lower"]}},
     "box-not-an-object": lambda payload: {**payload, "box": payload["box"]["lower"]},
     "top-level-array": lambda payload: [payload],
+    # true/false used to read as 1/0: the first file was read as d = 1,
+    # F = (0,) at tolerance 1.0, the second with indices (0, 1)
+    "boolean-scalars": lambda payload: {
+        "field": "real", "dimension": True, "vectors": [[1.0]], "tolerance": True,
+        "indices": [False], "x": [0.5], "box": {"lower": [0.0], "upper": [1.0]},
+        "y": [0.2], "box_y": {"lower": [0.0], "upper": [1.0]},
+    },
+    "boolean-indices": lambda payload: {**payload, "indices": [False, True]},
+    "boolean-tolerance": lambda payload: {**payload, "tolerance": False},
 }
 
 
@@ -419,7 +446,9 @@ def _perturbed_pair(seed, cell, size, shift):
     vectors, boxes = [], []
     for _ in range(2):
         v = gaussian_scalars(rng, d, ctx.is_complex)
-        mid, half = certified_box_arrays(rng, ctx, v, fam, idx, slack_factor=rng.uniform(0.9, 1.5))
+        factor = rng.uniform(0.9, 1.5)
+        mid, half = certified_box_arrays(rng, ctx, v, fam, idx)
+        half = rescaled_offsets(ctx, v, fam, idx, mid, half, factor)
         move = shift * gaussian_scalars(rng, f, ctx.is_complex)
         vectors.append(as_vector(ctx, v + move @ fam.members))
         boxes.append(CoefficientBox.centered(idx, mid + move, half))

@@ -29,6 +29,7 @@ from orthobounds.quadrature import WeightedL2Context, periodic_trapezoid
 from orthobounds.sharpness import extremal_instance
 from orthobounds.space import COMPLEX, REAL, as_vector
 from orthobounds.suite import SuiteConfig, emit_tightness_table, run_suite, tightness_rows
+from test_bounds import rescaled_offsets
 
 
 def _rounded(value):
@@ -113,7 +114,8 @@ class TestGenerateCertifiedInstance:
         ctx = SpaceContext(REAL, 5)
         fam = random_family(rng, ctx, 2)
         x = random_vector(rng, ctx)
-        mid, d = certified_box_arrays(rng, ctx, x, fam, (0, 1), slack_factor=1.0)
+        mid, d = certified_box_arrays(rng, ctx, x, fam, (0, 1))
+        d = rescaled_offsets(ctx, x, fam, (0, 1), mid, d, 1.0)
         box = CoefficientBox.centered((0, 1), mid, d)
         slack = check_condition(ctx, x, fam, (0, 1), box).slack_norm
         scale = instance_scale(ctx, x, box)

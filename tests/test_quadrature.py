@@ -189,7 +189,7 @@ class TestSandwichCheck:
         assert abs(peak - math.pi / 2.0) <= 0.01
 
     def test_complex_context_rejected(self):
-        ctx = WeightedL2Context.uniform_density(counting_measure(3), COMPLEX)
+        ctx = WeightedL2Context(counting_measure(3), np.ones(3), COMPLEX)
         fam = build_family(ctx, "indicator", 2)
         with pytest.raises(ValueError, match="real"):
             sandwich_check(ctx, np.ones(3), fam, (0,), {0: 0.0}, {0: 1.0})
@@ -306,7 +306,7 @@ class TestBackendEquivalence:
             vec_report = gruss_bounds(
                 pair.ctx, pair.x, pair.y, pair.family, pair.indices, pair.box_x, pair.box_y
             )
-            l2ctx = WeightedL2Context.uniform_density(counting_measure(5), pair.ctx.field)
+            l2ctx = WeightedL2Context(counting_measure(5), np.ones(5), pair.ctx.field)
             fam = OrthonormalFamily.from_members(
                 l2ctx.context, pair.family.members, pair.family.tolerance
             )

@@ -123,6 +123,13 @@ class TestWeightedL2Payload:
         with pytest.raises(ValueError, match="expected numbers"):
             serialize.l2_instance_from_dict(payload)
 
+    @pytest.mark.parametrize("key", ["nodes", "weights", "rho"])
+    def test_booleans_are_rejected(self, key, payload):
+        # true/false used to read as 1/0
+        payload[key] = [True] * len(payload[key])
+        with pytest.raises(ValueError, match="expected numbers"):
+            serialize.l2_instance_from_dict(payload)
+
     def test_missing_key_is_rejected(self, payload):
         del payload["rho"]
         with pytest.raises(ValueError, match="missing key"):

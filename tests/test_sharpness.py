@@ -32,7 +32,7 @@ class TestExtremalInstance:
     def test_ratio_is_exactly_one_quarter_of_diameter_sum(self):
         inst = extremal_instance(2.0)
         report = inst.report()
-        assert report.residual / inst.box.diameter_sq_sum == pytest.approx(0.25, rel=1e-12)
+        assert report.residual / (4 * inst.box.half_diameter_sq) == pytest.approx(0.25, rel=1e-12)
 
     @pytest.mark.parametrize("m", [0.0, -1.0])
     def test_rejects_nonpositive_m(self, m):
@@ -55,8 +55,8 @@ class TestScaleEquivariance:
         )
         assert scaled.residual == lam**2 * base.residual
         assert scaled.coarse == lam**2 * base.coarse
-        ratio_base = base.residual / inst.box.diameter_sq_sum
-        ratio_scaled = scaled.residual / scaled_box.diameter_sq_sum
+        ratio_base = base.residual / (4 * inst.box.half_diameter_sq)
+        ratio_scaled = scaled.residual / (4 * scaled_box.half_diameter_sq)
         assert ratio_scaled == ratio_base
 
 
@@ -101,7 +101,7 @@ class TestMaximizeResidualRatio:
         inst = instance_from_dict(result.best_instance)
         report = counterpart_bounds(*inst)
         assert report.certified
-        recomputed = report.residual / inst.box.diameter_sq_sum
+        recomputed = report.residual / (4 * inst.box.half_diameter_sq)
         assert recomputed == pytest.approx(result.best_ratio, rel=1e-9, abs=1e-12)
 
     def test_complex_field(self):
@@ -122,7 +122,7 @@ class TestMaximizeGrussRatio:
     def test_best_instance_is_consistent(self):
         result = maximize_gruss_ratio(SearchConfig(restarts=4, steps_per_restart=1200, seed=8))
         pair = instance_from_dict(result.best_instance)
-        denominator = np.sqrt(pair.box_x.diameter_sq_sum * pair.box_y.diameter_sq_sum)
+        denominator = np.sqrt(4 * pair.box_x.half_diameter_sq * 4 * pair.box_y.half_diameter_sq)
         report = gruss_bounds(
             pair.ctx, pair.x, pair.y, pair.family, pair.indices, pair.box_x, pair.box_y
         )
