@@ -95,11 +95,14 @@ class CoefficientBox:
             endpoints.setflags(write=False)
             object.__setattr__(self, name, tuple(endpoints.tolist()))
             object.__setattr__(self, f"{name}_array", endpoints)
-        half_diameter_sq = float(_half_diameter_sq(self.lower_array, self.upper_array))
+        # An overflowed sum is inf, which the test below and the size guard of
+        # ``_validated`` reject, so np.vecdot's overflow warning is silenced.
+        with np.errstate(over="ignore"):
+            half_diameter_sq = float(_half_diameter_sq(self.lower_array, self.upper_array))
+            endpoint_norm_sq = max(_dot(a, a).real for a in (self.lower_array, self.upper_array))
         if not np.isfinite(half_diameter_sq):
             raise ValueError("box is too wide: sum |Phi_i - phi_i|^2 overflows")
         object.__setattr__(self, "half_diameter_sq", half_diameter_sq)
-        endpoint_norm_sq = max(np.vdot(a, a).real for a in (self.lower_array, self.upper_array))
         object.__setattr__(self, "endpoint_norm_sq", float(endpoint_norm_sq))
 
     @classmethod
@@ -383,9 +386,11 @@ def _validated(
     # (v - sum Phi_i e_i, (x +- y)/2, ...) has norm at most (1 + sqrt(2)) M
     # and every value it returns is bounded by a product of two such norms
     # plus M^2, that is by 7 M^2 (refined = coarse - slack_inner is the
-    # largest).  M^2 < finfo.max / 16 keeps all of them finite.  np.vdot
-    # overflows to inf without a warning, which the comparison also rejects.
-    norms_sq = [float(_norm_sq(ctx, v)) for v in vectors]
+    # largest).  M^2 < finfo.max / 16 keeps all of them finite.  A squared
+    # norm that overflows is inf, which the comparison also rejects, so
+    # np.vecdot's overflow warning is silenced here.
+    with np.errstate(over="ignore"):
+        norms_sq = [float(_norm_sq(ctx, v)) for v in vectors]
     if not max(norms_sq + [box.endpoint_norm_sq for box in boxes]) < _MAX_SQUARED_NORM:
         raise ValueError(
             "inputs too large: squared norms of the vectors and box endpoints "

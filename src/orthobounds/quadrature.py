@@ -23,6 +23,7 @@ from .space import (
     OrthonormalFamily,
     SpaceContext,
     Vector,
+    _combine,
     as_vector,
     gram_schmidt,
     index_set,
@@ -227,8 +228,8 @@ def sandwich_check(
         raise ValueError("m and M must be keyed exactly by the index set")
     f = as_vector(ctx.context, f)
     rows = fam.members[list(idx)]
-    lower_env = (np.array([m[i] for i in idx], dtype=np.complex128) @ rows).real
-    upper_env = (np.array([M[i] for i in idx], dtype=np.complex128) @ rows).real
+    lower_env = _combine(np.array([m[i] for i in idx], dtype=np.complex128), rows).real
+    upper_env = _combine(np.array([M[i] for i in idx], dtype=np.complex128), rows).real
     margin_lower = f.real - lower_env
     margin_upper = upper_env - f.real
     min_lower = float(np.min(margin_lower))

@@ -1,8 +1,9 @@
 """JSON and CSV serialization for instances, reports and suite outcomes.
 
-The codec works a whole array at a time (one ``tolist`` out, one ``np.array``
-in): real-field files hold bare numbers, complex entries are ``[re, im]``
-pairs, and all scalars of one array take the same form (both forms are read).
+The codec works a whole array at a time (one ``tolist`` out; one ``np.array``
+and one type scan of its leaves in): real-field files hold bare numbers,
+complex entries are ``[re, im]`` pairs, and all scalars of one array take the
+same form (both forms are read).
 A file is read only after its keys and their JSON types are checked, so
 malformed input raises ValueError (CLI exit code 2).  CSV numbers carry 17
 significant digits with a ``.`` decimal separator so values round-trip
@@ -14,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -67,10 +69,16 @@ def decode_vector(values, depth: int) -> np.ndarray:
 
 def _numbers(values) -> np.ndarray:
     """``values`` as a numeric array; booleans, strings, nulls or objects raise
-    ValueError."""
+    ValueError.  np.array reads a boolean among numbers as 0 or 1, so the
+    leaves, ``a.ndim`` levels down, are checked for one."""
     a = np.array(values)
     if a.dtype.kind not in "iuf":
         raise ValueError(f"expected numbers, got {a.dtype} entries")
+    leaves = [values]
+    for _ in range(a.ndim):
+        leaves = chain.from_iterable(leaves)
+    if bool in set(map(type, leaves)):
+        raise ValueError("expected numbers, got a boolean entry")
     return a
 
 

@@ -39,7 +39,7 @@ from .bounds import _deviation, _residual, _slack_inner
 from .generate import Instance, PairInstance, certified_box_arrays
 from .generate import check_seed, random_family, random_vector, rng_from_seed
 from .space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, Vector, as_vector
-from .space import _coefficients, _norm_sq
+from .space import _coefficients, _dot, _norm_sq
 
 #: Vectors per search state in each mode; the count is also the mode's key
 #: in the restart RNG streams (seed, count, restart).
@@ -222,7 +222,7 @@ def _make_evaluator(ctx: SpaceContext, rows: np.ndarray, mode: str):
     dim, fsize = ctx.dimension, rows.shape[0]
 
     def diameter(d) -> float:
-        return 4.0 * float(np.vdot(d, d).real)
+        return 4.0 * float(_dot(d, d).real)
 
     if mode == "residual":
 

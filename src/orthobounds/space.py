@@ -115,12 +115,12 @@ def norm(ctx: SpaceContext, x: Vector) -> float:
 
 # Array arithmetic on validated shapes.  Every function takes stacks: vectors
 # are the last axis, members the last two, and any leading axes are a batch
-# (none for a single instance).  Each row goes through the same BLAS call
-# whatever the batch shape, so a stacked result equals the single-instance one
-# bit for bit.  A single vector takes the plain product: the sharpness search
-# evaluates single vectors some 2,000 times per restart, and the stacked
-# spelling's extra views cost its residual evaluation about 10%.  The weights
-# fold into the first argument.
+# (none for a single instance).  The three products, <x, y>, the coefficients
+# <x, e_i> and the combination sum_i c_i e_i, are one numpy gufunc call each
+# (np.vecdot, np.matvec), which loops the same inner kernel over every batch
+# shape: a stacked result equals the single-instance one bit for bit, and a
+# single vector pays no extra views.  No other module spells a product.  The
+# weights fold into the first argument.
 
 
 def _weighted(ctx: SpaceContext, x: np.ndarray) -> np.ndarray:
@@ -128,12 +128,8 @@ def _weighted(ctx: SpaceContext, x: np.ndarray) -> np.ndarray:
 
 
 def _dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """sum_k x_k conj(y_k) over the last axis.  A stack takes one matmul dot
-    per row, the BLAS kernel of np.vdot on the conjugated operand: the same
-    bits."""
-    if x.ndim == 1 and y.ndim == 1:
-        return np.vdot(y, x)
-    return (y.conj()[..., None, :] @ x[..., :, None])[..., 0, 0]
+    """sum_k x_k conj(y_k) over the last axis."""
+    return np.vecdot(y, x)
 
 
 def _inner(ctx: SpaceContext, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -162,15 +158,12 @@ def _modulus(z):
 
 def _coefficients(ctx: SpaceContext, x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """<x, e_i> for every row e_i of ``rows``, as one matvec per vector."""
-    x = _weighted(ctx, x)
-    return rows.conj() @ x if x.ndim == 1 else (rows.conj() @ x[..., None])[..., 0]
+    return np.matvec(rows.conj(), _weighted(ctx, x))
 
 
 def _combine(coefficients: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """sum_i c_i e_i, as one vector-matrix product per coefficient row."""
-    if coefficients.ndim == 1:
-        return coefficients @ rows
-    return (coefficients[..., None, :] @ rows)[..., 0, :]
+    """sum_i c_i e_i, as one matvec on the transposed rows per coefficient row."""
+    return np.matvec(rows.mT, coefficients)
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,18 +323,16 @@ def _cgs2(ctx: SpaceContext, rows: np.ndarray):
     norms_sq = _weighted(ctx, np.abs(rows) ** 2).sum(axis=-1)
     drop = RANK_DROP_FACTOR * np.sqrt(norms_sq.max(axis=-1))
     members = np.empty_like(rows)
-    conj = np.empty_like(rows)  # conj(members), kept so no pass re-conjugates
     pivots = np.empty(rows.shape[:-1])
     for position in range(rows.shape[-2]):
         u = rows[..., position, :]
-        done, done_conj = members[..., :position, :], conj[..., :position, :]
+        done = members[..., :position, :]
         if position:
             for _ in range(2):
-                u = u - _combine((done_conj @ _weighted(ctx, u)[..., None])[..., 0], done)
+                u = u - _combine(_coefficients(ctx, u, done), done)
         pivot = pivots[..., position] = _norm(ctx, u)
         # a dependent row divides by 1, not by a vanishing pivot
         members[..., position, :] = u / np.where(pivot > drop, pivot, 1.0)[..., None]
-        conj[..., position, :] = members[..., position, :].conj()
     return members, pivots, drop, _gram_defect(ctx, members)
 
 

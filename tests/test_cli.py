@@ -342,6 +342,15 @@ MALFORMED_ARRAYS = {
     # true/false used to read as 1/0
     "booleans": ("x", lambda x: [v > 0 for v in x]),
     "boolean-members": ("vectors", lambda rows: [[v != 0 for v in row] for row in rows]),
+    # a boolean among numbers used to read as 1/0: these read as
+    # x = (1, x_1, ...), the standard basis rows and phi_0 = 0
+    "boolean-in-vector": ("x", lambda x: [True] + x[1:]),
+    "boolean-in-member-row": (
+        "vectors",
+        lambda rows: [[1.0 if i == j else False for j in range(len(row))]
+                      for i, row in enumerate(rows)],
+    ),
+    "boolean-in-box-endpoints": ("box", lambda box: {**box, "lower": [False] + box["lower"][1:]}),
 }
 
 

@@ -130,6 +130,13 @@ class TestWeightedL2Payload:
         with pytest.raises(ValueError, match="expected numbers"):
             serialize.l2_instance_from_dict(payload)
 
+    @pytest.mark.parametrize("key", ["nodes", "weights", "rho"])
+    def test_a_boolean_among_numbers_is_rejected(self, key, payload):
+        # np.array([True, 0.5]) is float64: the boolean used to read as 1
+        payload[key] = [True] + payload[key][1:]
+        with pytest.raises(ValueError, match="expected numbers"):
+            serialize.l2_instance_from_dict(payload)
+
     def test_missing_key_is_rejected(self, payload):
         del payload["rho"]
         with pytest.raises(ValueError, match="missing key"):

@@ -11,6 +11,11 @@ from orthobounds.space import (
     DegeneracyError,
     OrthonormalFamily,
     SpaceContext,
+    _coefficients,
+    _combine,
+    _dot,
+    _inner,
+    _norm_sq,
     as_vector,
     gram_schmidt,
     index_set,
@@ -357,3 +362,42 @@ class TestIndexSet:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             index_set((1, 1), 4)
+
+
+class TestStackedPrimitives:
+    """The kernel's shape contract: a stack gives exactly the bits that each
+    row gives alone, whatever the batch shape."""
+
+    @pytest.mark.parametrize("dim, size", [(2, 1), (4, 2), (16, 8), (128, 64), (4096, 3)])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    @pytest.mark.parametrize("batch", [(1,), (7,), (3, 5)], ids=str)
+    def test_stack_equals_each_row(self, batch, field, weighted, dim, size):
+        rng = np.random.default_rng([dim, size, len(batch), weighted])
+        weights = None
+        if weighted:
+            weights = rng.uniform(0.5, 2.0, dim)
+            weights[dim // 2] = 0.0
+
+        def draw(*shape):
+            a = rng.standard_normal(shape).astype(np.complex128)
+            if field == COMPLEX:
+                a.imag = rng.standard_normal(shape)
+            return a
+
+        ctx = SpaceContext(field, dim, weights)
+        x, y = draw(*batch, dim), draw(*batch, dim)
+        rows, c = draw(*batch, size, dim), draw(*batch, size)
+        products = {
+            "_dot": (_dot, (x, y)),
+            "_inner": (lambda x, y: _inner(ctx, x, y), (x, y)),
+            "_norm_sq": (lambda x: _norm_sq(ctx, x), (x,)),
+            "_coefficients": (lambda x, rows: _coefficients(ctx, x, rows), (x, rows)),
+            "_combine": (_combine, (c, rows)),
+        }
+        for name, (product, args) in products.items():
+            stacked = product(*args)
+            for index in np.ndindex(*batch):
+                alone = np.asarray(product(*(a[index] for a in args)))
+                assert stacked[index].shape == alone.shape, (name, index)
+                assert stacked[index].tobytes() == alone.tobytes(), (name, index)
