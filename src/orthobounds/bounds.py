@@ -34,7 +34,7 @@ report it converts to Python scalars.  Public functions never call one another.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import InitVar, dataclass, field, fields, is_dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,7 +50,6 @@ from .space import (
     _modulus,
     _norm,
     _norm_sq,
-    _square,
     allowance,
     as_vector,
     index_set,
@@ -66,35 +65,34 @@ _MAX_SQUARED_NORM = np.finfo(float).max / 16
 class CoefficientBox:
     """Per-index scalar bounds (phi_i, Phi_i) over a fixed index set.
 
-    ``indices`` are 0-based member positions; ``lower`` and ``upper`` are
-    aligned with them.  ``half_diameter_sq`` = (1/4) sum_i |Phi_i - phi_i|^2,
-    ``endpoint_norm_sq`` = max(sum_i |phi_i|^2, sum_i |Phi_i|^2) and the
-    read-only endpoint arrays ``lower_array`` / ``upper_array`` are computed
-    once at construction; non-finite endpoints, or a diameter sum that
-    overflows, raise ValueError.
+    ``indices`` are 0-based member positions; the constructor's ``lower`` and
+    ``upper`` are aligned with them and stored once, as the read-only complex
+    arrays ``lower_array`` / ``upper_array``.  ``half_diameter_sq`` =
+    (1/4) sum_i |Phi_i - phi_i|^2 and ``endpoint_norm_sq`` =
+    max(sum_i |phi_i|^2, sum_i |Phi_i|^2) are computed at construction;
+    non-finite endpoints, or a diameter sum that overflows, raise ValueError.
     """
 
     indices: tuple[int, ...]
-    lower: tuple[complex, ...]
-    upper: tuple[complex, ...]
+    lower: InitVar[Sequence[complex]]
+    upper: InitVar[Sequence[complex]]
+    lower_array: np.ndarray = field(init=False)
+    upper_array: np.ndarray = field(init=False)
     half_diameter_sq: float = field(init=False)
     endpoint_norm_sq: float = field(init=False)
-    lower_array: np.ndarray = field(init=False, repr=False)
-    upper_array: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, lower, upper) -> None:
         if not self.indices:
             raise ValueError("box must cover a nonempty index set")
-        if len(self.lower) != len(self.indices) or len(self.upper) != len(self.indices):
+        if len(lower) != len(self.indices) or len(upper) != len(self.indices):
             raise ValueError("lower/upper must have exactly one entry per index")
         object.__setattr__(self, "indices", tuple(map(int, self.indices)))
-        for name in ("lower", "upper"):
-            endpoints = np.array(getattr(self, name), dtype=np.complex128)
+        for name, values in (("lower_array", lower), ("upper_array", upper)):
+            endpoints = np.array(values, dtype=np.complex128)
             if not np.isfinite(endpoints).all():
                 raise ValueError("box endpoints must be finite")
             endpoints.setflags(write=False)
-            object.__setattr__(self, name, tuple(endpoints.tolist()))
-            object.__setattr__(self, f"{name}_array", endpoints)
+            object.__setattr__(self, name, endpoints)
         # An overflowed sum is inf, which the test below and the size guard of
         # ``_validated`` reject, so np.vecdot's overflow warning is silenced.
         with np.errstate(over="ignore"):
@@ -247,7 +245,7 @@ class CompanionAbsReport(_Report):
 
 def instance_scale(ctx: SpaceContext, x: Vector, box: CoefficientBox) -> float:
     """Magnitude reference for relative tolerances: ||x||^2 + half_diameter^2."""
-    return float(_instance_scale(ctx, as_vector(ctx, x), box))
+    return float(_instance_scale(_norm_sq(ctx, as_vector(ctx, x)), box))
 
 
 def pair_scale(
@@ -255,7 +253,8 @@ def pair_scale(
 ) -> float:
     """Magnitude reference for the two-vector chains: ||x||^2 + ||y||^2 plus both
     half_diameter^2 terms, the size at which ``refined`` cancels."""
-    return float(_pair_scale(ctx, as_vector(ctx, x), as_vector(ctx, y), box_x, box_y))
+    norm_sq_x, norm_sq_y = (_norm_sq(ctx, as_vector(ctx, v)) for v in (x, y))
+    return float(_pair_scale(norm_sq_x, norm_sq_y, box_x, box_y))
 
 
 def check_condition(
@@ -410,21 +409,18 @@ def _scalars(report):
 
 # The kernel.  ``x``/``y`` are stacks of vectors (..., d), ``rows`` the selected
 # members (..., F, d), ``norm_sq`` the vectors' squared norms and ``box`` a
-# CoefficientBox or _Boxes of matching stack shape.  Python's float ``**`` and
-# complex ``abs`` are libm's pow and hypot (``_square``, ``_modulus``), and its
-# max(v, 0.0) keeps v unless v < 0: the stacked values are the per-instance
-# ones bit for bit.
+# CoefficientBox or _Boxes of matching stack shape.  Each operation is the same
+# numpy call on a stack and on one of its rows, so the stacked values are the
+# per-instance ones bit for bit.
 
 
-def _instance_scale(ctx, x, box):
-    return _square(_norm(ctx, x)) + box.half_diameter_sq
+def _instance_scale(norm_sq, box):
+    """||x||^2 + half_diameter^2, the scale ``space.allowance`` derives."""
+    return norm_sq + box.half_diameter_sq
 
 
-def _pair_scale(ctx, x, y, box_x, box_y):
-    return (
-        _square(_norm(ctx, x)) + _square(_norm(ctx, y))
-        + box_x.half_diameter_sq + box_y.half_diameter_sq
-    )
+def _pair_scale(norm_sq_x, norm_sq_y, box_x, box_y):
+    return norm_sq_x + norm_sq_y + box_x.half_diameter_sq + box_y.half_diameter_sq
 
 
 def _slack_inner(ctx, x, rows, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
@@ -439,7 +435,7 @@ def _condition(ctx, x, norm_sq, rows, box, tol=None) -> ConditionReport:
     if tol is None:
         # the rounding term only: the slack is computed from the vectors as
         # written, so the Gram defect does not enter it
-        tol = allowance(norm_sq + half_diameter_sq, ctx.dimension + rows.shape[-2])
+        tol = allowance(_instance_scale(norm_sq, box), ctx.dimension + rows.shape[-2])
     return ConditionReport(slack_inner, slack_norm, slack_inner >= -tol, tol)
 
 
@@ -479,8 +475,8 @@ def _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, box_x, box_y) -> GrussBoundRep
     coarse = 0.25 * (
         np.sqrt(4.0 * box_x.half_diameter_sq) * np.sqrt(4.0 * box_y.half_diameter_sq)
     )
-    refined = coarse - np.sqrt(_clamped(condition_x.slack_inner)) * np.sqrt(
-        _clamped(condition_y.slack_inner)
+    refined = coarse - np.sqrt(np.maximum(condition_x.slack_inner, 0.0)) * np.sqrt(
+        np.maximum(condition_y.slack_inner, 0.0)
     )
     return GrussBoundReport(
         deviation=_deviation(ctx, x, y, rows),
@@ -493,16 +489,12 @@ def _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, box_x, box_y) -> GrussBoundRep
 
 
 def _least(first, *rest):
-    """min(first, *rest) as Python evaluates it (the first of equal values),
-    elementwise on stacks; a float when there is no batch axis."""
+    """The least of the values elementwise, keeping the first of equal ones
+    (so a tie between 0.0 and -0.0 keeps the earlier zero); a Python float
+    when there is no batch axis, so a public report's ``margin`` is one."""
     for value in rest:
         first = np.where(value < first, value, first)
     return first if first.ndim else float(first)
-
-
-def _clamped(slack):
-    """max(slack, 0.0) as Python evaluates it: slack unless slack < 0."""
-    return np.where(slack < 0.0, 0.0, slack)
 
 
 def _companion(ctx, x, y, rows, box) -> CompanionReport:

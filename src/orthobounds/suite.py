@@ -77,9 +77,7 @@ from .space import (
     _combine,
     _inner,
     _modulus,
-    _norm,
     _norm_sq,
-    _square,
     allowance,
 )
 
@@ -265,17 +263,18 @@ def _scalar_check(source: str, name: str, inst):
 def _scale(inst: Instance | PairInstance):
     """``bounds.instance_scale`` or ``bounds.pair_scale`` of the instance."""
     if isinstance(inst, PairInstance):
-        return _pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y)
-    return _instance_scale(inst.ctx, inst.x, inst.box)
+        norm_sq_x, norm_sq_y = _norm_sq(inst.ctx, inst.x), _norm_sq(inst.ctx, inst.y)
+        return _pair_scale(norm_sq_x, norm_sq_y, inst.box_x, inst.box_y)
+    return _instance_scale(_norm_sq(inst.ctx, inst.x), inst.box)
 
 
 # The evaluators, one per generated source.  ``inst`` holds arrays with a
 # leading batch axis (or none), its family the selected rows, and ``scale`` is
 # its ``_scale``.  Each computes its kernel report once and returns the
 # source's records {name: (ok, margin)}, arrays, in the order ``run_suite``
-# records them.  As in the kernel, Python's min/max keep the first of equal
-# values and its float ** and complex abs are _square and _modulus, so a
-# stacked margin is the per-instance one bit for bit.
+# records them.  As in the kernel, each operation is the same numpy call on a
+# stack and on one of its rows, so a stacked margin is the per-instance one
+# bit for bit.
 
 
 def _verdict(report, tol):
@@ -330,13 +329,13 @@ def _pair_records(pair: PairInstance, scale):
     ctx, x, y, rows = pair.ctx, pair.x, pair.y, pair.family.members
     norm_sq_x, norm_sq_y = _norm_sq(ctx, x), _norm_sq(ctx, y)
     report = _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, pair.box_x, pair.box_y)
-    tol, tol_sq = chain_allowance(pair, scale), chain_allowance(pair, _square(scale))
+    tol, tol_sq = chain_allowance(pair, scale), chain_allowance(pair, scale * scale)
     coefficients_x, coefficients_y = _coefficients(ctx, x, rows), _coefficients(ctx, y, rows)
     # the squared Schwarz route of the chain
     res_x, res_y = _residual(norm_sq_x, coefficients_x), _residual(norm_sq_y, coefficients_y)
     refined_x = pair.box_x.half_diameter_sq - report.condition_x.slack_inner
     refined_y = pair.box_y.half_diameter_sq - report.condition_y.slack_inner
-    squared_ok = (_square(report.deviation_abs) <= res_x * res_y + tol_sq) & (
+    squared_ok = (report.deviation_abs ** 2 <= res_x * res_y + tol_sq) & (
         res_x * res_y <= refined_x * refined_y + tol_sq
     )
     chain_ok, chain_margin = _verdict(report, tol)
@@ -344,7 +343,7 @@ def _pair_records(pair: PairInstance, scale):
     u, v = x - _combine(coefficients_x, rows), y - _combine(coefficients_y, rows)
     uv = _inner(ctx, u, v)
     identity = -_modulus(report.deviation - uv)
-    schwarz = _square(_norm(ctx, u)) * _square(_norm(ctx, v)) - _square(_modulus(uv))
+    schwarz = _norm_sq(ctx, u) * _norm_sq(ctx, v) - _modulus(uv) ** 2
     return {
         "gruss_chain": (chain_ok & squared_ok, chain_margin),
         "projection_identity": (identity >= -tol, identity),

@@ -62,6 +62,12 @@ def _sign_disagreement(report):
     return resolvable and (report.slack_inner > 0) != (report.slack_norm > 0)
 
 
+def _endpoints(box):
+    """The box's (lower, upper) as lists of Python complex numbers, for the
+    reference oracle."""
+    return box.lower_array.tolist(), box.upper_array.tolist()
+
+
 def _residual(ctx, x, fam, F):
     """||x||^2 - sum_F |<x, e_i>|^2, read off a report over a zero-width box:
     the residual does not read the box."""
@@ -162,7 +168,7 @@ class TestConditionSlackInner:
                 got = check_condition(*inst).slack_inner
                 want = ref_slack_inner(
                     list(inst.x), [list(r) for r in inst.family.members],
-                    inst.indices, inst.box.lower, inst.box.upper,
+                    inst.indices, *_endpoints(inst.box),
                 )
                 scale = instance_scale(inst.ctx, inst.x, inst.box)
                 assert abs(got - want) <= 1e-12 * scale
@@ -195,7 +201,7 @@ class TestConditionSlackNorm:
 
     def test_matches_reference(self, r3):
         ctx, x, _, fam, F, box = r3
-        want = ref_slack_norm(list(x), [list(r) for r in fam.members], F, box.lower, box.upper)
+        want = ref_slack_norm(list(x), [list(r) for r in fam.members], F, *_endpoints(box))
         value = check_condition(ctx, x, fam, F, box).slack_norm
         assert value == pytest.approx(want, rel=1e-13)
 
@@ -603,12 +609,12 @@ def test_every_chain_matches_the_oracle(context):
         half_diff = [(a - b) / 2 for a, b in zip(xs, ys)]
 
         def slack(v, box):
-            return ref_slack_inner(v, members, F, box.lower, box.upper, w)
+            return ref_slack_inner(v, members, F, *_endpoints(box), w)
 
         res_x = ref_residual(xs, members, F, w)
         dev = ref_deviation(xs, ys, members, F, w)
-        hd_x = ref_half_diameter_sq(box_x.lower, box_x.upper)
-        hd_y = ref_half_diameter_sq(box_y.lower, box_y.upper)
+        hd_x = ref_half_diameter_sq(*_endpoints(box_x))
+        hd_y = ref_half_diameter_sq(*_endpoints(box_y))
         coarse_xy = math.sqrt(hd_x) * math.sqrt(hd_y)
         slack_product = max(slack(xs, box_x), 0.0) * max(slack(ys, box_y), 0.0)
         scale = norm(ctx, x) ** 2 + norm(ctx, y) ** 2 + hd_x + hd_y
@@ -616,12 +622,12 @@ def test_every_chain_matches_the_oracle(context):
             (check_condition(ctx, x, fam, F, box_x).slack_inner, slack(xs, box_x)),
             (
                 check_condition(ctx, y, fam, F, box_y).slack_norm,
-                ref_slack_norm(ys, members, F, box_y.lower, box_y.upper, w),
+                ref_slack_norm(ys, members, F, *_endpoints(box_y), w),
             ),
             (check_condition(ctx, y, fam, F, box_y).slack_inner, slack(ys, box_y)),
             (
                 check_condition(ctx, x, fam, F, box_x).slack_norm,
-                ref_slack_norm(xs, members, F, box_x.lower, box_x.upper, w),
+                ref_slack_norm(xs, members, F, *_endpoints(box_x), w),
             ),
             (_residual(ctx, x, fam, F), res_x),
             (_deviation(ctx, x, y, fam, F), dev),
@@ -653,7 +659,7 @@ def test_every_chain_matches_the_oracle(context):
             (report.condition_diff.slack_inner, slack(half_diff, box_y)),
         ]
         left, right = residual_identity_sides(ctx, x, fam, F, box_x)
-        coefficient_term = ref_coefficient_term(xs, members, F, box_x.lower, box_x.upper, w)
+        coefficient_term = ref_coefficient_term(xs, members, F, *_endpoints(box_x), w)
         got_want += [(left, res_x), (right, coefficient_term - slack(xs, box_x))]
         for k, (got, want) in enumerate(got_want):
             assert abs(got - want) <= 1e-12 * scale, (context, k, got, want)
@@ -670,8 +676,8 @@ def test_identity_right_side_takes_slack_from_vectors():
     members = [list(r) for r in fam.members]
     left, right = residual_identity_sides(ctx, x, fam, (0, 1), box)
     want_right = ref_coefficient_term(
-        list(x), members, (0, 1), box.lower, box.upper
-    ) - ref_slack_inner(list(x), members, (0, 1), box.lower, box.upper)
+        list(x), members, (0, 1), *_endpoints(box)
+    ) - ref_slack_inner(list(x), members, (0, 1), *_endpoints(box))
     assert left == pytest.approx(ref_residual(list(x), members, (0, 1)), abs=1e-15)
     assert right == pytest.approx(want_right, abs=1e-15)
     assert left - right == pytest.approx(2e-4, rel=1e-3)
@@ -865,10 +871,9 @@ def test_reports_are_invariant_under_index_permutation(context):
         permuted = OrthonormalFamily.from_members(ctx, fam.members[order])
         # member order[p] of the family sits at position p of the permuted one
         moved = sorted((int(np.flatnonzero(order == j)[0]), k) for k, j in enumerate(F))
-        G = tuple(p for p, _ in moved)
+        G, ks = tuple(p for p, _ in moved), [k for _, k in moved]
         box_x2, box_y2 = (
-            CoefficientBox(G, [b.lower[k] for _, k in moved], [b.upper[k] for _, k in moved])
-            for b in (box_x, box_y)
+            CoefficientBox(G, b.lower_array[ks], b.upper_array[ks]) for b in (box_x, box_y)
         )
         _assert_reports_agree(pair, (ctx, x, y, permuted, G, box_x2, box_y2), verdicts=True)
 

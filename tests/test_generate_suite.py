@@ -205,6 +205,21 @@ def _outcome_text(outcome):
     return json.dumps(payload, sort_keys=True)
 
 
+def _recorded(monkeypatch, route, cfg):
+    """The outcome ``route(cfg)`` builds and every record it makes, in order:
+    (check, ok, the margin's bytes), so a margin of -0.0 differs from 0.0."""
+    records = []
+    record = suite.SuiteOutcome.record
+
+    def keep(outcome, name, ok, margin, instance=None):
+        records.append((name, ok, np.float64(margin).tobytes()))
+        record(outcome, name, ok, margin, instance)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suite.SuiteOutcome, "record", keep)
+        return route(cfg), records
+
+
 class _ZeroedDraw(np.random.Generator):
     """A stream whose ``call``-th standard_normal call (1-based) returns zeros
     in place of the numbers it drew."""
@@ -225,12 +240,17 @@ class TestStackedSuite:
     @pytest.mark.parametrize(
         "cell, count", [((2, 1, REAL), 6), ((16, 8, COMPLEX), 6), ((128, 64, COMPLEX), 2)], ids=str
     )
-    def test_stacked_cell_matches_the_per_instance_route(self, cell, count):
+    def test_stacked_cell_matches_the_per_instance_route(self, monkeypatch, cell, count):
         dim, fsize, fld = cell
         cfg = SuiteConfig(
             instance_count=count, dims=(dim,), family_sizes=(fsize,), fields=(fld,), seed=11
         )
-        assert _outcome_text(run_suite(cfg)) == _outcome_text(_per_instance_outcome(cfg))
+        stacked, stacked_records = _recorded(monkeypatch, run_suite, cfg)
+        alone, alone_records = _recorded(monkeypatch, _per_instance_outcome, cfg)
+        assert len(stacked_records) == len(alone_records) == 11 * count
+        for k, (record, other) in enumerate(zip(stacked_records, alone_records)):
+            assert record == other, (k, record, other)
+        assert _outcome_text(stacked) == _outcome_text(alone)
 
     @pytest.mark.parametrize("call, what", [(1, "family"), (4, "box direction")])
     def test_a_redrawn_stream_matches_the_per_instance_route(self, monkeypatch, call, what):
@@ -273,7 +293,7 @@ class TestSuite:
             "identity": (52, 0, -1.70530256582e-13),
             "l2_embedding": (52, 0, 0.0),
             "projection_identity": (52, 0, -8.881784197e-15),
-            "schwarz": (52, 0, -1.7763568394e-15),
+            "schwarz": (52, 0, -8.881784197e-16),
         }
         assert payload == {
             "config": SuiteConfig(instance_count=2).to_dict(),
@@ -425,8 +445,8 @@ class TestSerialization:
         clone = serialize.instance_from_dict(json.loads(json.dumps(payload)))
         np.testing.assert_array_equal(inst.x, clone.x)
         np.testing.assert_array_equal(inst.family.members, clone.family.members)
-        assert inst.box.lower == clone.box.lower
-        assert inst.box.upper == clone.box.upper
+        np.testing.assert_array_equal(inst.box.lower_array, clone.box.lower_array)
+        np.testing.assert_array_equal(inst.box.upper_array, clone.box.upper_array)
         assert counterpart_bounds(*inst).to_dict() == counterpart_bounds(*clone).to_dict()
 
     def test_pair_roundtrip_complex(self):
@@ -435,7 +455,7 @@ class TestSerialization:
         clone = serialize.instance_from_dict(json.loads(json.dumps(payload)))
         assert isinstance(clone, PairInstance)
         np.testing.assert_array_equal(pair.y, clone.y)
-        assert pair.box_y.upper == clone.box_y.upper
+        np.testing.assert_array_equal(pair.box_y.upper_array, clone.box_y.upper_array)
 
     def test_digest_is_stable_and_content_sensitive(self):
         inst = generate_certified_instance(rng_from_seed(5, 2), 3, 1, REAL)

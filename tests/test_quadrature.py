@@ -324,12 +324,9 @@ class TestBoxMonotonicity:
         inst = generate_certified_instance(rng, 4, 2, REAL)
         base = counterpart_bounds(*inst).coarse
         # widen along the box's own orientation so |upper - lower| grows
-        diffs = [u - l for u, l in zip(inst.box.upper, inst.box.lower)]
-        widened = CoefficientBox(
-            inst.indices,
-            tuple(l - 0.2 * d for l, d in zip(inst.box.lower, diffs)),
-            tuple(u + 0.35 * d for u, d in zip(inst.box.upper, diffs)),
-        )
+        lower, upper = inst.box.lower_array, inst.box.upper_array
+        diffs = upper - lower
+        widened = CoefficientBox(inst.indices, lower - 0.2 * diffs, upper + 0.35 * diffs)
         report = counterpart_bounds(
             inst.ctx, inst.x, inst.family, inst.indices, widened
         )

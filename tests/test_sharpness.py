@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from orthobounds.bounds import CoefficientBox, counterpart_bounds, gruss_bounds
+from orthobounds.bounds import (
+    CoefficientBox,
+    companion_abs_bound,
+    companion_bound,
+    counterpart_bounds,
+    gruss_bounds,
+    instance_scale,
+)
+from orthobounds.generate import Instance, rng_from_seed
 from orthobounds.serialize import instance_from_dict
 from orthobounds.sharpness import (
     SearchConfig,
@@ -10,9 +18,67 @@ from orthobounds.sharpness import (
     maximize_gruss_ratio,
     maximize_residual_ratio,
 )
-from orthobounds.space import COMPLEX, REAL, SpaceContext
+from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, gram_schmidt
+from orthobounds.suite import SuiteConfig, chain_allowance
 
 FAST = SearchConfig(restarts=6, steps_per_restart=1500, seed=11)
+
+#: The (dimension, family size, field) cells of the default verify grid.
+GRID = SuiteConfig().cells()
+
+
+def _basis(dim, field):
+    """A seeded orthonormal basis q_0 .. q_{dim-1}: the rows of gram_schmidt
+    of a Gaussian dim x dim draw."""
+    ctx = SpaceContext(field, dim)
+    rng = rng_from_seed(1905, dim, field == COMPLEX)
+    raw = rng.standard_normal((dim, dim)).astype(np.complex128)
+    if field == COMPLEX:
+        raw.imag = rng.standard_normal((dim, dim))
+    return ctx, gram_schmidt(ctx, raw).members
+
+
+class TestSharpInEveryCell:
+    """The two-dimensional extremal construction lifted to each grid cell with
+    F < d: the family e = (q_0 + q_F)/sqrt(2), q_1, ..., q_{F-1}, the vector
+    x = m (q_0 - q_F)/sqrt(2) and the box [-m, m] on e, [0, 0] on the rest.
+    Every chain then attains 1/4 of sum |Phi_i - phi_i|^2 = 4 m^2."""
+
+    @pytest.mark.parametrize("m", [1.0, 3.7, 1e-3])
+    @pytest.mark.parametrize("cell", [c for c in GRID if c[1] < c[0]], ids=str)
+    def test_every_chain_attains_one_quarter(self, cell, m):
+        dim, size, field = cell
+        ctx, q = _basis(dim, field)
+        s = 1.0 / np.sqrt(2.0)
+        fam = OrthonormalFamily.from_members(ctx, [s * (q[0] + q[size]), *q[1:size]])
+        x = m * s * (q[0] - q[size])
+        F, zeros = tuple(range(size)), [0.0] * (size - 1)
+        box = CoefficientBox(F, [-m, *zeros], [m, *zeros])
+        reports = {
+            "residual": counterpart_bounds(ctx, x, fam, F, box),
+            "deviation_abs": gruss_bounds(ctx, x, x, fam, F, box, box),
+            "re_deviation": companion_bound(ctx, x, x, fam, F, box),
+            "abs_re_deviation": companion_abs_bound(ctx, x, x, fam, F, box),
+        }
+        for value, report in reports.items():
+            ratio = getattr(report, value) / (2.0 * m) ** 2
+            assert report.certified, value
+            assert abs(ratio - 0.25) <= 4 * np.finfo(float).eps, (value, ratio)
+
+    @pytest.mark.parametrize("m", [1.0, 3.7, 1e-3])
+    @pytest.mark.parametrize("cell", [c for c in GRID if c[1] == c[0]], ids=str)
+    def test_a_full_basis_leaves_no_residual(self, cell, m):
+        # F = d leaves no q_F to lift into: x = m (q_0 - q_{d-1})/sqrt(2) lies
+        # in the span of the whole basis, so there is no ratio, only a zero
+        dim, _, field = cell
+        ctx, q = _basis(dim, field)
+        fam = OrthonormalFamily.from_members(ctx, q)
+        x = m / np.sqrt(2.0) * (q[0] - q[-1])
+        box = CoefficientBox(range(dim), [-m] * dim, [m] * dim)
+        inst = Instance(ctx, x, fam, tuple(range(dim)), box)
+        report = counterpart_bounds(*inst)
+        assert report.certified
+        assert abs(report.residual) <= chain_allowance(inst, instance_scale(ctx, x, box))
 
 
 class TestExtremalInstance:
@@ -45,9 +111,7 @@ class TestScaleEquivariance:
         inst = extremal_instance(1.0)
         lam = 2.0
         scaled_box = CoefficientBox(
-            inst.indices,
-            tuple(lam * v for v in inst.box.lower),
-            tuple(lam * v for v in inst.box.upper),
+            inst.indices, lam * inst.box.lower_array, lam * inst.box.upper_array
         )
         base = counterpart_bounds(inst.ctx, inst.x, inst.family, inst.indices, inst.box)
         scaled = counterpart_bounds(

@@ -15,6 +15,7 @@ from orthobounds.space import (
     _combine,
     _dot,
     _inner,
+    _modulus,
     _norm_sq,
     as_vector,
     gram_schmidt,
@@ -394,6 +395,7 @@ class TestStackedPrimitives:
             "_norm_sq": (lambda x: _norm_sq(ctx, x), (x,)),
             "_coefficients": (lambda x, rows: _coefficients(ctx, x, rows), (x, rows)),
             "_combine": (_combine, (c, rows)),
+            "_modulus": (_modulus, (x,)),
         }
         for name, (product, args) in products.items():
             stacked = product(*args)
@@ -401,3 +403,6 @@ class TestStackedPrimitives:
                 alone = np.asarray(product(*(a[index] for a in args)))
                 assert stacked[index].shape == alone.shape, (name, index)
                 assert stacked[index].tobytes() == alone.tobytes(), (name, index)
+        # and each modulus is the scalar abs of its entry, bit for bit
+        scalar_abs = np.array([abs(complex(z)) for z in x.ravel()]).reshape(x.shape)
+        assert _modulus(x).tobytes() == scalar_abs.tobytes()
