@@ -182,43 +182,37 @@ def _cmd_l2demo(args) -> int:
     # counting reads neither
     check_count(args.nodes)
     check_seed(args.seed)
+    gruss = None
     if args.kind == "trig":
         ctx = WeightedL2Context.uniform_density(periodic_trapezoid(args.nodes))
         fam = build_family(ctx, "trig", 3)
-        f = sample(ctx, lambda s: 2.0 + np.sin(s))
-        g = sample(ctx, lambda s: 2.0 + np.cos(s))
+        f, g = sample(ctx, lambda s: 2.0 + np.sin(s)), sample(ctx, lambda s: 2.0 + np.cos(s))
+        functions = {"f": f, "g": g}
         root = float(np.sqrt(2.0 * np.pi))
         m, M = {0: root}, {0: 3.0 * root}
-        box = sandwich_box((0,), m, M)
-        report = counterpart_bounds(ctx.context, f, fam, (0,), box)
-        gruss = l2_sandwich_gruss(ctx, f, g, fam, (0,), m, M, m, M, TRIG_SANDWICH_TOL)
-        payload = serialize.l2_instance_to_dict(ctx, {"f": f, "g": g})
-        payload["reports"] = {"counterpart": report.to_dict(), "gruss": gruss.to_dict()}
-        ok = report.certified and gruss.certified
+        idx, box = (0,), sandwich_box((0,), m, M)
+        gruss = l2_sandwich_gruss(ctx, f, g, fam, idx, m, M, m, M, TRIG_SANDWICH_TOL)
     elif args.kind == "legendre":
         ctx = WeightedL2Context.uniform_density(gauss_legendre(args.nodes))
         fam = build_family(ctx, "legendre", 4)
-        f = sample(ctx, np.exp)
-        rng = rng_from_seed(args.seed, 5)
+        functions = {"f": sample(ctx, np.exp)}
         idx = (0, 1, 2, 3)
-        mid, d = certified_box_arrays(rng, ctx.context, f, fam, idx)
+        rng = rng_from_seed(args.seed, 5)
+        mid, d = certified_box_arrays(rng, ctx.context, functions["f"], fam, idx)
         box = CoefficientBox.centered(idx, mid, d)
-        report = counterpart_bounds(ctx.context, f, fam, idx, box)
-        payload = serialize.l2_instance_to_dict(ctx, {"f": f})
-        payload["reports"] = {"counterpart": report.to_dict()}
-        ok = report.certified
     else:
         ctx = WeightedL2Context.uniform_density(counting_measure(3))
         fam = build_family(ctx, "indicator", 3)
-        f = np.array([0.5, 0.3, 0.2])
-        g = np.array([0.2, 0.6, 0.1])
+        functions = {"f": np.array([0.5, 0.3, 0.2]), "g": np.array([0.2, 0.6, 0.1])}
         idx = (0, 1)
         box = sandwich_box(idx, {0: 0.0, 1: 0.0}, {0: 1.0, 1: 1.0})
-        report = counterpart_bounds(ctx.context, f, fam, idx, box)
-        gruss = gruss_bounds(ctx.context, f, g, fam, idx, box, box)
-        payload = serialize.l2_instance_to_dict(ctx, {"f": f, "g": g})
-        payload["reports"] = {"counterpart": report.to_dict(), "gruss": gruss.to_dict()}
-        ok = report.certified and gruss.certified
+        gruss = gruss_bounds(ctx.context, *functions.values(), fam, idx, box, box)
+    reports = {"counterpart": counterpart_bounds(ctx.context, functions["f"], fam, idx, box)}
+    if gruss is not None:
+        reports["gruss"] = gruss
+    payload = serialize.l2_instance_to_dict(ctx, functions)
+    payload["reports"] = {name: report.to_dict() for name, report in reports.items()}
+    ok = all(report.certified for report in reports.values())
     text = serialize.dump_json(payload, args.out)
     if not args.out:
         print(text)

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .bounds import CoefficientBox, _Boxes
+from .bounds import CoefficientBox, _Boxes, _validated
 from .space import (
     OrthonormalFamily,
     SpaceContext,
@@ -30,9 +30,6 @@ from .space import (
     _combine,
     _norm,
     _rejected,
-    as_vector,
-    index_set,
-    require_certified,
 )
 
 
@@ -148,9 +145,7 @@ def certified_box_arrays(
     the norm form of the condition hold, hence the inner-product slack is
     nonnegative up to the family's Gram defect.
     """
-    require_certified(fam)
-    rows = fam.members[list(index_set(indices, fam.size))]
-    x = as_vector(ctx, x)
+    (x,), _, rows = _validated(ctx, fam, indices, (x,))
     mid, half = _box_arrays([rng], ctx, [x[None]], rows[None])
     return mid[0], half[0]
 

@@ -228,8 +228,8 @@ def sandwich_check(
         raise ValueError("m and M must be keyed exactly by the index set")
     f = as_vector(ctx.context, f)
     rows = fam.members[list(idx)]
-    lower_env = _combine(np.array([m[i] for i in idx], dtype=np.complex128), rows).real
-    upper_env = _combine(np.array([M[i] for i in idx], dtype=np.complex128), rows).real
+    lower_env = _combine(_bracket("m", m, idx), rows).real
+    upper_env = _combine(_bracket("M", M, idx), rows).real
     margin_lower = f.real - lower_env
     margin_upper = upper_env - f.real
     min_lower = float(np.min(margin_lower))
@@ -245,6 +245,16 @@ def sandwich_check(
         min_margin_upper=min_upper,
         violating_node=violating,
     )
+
+
+def _bracket(name: str, constants: Mapping[int, float], idx: tuple[int, ...]) -> np.ndarray:
+    """The constants in index order; each must be a finite real number, the
+    rule ``CoefficientBox`` applies to the endpoints ``sandwich_box`` builds."""
+    values = np.array([constants[i] for i in idx], dtype=np.complex128)
+    for i, value in zip(idx, values):
+        if not np.isfinite(value) or value.imag != 0.0:
+            raise ValueError(f"{name}[{i}] must be a finite real number, got {constants[i]!r}")
+    return values
 
 
 def sandwich_box(

@@ -22,13 +22,15 @@ rounding term for its dot-product length d + |F| plus |F| times the family's
 Gram defect.
 
 ``run_suite`` generates and checks one cell at a time, its instances stacked
-along a leading axis, on the kernel of :mod:`orthobounds.bounds`.  Each of the
-five sources has one evaluator: it computes the source's kernel report once
-and derives all of the source's records from it, a chain holding when it is
-certified and its ``margin`` is at least minus the allowance.  The second
+along a leading axis, on the kernel of :mod:`orthobounds.bounds`.  It reads
+one table, ``_SOURCES``, of (stacked generator, evaluator) pairs, one per
+generated source.  An evaluator takes only its stack: it computes the kernel
+report and each vector's squared norm once, takes the allowance scale from
+those norms, and derives all of the source's records, a chain holding when it
+is certified and its ``margin`` is at least minus the allowance.  The second
 routes of ``identity`` (``_identity_sides``) and ``l2_embedding`` (a
 counting-context report) are computed on purpose.  Each public ``check_*``
-validates one instance and returns its record of the unstacked evaluator.
+validates one instance and replays it through its source's evaluator.
 
 Outcomes are deterministic per seed and serialize to JSON byte-identically
 (the ``generated_at`` stamp is the one field excluded from comparisons).
@@ -39,6 +41,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -194,87 +197,74 @@ def chain_allowance(inst: Instance | PairInstance, scale: float) -> float:
 
 def check_generator_soundness(inst: Instance) -> tuple[bool, float]:
     """The generated box certifies x, with the inner-product slack as margin."""
-    return _scalar_check("instance", "generator_soundness", inst)
+    return _replay(_instance_records, "generator_soundness", inst)
 
 
 def check_counterpart_chain(inst: Instance) -> tuple[bool, float]:
     """Certified residual chain with per-step slack >= -allowance."""
-    return _scalar_check("instance", "counterpart_chain", inst)
+    return _replay(_instance_records, "counterpart_chain", inst)
 
 
 def check_identity(inst: Instance) -> tuple[bool, float]:
     """Two evaluation routes of the residual identity agree."""
-    return _scalar_check("instance", "identity", inst)
+    return _replay(_instance_records, "identity", inst)
 
 
 def check_condition_equivalence(inst: Instance) -> tuple[bool, float]:
     """Inner and norm slack forms agree in sign when both are resolvable."""
-    return _scalar_check("loose", "condition_equivalence", inst)
+    return _replay(_loose_records, "condition_equivalence", inst)
 
 
 def check_gruss_chain(pair: PairInstance) -> tuple[bool, float]:
     """Certified deviation chain plus the squared Schwarz route."""
-    return _scalar_check("pair", "gruss_chain", pair)
+    return _replay(_pair_records, "gruss_chain", pair)
 
 
 def check_projection_identity(pair: PairInstance) -> tuple[bool, float]:
     """The deviation equals the inner product of the projection residuals."""
-    return _scalar_check("pair", "projection_identity", pair)
+    return _replay(_pair_records, "projection_identity", pair)
 
 
 def check_schwarz(pair: PairInstance) -> tuple[bool, float]:
     """|<x-Px, y-Py>|^2 <= ||x-Px||^2 ||y-Py||^2."""
-    return _scalar_check("pair", "schwarz", pair)
+    return _replay(_pair_records, "schwarz", pair)
 
 
 def check_companion(pair: PairInstance) -> tuple[bool, float]:
     """Re(deviation) <= bound under the shared midpoint box."""
-    return _scalar_check("midpoint_pair", "companion", pair)
+    return _replay(_midpoint_records, "companion", pair)
 
 
 def check_companion_abs(pair: PairInstance) -> tuple[bool, float]:
     """|Re(deviation)| <= bound under both (x+y)/2 and (x-y)/2 conditions."""
-    return _scalar_check("twosided_pair", "companion_abs", pair)
+    return _replay(_twosided_records, "companion_abs", pair)
 
 
 def check_l2_embedding(inst: Instance) -> tuple[bool, float]:
     """A unit-weight (counting-measure) context reproduces the coordinate-backend
     report within the instance's allowance."""
-    return _scalar_check("instance", "l2_embedding", inst)
+    return _replay(_instance_records, "l2_embedding", inst)
 
 
-def _scalar_check(source: str, name: str, inst):
-    """Record ``name`` of the ``source`` evaluator on one instance, validated
-    once: the family is cut down to the selected rows, which is what the
-    evaluators read."""
+def _replay(evaluator, name: str, inst):
+    """Record ``name`` of ``evaluator`` on one instance, validated once: the
+    family is cut down to the selected rows, which is what the evaluators
+    read."""
     if isinstance(inst, PairInstance):
-        (x, y), _, rows = _validated(
-            inst.ctx, inst.family, inst.indices, (inst.x, inst.y), (inst.box_x, inst.box_y)
-        )
-        inst = inst._replace(x=x, y=y)
+        vectors, boxes = {"x": inst.x, "y": inst.y}, (inst.box_x, inst.box_y)
     else:
-        (x,), _, rows = _validated(inst.ctx, inst.family, inst.indices, (inst.x,), (inst.box,))
-        inst = inst._replace(x=x)
-    inst = inst._replace(family=_Families(rows, inst.family.gram_defect))
-    ok, margin = _EVALUATORS[source](inst, _scale(inst))[name]
+        vectors, boxes = {"x": inst.x}, (inst.box,)
+    valid, _, rows = _validated(inst.ctx, inst.family, inst.indices, vectors.values(), boxes)
+    family = _Families(rows, inst.family.gram_defect)
+    ok, margin = evaluator(inst._replace(**dict(zip(vectors, valid)), family=family))[name]
     return bool(ok), float(margin)
 
 
-def _scale(inst: Instance | PairInstance):
-    """``bounds.instance_scale`` or ``bounds.pair_scale`` of the instance."""
-    if isinstance(inst, PairInstance):
-        norm_sq_x, norm_sq_y = _norm_sq(inst.ctx, inst.x), _norm_sq(inst.ctx, inst.y)
-        return _pair_scale(norm_sq_x, norm_sq_y, inst.box_x, inst.box_y)
-    return _instance_scale(_norm_sq(inst.ctx, inst.x), inst.box)
-
-
-# The evaluators, one per generated source.  ``inst`` holds arrays with a
-# leading batch axis (or none), its family the selected rows, and ``scale`` is
-# its ``_scale``.  Each computes its kernel report once and returns the
-# source's records {name: (ok, margin)}, arrays, in the order ``run_suite``
-# records them.  As in the kernel, each operation is the same numpy call on a
-# stack and on one of its rows, so a stacked margin is the per-instance one
-# bit for bit.
+# The evaluators, one per entry of ``_SOURCES``.  ``inst`` holds arrays with a
+# leading batch axis (or none) and its family the selected rows; the records
+# {name: (ok, margin)} are arrays, in the order ``run_suite`` records them.  As
+# in the kernel, each operation is the same numpy call on a stack and on one
+# of its rows, so a stacked margin is the per-instance one bit for bit.
 
 
 def _verdict(report, tol):
@@ -292,11 +282,11 @@ def _equivalence(condition: ConditionReport, tol):
     return ~disagreement, np.where(disagreement, -closest, 0.0)
 
 
-def _instance_records(inst: Instance, scale):
+def _instance_records(inst: Instance):
     ctx, x, rows, box = inst.ctx, inst.x, inst.family.members, inst.box
     norm_sq = _norm_sq(ctx, x)
     report = _counterpart(ctx, x, norm_sq, rows, box)
-    tol = chain_allowance(inst, scale)
+    tol = chain_allowance(inst, _instance_scale(norm_sq, box))
     # two deliberate second routes: the identity's right side takes the slack
     # from the vectors, and a unit-weight context recomputes the whole report
     left, right = _identity_sides(ctx, x, norm_sq, rows, box)
@@ -319,16 +309,19 @@ def _instance_records(inst: Instance, scale):
     }
 
 
-def _loose_records(inst: Instance, scale):
-    ctx, x = inst.ctx, inst.x
-    condition = _condition(ctx, x, _norm_sq(ctx, x), inst.family.members, inst.box)
-    return {"condition_equivalence": _equivalence(condition, chain_allowance(inst, scale))}
+def _loose_records(inst: Instance):
+    ctx, x, box = inst.ctx, inst.x, inst.box
+    norm_sq = _norm_sq(ctx, x)
+    condition = _condition(ctx, x, norm_sq, inst.family.members, box)
+    tol = chain_allowance(inst, _instance_scale(norm_sq, box))
+    return {"condition_equivalence": _equivalence(condition, tol)}
 
 
-def _pair_records(pair: PairInstance, scale):
+def _pair_records(pair: PairInstance):
     ctx, x, y, rows = pair.ctx, pair.x, pair.y, pair.family.members
     norm_sq_x, norm_sq_y = _norm_sq(ctx, x), _norm_sq(ctx, y)
     report = _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, pair.box_x, pair.box_y)
+    scale = _pair_scale(norm_sq_x, norm_sq_y, pair.box_x, pair.box_y)
     tol, tol_sq = chain_allowance(pair, scale), chain_allowance(pair, scale * scale)
     coefficients_x, coefficients_y = _coefficients(ctx, x, rows), _coefficients(ctx, y, rows)
     # the squared Schwarz route of the chain
@@ -351,54 +344,56 @@ def _pair_records(pair: PairInstance, scale):
     }
 
 
-def _midpoint_records(pair: PairInstance, scale):
-    report = _companion(pair.ctx, pair.x, pair.y, pair.family.members, pair.box_x)
-    return {"companion": _verdict(report, chain_allowance(pair, scale))}
+def _shared_box_verdict(kernel, pair: PairInstance):
+    """``_verdict`` of a companion kernel, whose one box ``box_x`` enters the
+    pair scale on both sides."""
+    ctx, x, y, box = pair.ctx, pair.x, pair.y, pair.box_x
+    scale = _pair_scale(_norm_sq(ctx, x), _norm_sq(ctx, y), box, box)
+    return _verdict(kernel(ctx, x, y, pair.family.members, box), chain_allowance(pair, scale))
 
 
-def _twosided_records(pair: PairInstance, scale):
-    report = _companion_abs(pair.ctx, pair.x, pair.y, pair.family.members, pair.box_x)
-    return {"companion_abs": _verdict(report, chain_allowance(pair, scale))}
+def _midpoint_records(pair: PairInstance):
+    return {"companion": _shared_box_verdict(_companion, pair)}
 
 
-#: The evaluator of each generated source, in the order ``run_suite`` draws
-#: and records them.
-_EVALUATORS = {
-    "instance": _instance_records,
-    "loose": _loose_records,
-    "pair": _pair_records,
-    "midpoint_pair": _midpoint_records,
-    "twosided_pair": _twosided_records,
-}
+def _twosided_records(pair: PairInstance):
+    return {"companion_abs": _shared_box_verdict(_companion_abs, pair)}
+
+
+#: Each generated source as (stacked generator, evaluator), in the order
+#: ``run_suite`` draws and records them.
+_SOURCES = (
+    (_instances, _instance_records),
+    (partial(_instances, loose=True), _loose_records),
+    (_certified_pairs, _pair_records),
+    (partial(_shared_box_pairs, twosided=False), _midpoint_records),
+    (partial(_shared_box_pairs, twosided=True), _twosided_records),
+)
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
     """Execute every check over ``cfg.instance_count`` instances per cell.
 
-    Instance i of cell c draws from the stream ``rng_from_seed(seed, c, i)``:
-    a certified instance, an unconstrained one, a certified pair, a midpoint
-    pair and a two-sided pair, in that order.  A cell's instances are
-    generated and checked as one stack; records go out instance by instance,
-    and a failing instance is rebuilt from its row of the stack.  Results are
-    deterministic for a given config; callers that keep the outcome write
-    ``outcome.to_dict()``.
+    Instance i of cell c draws from the stream ``rng_from_seed(seed, c, i)``,
+    once per entry of ``_SOURCES``: a certified instance, an unconstrained
+    one, a certified pair, a midpoint pair and a two-sided pair, in that
+    order.  A cell's instances are generated and checked as one stack per
+    source; evaluation draws nothing, so each stream's draws keep that order.
+    Records go out instance by instance, and a failing instance is rebuilt
+    from its row of the stack.  Results are deterministic for a given config;
+    callers that keep the outcome write ``outcome.to_dict()``.
     """
     outcome = SuiteOutcome(config=cfg)
     for cell_index, (dim, fsize, fld) in enumerate(cfg.cells()):
         ctx = SpaceContext(fld, dim)
         rngs = [rng_from_seed(cfg.seed, cell_index, i) for i in range(cfg.instance_count)]
-        stacks = {
-            "instance": _instances(rngs, ctx, fsize),
-            "loose": _instances(rngs, ctx, fsize, loose=True),
-            "pair": _certified_pairs(rngs, ctx, fsize),
-            "midpoint_pair": _shared_box_pairs(rngs, ctx, fsize, twosided=False),
-            "twosided_pair": _shared_box_pairs(rngs, ctx, fsize, twosided=True),
-        }
-        results = [
-            (name, stack, ok.tolist(), margin.tolist())
-            for source, stack in stacks.items()
-            for name, (ok, margin) in _EVALUATORS[source](stack, _scale(stack)).items()
-        ]
+        results = []
+        for generate, evaluate in _SOURCES:
+            stack = generate(rngs, ctx, fsize)
+            results += [
+                (name, stack, ok.tolist(), margin.tolist())
+                for name, (ok, margin) in evaluate(stack).items()
+            ]
         for i in range(cfg.instance_count):
             for name, stack, ok, margin in results:
                 outcome.record(name, ok[i], margin[i], None if ok[i] else _row(stack, i))

@@ -27,7 +27,7 @@ from orthobounds.generate import (
 )
 from orthobounds.quadrature import WeightedL2Context, periodic_trapezoid
 from orthobounds.sharpness import extremal_instance
-from orthobounds.space import COMPLEX, REAL, as_vector
+from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
 from orthobounds.suite import SuiteConfig, emit_tightness_table, run_suite, tightness_rows
 from test_bounds import rescaled_offsets
 
@@ -120,6 +120,13 @@ class TestGenerateCertifiedInstance:
         slack = check_condition(ctx, x, fam, (0, 1), box).slack_norm
         scale = instance_scale(ctx, x, box)
         assert abs(slack) <= 1e-9 * scale
+
+    def test_box_arrays_apply_the_size_guard(self):
+        # without it, ||x||^2 overflows and the half-widths come out inf and NaN
+        ctx = SpaceContext(REAL, 3)
+        fam = OrthonormalFamily.from_members(ctx, np.eye(3))
+        with pytest.raises(ValueError, match="inputs too large"):
+            certified_box_arrays(rng_from_seed(1), ctx, [1e300] * 3, fam, (0, 1))
 
     def test_full_span_family_gives_zero_residual(self):
         for i in range(20):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -187,6 +188,22 @@ class TestSandwichCheck:
         assert not report.holds
         peak = trig_ctx.space.nodes[report.violating_node]
         assert abs(peak - math.pi / 2.0) <= 0.01
+
+    @pytest.mark.parametrize(
+        "m, M, named",
+        [
+            ({0: math.nan}, {0: 3.0 * ROOT_2PI}, "m[0]"),
+            ({0: ROOT_2PI}, {0: math.inf}, "M[0]"),
+            ({0: 1j}, {0: 3.0 * ROOT_2PI}, "m[0]"),
+        ],
+        ids=["nan", "inf", "imaginary"],
+    )
+    def test_constants_must_be_finite_reals(self, m, M, named):
+        ctx = WeightedL2Context.uniform_density(periodic_trapezoid(16))
+        fam = build_family(ctx, "trig", 3)
+        f = sample(ctx, lambda s: 2.0 + np.sin(s))
+        with pytest.raises(ValueError, match=re.escape(named)):
+            sandwich_check(ctx, f, fam, (0,), m, M)
 
     def test_complex_context_rejected(self):
         ctx = WeightedL2Context(counting_measure(3), np.ones(3), COMPLEX)
