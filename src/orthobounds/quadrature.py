@@ -12,6 +12,8 @@ the Gauss-Legendre rule [-1, 1].
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -228,8 +230,8 @@ def sandwich_check(
         raise ValueError("m and M must be keyed exactly by the index set")
     f = as_vector(ctx.context, f)
     rows = fam.members[list(idx)]
-    lower_env = _combine(_bracket("m", m, idx), rows).real
-    upper_env = _combine(_bracket("M", M, idx), rows).real
+    lower_env = _combine(np.array(_bracket("m", m, idx)), rows).real
+    upper_env = _combine(np.array(_bracket("M", M, idx)), rows).real
     margin_lower = f.real - lower_env
     margin_upper = upper_env - f.real
     min_lower = float(np.min(margin_lower))
@@ -247,24 +249,32 @@ def sandwich_check(
     )
 
 
-def _bracket(name: str, constants: Mapping[int, float], idx: tuple[int, ...]) -> np.ndarray:
-    """The constants in index order; each must be a finite real number, the
-    rule ``CoefficientBox`` applies to the endpoints ``sandwich_box`` builds."""
-    values = np.array([constants[i] for i in idx], dtype=np.complex128)
-    for i, value in zip(idx, values):
-        if not np.isfinite(value) or value.imag != 0.0:
-            raise ValueError(f"{name}[{i}] must be a finite real number, got {constants[i]!r}")
-    return values
+def _bracket(name: str, constants: Mapping[int, float], idx: tuple[int, ...]) -> tuple[float, ...]:
+    """The constants in index order, as floats.  The one rule of
+    ``sandwich_check`` and ``sandwich_box``: each must be a finite real number
+    (a ``numbers.Real`` that is not a bool).  A string, a bool, a complex
+    number, a NaN or an infinity raises ValueError naming the index."""
+    values = []
+    for i in idx:
+        value = constants[i]
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        try:
+            number = float(value) if real else math.nan
+        except OverflowError:  # an int or a Fraction beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ValueError(f"{name}[{i}] must be a finite real number, got {value!r}")
+        values.append(number)
+    return tuple(values)
 
 
 def sandwich_box(
     indices: Sequence[int], m: Mapping[int, float], M: Mapping[int, float]
 ) -> bounds.CoefficientBox:
-    """Coefficient box carrying the sandwich constants (m_i, M_i)."""
+    """Coefficient box carrying the sandwich constants (m_i, M_i), which must
+    be finite real numbers."""
     idx = tuple(indices)
-    return bounds.CoefficientBox(
-        idx, tuple(float(m[i]) for i in idx), tuple(float(M[i]) for i in idx)
-    )
+    return bounds.CoefficientBox(idx, _bracket("m", m, idx), _bracket("M", M, idx))
 
 
 class SandwichConditionError(ValueError):

@@ -150,8 +150,9 @@ def _modulus(z):
     A scalar ``abs`` (of a numpy or a Python complex) is libm's ``hypot``, but
     ``np.abs`` of a complex array is not: on numpy 2.4 the two differ in the
     last bit for about a third of random values.  The sharpness search takes
-    the modulus of one state's deviation, so a stacked evaluation of its
-    candidates matches it only through ``np.hypot``."""
+    each candidate's |deviation| through this function, so its stacked poll
+    keeps the trajectories of the climb that took a scalar ``abs`` of one
+    state at a time."""
     return np.hypot(np.real(z), np.imag(z))
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -204,6 +205,31 @@ class TestSandwichCheck:
         f = sample(ctx, lambda s: 2.0 + np.sin(s))
         with pytest.raises(ValueError, match=re.escape(named)):
             sandwich_check(ctx, f, fam, (0,), m, M)
+
+    @pytest.mark.parametrize(
+        "constant",
+        ["1.5", True, np.True_, 1j, complex(1.5, 0.0), math.nan, -math.inf, 10**400],
+        ids=["string", "bool", "numpy-bool", "imaginary", "complex-type", "nan", "inf", "huge-int"],
+    )
+    @pytest.mark.parametrize("call", ["sandwich_box", "sandwich_check"])
+    def test_one_rule_for_constants(self, call, constant):
+        # sandwich_box and sandwich_check read the constants by one rule: a
+        # finite real number that is not a bool; nothing is coerced
+        ctx = WeightedL2Context.uniform_density(periodic_trapezoid(16))
+        fam = build_family(ctx, "trig", 3)
+        f = sample(ctx, lambda s: 2.0 + np.sin(s))
+        m, M = {0: constant}, {0: 3.0 * ROOT_2PI}
+        with pytest.raises(ValueError, match=re.escape("m[0]")):
+            if call == "sandwich_box":
+                sandwich_box((0,), m, M)
+            else:
+                sandwich_check(ctx, f, fam, (0,), m, M)
+
+    @pytest.mark.parametrize("constant", [2, np.int64(2), np.float64(2.0), Fraction(2)], ids=repr)
+    def test_real_constants_read_as_floats(self, constant):
+        box = sandwich_box((0, 1), {0: constant, 1: ROOT_2PI}, {0: 3.0, 1: 3.0 * ROOT_2PI})
+        assert box.lower_array.tobytes() == np.array([2.0, ROOT_2PI], dtype=complex).tobytes()
+        assert box.upper_array.tobytes() == np.array([3.0, 3.0 * ROOT_2PI], dtype=complex).tobytes()
 
     def test_complex_context_rejected(self):
         ctx = WeightedL2Context(counting_measure(3), np.ones(3), COMPLEX)

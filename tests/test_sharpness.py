@@ -9,11 +9,19 @@ from orthobounds.bounds import (
     gruss_bounds,
     instance_scale,
 )
-from orthobounds.generate import Instance, rng_from_seed
+from orthobounds.generate import (
+    Instance,
+    certified_box_arrays,
+    random_family,
+    random_vector,
+    rng_from_seed,
+)
 from orthobounds.serialize import instance_from_dict
 from orthobounds.sharpness import (
     SearchConfig,
+    _hill_climb,
     _make_evaluator,
+    _slots,
     extremal_instance,
     maximize_gruss_ratio,
     maximize_residual_ratio,
@@ -220,8 +228,86 @@ class TestSearchTrajectories:
         assert result.evaluations == evaluations
         assert float(f"{result.best_ratio:.12g}") == ratio
 
+    def test_complex_gruss_ratio_is_pinned_to_the_bit(self):
+        # |deviation| is np.hypot (space._modulus), the bits of the scalar abs
+        # the one-move-at-a-time climb took; np.abs of the stacked deviations
+        # moves this ratio's last bit, which the 12-digit pin cannot see
+        cfg = SearchConfig(dimension=16, family_size=8, field=COMPLEX, restarts=1, seed=1905)
+        assert maximize_gruss_ratio(cfg).best_ratio.hex() == "0x1.e4171fa24f99ap-3"
+
+    @pytest.mark.parametrize(
+        "mode, cell, steps, ratio, evaluations",
+        [
+            (mode, cell, steps, ratio, 2 * steps)
+            for mode, cell, ratios in [
+                ("residual", (1, 1, REAL), [0.0] * 5),
+                ("gruss", (2, 2, COMPLEX), [0.0] * 5),
+                ("residual", (16, 15, REAL), [0.0139775718984] * 3 + [0.0320875309469] * 2),
+            ]
+            for steps, ratio in zip((1, 2, 3, 7, 13), ratios)
+        ],
+    )
+    def test_budget_cuts_are_pinned(self, mode, cell, steps, ratio, evaluations):
+        # budgets of 2 to 26 evaluations end inside the first sweeps, where a
+        # poll chunk is cut short by the budget; recorded with the climb that
+        # evaluated one move at a time
+        dim, fsize, field = cell
+        cfg = SearchConfig(
+            dimension=dim, family_size=fsize, field=field,
+            restarts=1, steps_per_restart=steps, seed=1905,
+        )
+        search = maximize_residual_ratio if mode == "residual" else maximize_gruss_ratio
+        result = search(cfg)
+        assert result.evaluations == evaluations
+        assert float(f"{result.best_ratio:.12g}") == ratio
+
+
+def _start_state(cell, mode):
+    """The first restart's start state of the default seed, drawn as the search
+    draws it, with the family members."""
+    dim, fsize, field = cell
+    ctx = SpaceContext(field, dim)
+    count = {"residual": 1, "gruss": 2}[mode]
+    rng = rng_from_seed(1905, count, 0)
+    fam = random_family(rng, ctx, fsize)
+    vectors = [random_vector(rng, ctx) for _ in range(count)]
+    indices = tuple(range(fsize))
+    boxes = [certified_box_arrays(rng, ctx, v, fam, indices) for v in vectors]
+    return ctx, fam.members, np.concatenate([*vectors, *(p for box in boxes for p in box)])
+
 
 class TestEvaluatorEdgeCases:
+    @pytest.mark.parametrize("mode", ["residual", "gruss"])
+    @pytest.mark.parametrize("cell", [(4, 2, REAL), (16, 8, COMPLEX)], ids=str)
+    def test_stack_equals_its_rows(self, cell, mode):
+        # every coordinate move of a start state, then one state with x far
+        # outside its box and one with zero-width boxes: the stacked values
+        # are each row's values as a stack of one, bit for bit
+        ctx, members, state = _start_state(cell, mode)
+        step = 0.125 * float(np.max(np.abs(state)))
+        moves = []
+        for index, imaginary in _slots(state.size, ctx.is_complex):
+            for signed in (step, -step):
+                move = state.copy()
+                move[index] += 1j * signed if imaginary else signed
+                moves.append(move)
+        far = state.copy()
+        far[0] += 1e3 * step
+        flat = state.copy()
+        flat[-cell[1]:] = 0.0
+        if mode == "gruss":
+            flat[-3 * cell[1]:-2 * cell[1]] = 0.0
+        stack = np.array([*moves, far, flat])
+        evaluate = _make_evaluator(ctx, members, mode)
+        stacked = evaluate(stack)
+        rows = [evaluate(stack[i : i + 1]) for i in range(len(stack))]
+        for part, values in zip(stacked, zip(*rows)):
+            assert part.shape == (len(stack),)
+            assert part.tobytes() == np.concatenate(values).tobytes()
+        infeasible, _, _, degenerate = stacked
+        assert infeasible[-2] and degenerate[-1]
+        assert not infeasible[: len(moves)].all()
+
     def test_degenerate_denominator_flagged(self):
         # x, y in the span with degenerate (zero-diameter) boxes: 0/0 -> 0
         members = np.eye(2, dtype=np.complex128)
@@ -231,7 +317,7 @@ class TestEvaluatorEdgeCases:
         mid_x, d_x = x[:2].copy(), np.zeros(2, dtype=np.complex128)
         mid_y, d_y = y[:2].copy(), np.zeros(2, dtype=np.complex128)
         flat = np.concatenate([x, y, mid_x, d_x, mid_y, d_y])
-        ratio, slack, degenerate = evaluate(flat)
+        _, (ratio,), _, (degenerate,) = evaluate(flat[None])
         assert ratio == 0.0
         assert degenerate
 
@@ -241,4 +327,22 @@ class TestEvaluatorEdgeCases:
         x = np.array([10.0, 0.0], dtype=np.complex128)
         mid = np.array([0.0], dtype=np.complex128)
         d = np.array([1.0], dtype=np.complex128)
-        assert evaluate(np.concatenate([x, mid, d])) is None
+        (infeasible,), *_ = evaluate(np.concatenate([x, mid, d])[None])
+        assert infeasible
+
+
+class TestHillClimb:
+    def test_nan_slack_is_feasible_but_never_accepted(self):
+        # every move raises the ratio but has a NaN slack: the climb polls on,
+        # halving its step after each missed sweep, and keeps its start
+        def evaluate(stack):
+            moved = stack[:, 0] != 0.0
+            ratio = np.where(moved, 1.0, 0.0)
+            slack = np.where(moved, np.nan, 0.0)
+            return np.zeros(len(stack), bool), ratio, slack, np.zeros(len(stack), bool)
+
+        start = np.zeros(1, dtype=np.complex128)
+        state, best, evaluations = _hill_climb(start, evaluate, _slots(1, False), 5, 1.0)
+        assert state.tobytes() == start.tobytes()
+        assert best == (0.0, 0.0, False)
+        assert evaluations == 10
