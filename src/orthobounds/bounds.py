@@ -50,6 +50,7 @@ from .space import (
     _modulus,
     _norm,
     _norm_sq,
+    _tolerance,
     allowance,
     as_vector,
     index_set,
@@ -110,10 +111,15 @@ class CoefficientBox:
         midpoints: Sequence[complex],
         half_widths: Sequence[complex],
     ) -> "CoefficientBox":
-        """Box with endpoints midpoint -/+ half_width per index."""
+        """Box with endpoints midpoint -/+ half_width per index; like the
+        endpoints, each must have exactly one entry per index (nothing is
+        broadcast)."""
+        indices = tuple(indices)
         mids = np.asarray(midpoints, dtype=np.complex128)
         hw = np.asarray(half_widths, dtype=np.complex128)
-        return cls(tuple(indices), mids - hw, mids + hw)
+        if mids.shape != (len(indices),) or hw.shape != (len(indices),):
+            raise ValueError("midpoints/half_widths must have exactly one entry per index")
+        return cls(indices, mids - hw, mids + hw)
 
 
 class _Boxes(NamedTuple):
@@ -267,9 +273,12 @@ def check_condition(
 ) -> ConditionReport:
     """Evaluate both slack forms and certify on the inner-product slack.
 
-    ``tol`` is an absolute slack tolerance; by default it is the rounding
-    term of ``space.allowance`` at scale ||x||^2 + half_diameter^2.
+    ``tol`` is an absolute slack tolerance, a finite real number >= 0; by
+    default it is the rounding term of ``space.allowance`` at scale
+    ||x||^2 + half_diameter^2.
     """
+    if tol is not None:
+        tol = _tolerance("tol", tol)
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
     return _scalars(_condition(ctx, x, norm_sq, rows, box, tol))
 

@@ -170,8 +170,7 @@ def _cmd_gruss(args) -> int:
     payload = serialize.load_json(args.instance)
     inst = serialize.instance_from_dict(payload)
     if not isinstance(inst, PairInstance):
-        print("instance file must carry y (and box_y) for a deviation report", file=sys.stderr)
-        return 2
+        raise ValueError("instance file must carry y (and box_y) for a deviation report")
     report = gruss_bounds(*inst)
     tol = suite.chain_allowance(inst, pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y))
     return _report_exit(payload, report, tol, args)

@@ -97,10 +97,6 @@ def _gaussians(rngs, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
     return z
 
 
-def random_vector(rng: np.random.Generator, ctx: SpaceContext) -> Vector:
-    return gaussian_scalars(rng, ctx.dimension, ctx.is_complex)
-
-
 def random_family(rng: np.random.Generator, ctx: SpaceContext, size: int) -> OrthonormalFamily:
     """Orthonormalized random Gaussian vectors (retrying degenerate draws)."""
     fam = _families([rng], ctx, size)
@@ -121,7 +117,7 @@ def _families(rngs, ctx: SpaceContext, size: int) -> _Families:
 
 
 def _vectors(rngs, ctx: SpaceContext) -> np.ndarray:
-    """``random_vector`` on each stream at a log-normal scale, drawn first."""
+    """A Gaussian vector on each stream at a log-normal scale, drawn first."""
     scales = np.array([rng.lognormal(0.0, 0.5) for rng in rngs])
     return scales[:, None] * _gaussians(rngs, (ctx.dimension,), ctx.is_complex)
 

@@ -12,8 +12,6 @@ the Gauss-Legendre rule [-1, 1].
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -26,6 +24,8 @@ from .space import (
     SpaceContext,
     Vector,
     _combine,
+    _finite_real,
+    _tolerance,
     as_vector,
     gram_schmidt,
     index_set,
@@ -222,6 +222,7 @@ def sandwich_check(
     the box (m, M) satisfies the inner-product condition up to quadrature
     error, so the bracketing is the easy certificate for the L2 chains.
     """
+    tol = _tolerance("tol", tol)
     if ctx.field != REAL:
         raise ValueError("sandwich_check requires a real-field context")
     require_certified(fam)
@@ -252,20 +253,8 @@ def sandwich_check(
 def _bracket(name: str, constants: Mapping[int, float], idx: tuple[int, ...]) -> tuple[float, ...]:
     """The constants in index order, as floats.  The one rule of
     ``sandwich_check`` and ``sandwich_box``: each must be a finite real number
-    (a ``numbers.Real`` that is not a bool).  A string, a bool, a complex
-    number, a NaN or an infinity raises ValueError naming the index."""
-    values = []
-    for i in idx:
-        value = constants[i]
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        try:
-            number = float(value) if real else math.nan
-        except OverflowError:  # an int or a Fraction beyond the float range
-            number = math.inf
-        if not math.isfinite(number):
-            raise ValueError(f"{name}[{i}] must be a finite real number, got {value!r}")
-        values.append(number)
-    return tuple(values)
+    (``space._finite_real``), else ValueError naming the index."""
+    return tuple(_finite_real(f"{name}[{i}]", constants[i]) for i in idx)
 
 
 def sandwich_box(
@@ -307,6 +296,7 @@ def l2_sandwich_gruss(
     Raises :class:`SandwichConditionError` when either bracketing fails;
     otherwise the resulting report is certified (up to quadrature error).
     """
+    sandwich_tol = _tolerance("sandwich_tol", sandwich_tol)
     report_f = sandwich_check(ctx, f, fam, indices, m, M, sandwich_tol)
     if not report_f.holds:
         raise SandwichConditionError("f", report_f)

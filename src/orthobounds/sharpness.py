@@ -19,15 +19,18 @@ Two routes:
   roundoff.  The search is gradient-free because the feasible set is
   nonconvex in the box parameters.
 
-Both modes run through one driver.  A search state is one flat array: the
-mode's vectors (x, or x and y), then (midpoints, half-widths) of each
-vector's box.  Each mode has one stacked evaluator, which maps a stack of
-states to (infeasible, ratio, slack, degenerate) arrays through the same
-private kernel as the bound chains in :mod:`orthobounds.bounds` (condition
-slack, residual, deviation), so the search has no formulas of its own;
-``tests/reference.py`` stays the independent second route.  That one
-evaluator serves the coordinate poll, which evaluates a sweep's moves in
-stacked chunks, and the start state and the pattern moves as stacks of one.
+Both modes run through one driver, and each public search function declares
+its mode once: the vector count (1 or 2, also the key of the restart
+streams), the stacked evaluator, the instance kind and the chain that
+reports on the best state.  A search state is one flat array: the mode's
+vectors (x, or x and y), then (midpoints, half-widths) of each vector's box.
+The evaluator maps a stack of states to (infeasible, ratio, slack,
+degenerate) arrays through the same private kernel as the bound chains in
+:mod:`orthobounds.bounds` (condition slack, residual, deviation), so the
+search has no formulas of its own; ``tests/reference.py`` stays the
+independent second route.  That one evaluator serves the coordinate poll,
+which evaluates a sweep's moves in stacked chunks, and the start state and
+the pattern moves as stacks of one.
 """
 
 from __future__ import annotations
@@ -40,13 +43,9 @@ from . import serialize
 from .bounds import CoefficientBox, counterpart_bounds, gruss_bounds
 from .bounds import _deviation, _residual, _slack_inner
 from .generate import Instance, PairInstance, certified_box_arrays
-from .generate import check_seed, random_family, random_vector, rng_from_seed
-from .space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, Vector, as_vector
+from .generate import check_seed, gaussian_scalars, random_family, rng_from_seed
+from .space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
 from .space import _coefficients, _dot, _modulus, _norm_sq
-
-#: Vectors per search state in each mode; the count is also the mode's key
-#: in the restart RNG streams (seed, count, restart).
-_VECTORS = {"residual": 1, "gruss": 2}
 
 #: Hill-climbing steps start at _STEP_SCALE times the initial state's largest
 #: entry (at least 1) and decay geometrically down to _FINAL_STEP_FRACTION of
@@ -55,35 +54,20 @@ _STEP_SCALE = 0.5
 _FINAL_STEP_FRACTION = 1e-7
 
 
-@dataclass(frozen=True)
-class ExtremalInstance:
+def extremal_instance(m: float) -> Instance:
     """Equality instance of the residual chain, parameterized by m > 0.
 
     In the plane with the single unit member e = (1, 1)/sqrt(2), the vector
     x = (m, -m)/sqrt(2) is orthogonal to e, so the residual equals ||x||^2 =
     m^2 while the box [-m, m] gives coarse = m^2 and zero condition slack.
     """
-
-    m: float
-    ctx: SpaceContext
-    x: Vector
-    family: OrthonormalFamily
-    indices: tuple[int, ...]
-    box: CoefficientBox
-
-    def report(self):
-        return counterpart_bounds(self.ctx, self.x, self.family, self.indices, self.box)
-
-
-def extremal_instance(m: float) -> ExtremalInstance:
     if not m > 0:
         raise ValueError("the extremal construction needs m > 0")
     ctx = SpaceContext(REAL, 2)
     s = 1.0 / np.sqrt(2.0)
     fam = OrthonormalFamily.from_members(ctx, [(s, s)])
     x = as_vector(ctx, (m * s, -m * s))
-    box = CoefficientBox((0,), (complex(-m),), (complex(m),))
-    return ExtremalInstance(m=float(m), ctx=ctx, x=x, family=fam, indices=(0,), box=box)
+    return Instance(ctx, x, fam, (0,), CoefficientBox((0,), (complex(-m),), (complex(m),)))
 
 
 @dataclass(frozen=True)
@@ -260,35 +244,38 @@ def _objective(infeasible, value, diameter, scale, slack):
     return infeasible, ratio, slack, degenerate
 
 
-def _make_evaluator(ctx: SpaceContext, rows: np.ndarray, mode: str):
-    """Stacked state evaluator of one mode over the family rows: a stack of
-    states (n, size) to (infeasible, ratio, slack, degenerate) arrays of n.
-    A state is infeasible once a condition slack is negative; a NaN slack is
-    not.  The hill climb evaluates its start state, its poll chunks and its
-    pattern moves all through this one function, and each row's values are
-    the bits it gets as a stack of one.  The mode is settled here, not on
-    every call, so each closure is branch-free."""
+def _diameter(d):
+    return 4.0 * _dot(d, d).real
+
+
+def _residual_evaluator(ctx: SpaceContext, rows: np.ndarray):
+    """Stacked state evaluator of the residual mode over the family rows: a
+    stack of states (n, size) to (infeasible, ratio, slack, degenerate) arrays
+    of n.  A state is infeasible once a condition slack is negative; a NaN
+    slack is not.  The hill climb evaluates its start state, its poll chunks
+    and its pattern moves all through this one function, and each row's
+    values are the bits it gets as a stack of one."""
     dim, fsize = ctx.dimension, rows.shape[0]
 
-    def diameter(d):
-        return 4.0 * _dot(d, d).real
+    def evaluate(stack: np.ndarray):
+        (x,), (mid,), (d,) = _split(stack, dim, fsize, 1)
+        slack = _slack_inner(ctx, x, rows, mid - d, mid + d)
+        norm_sq, diam = _norm_sq(ctx, x), _diameter(d)
+        residual = _residual(norm_sq, _coefficients(ctx, x, rows))
+        return _objective(slack < 0.0, residual, diam, norm_sq + diam, slack)
 
-    if mode == "residual":
+    return evaluate
 
-        def evaluate(stack: np.ndarray):
-            (x,), (mid,), (d,) = _split(stack, dim, fsize, 1)
-            slack = _slack_inner(ctx, x, rows, mid - d, mid + d)
-            norm_sq, diam = _norm_sq(ctx, x), diameter(d)
-            residual = _residual(norm_sq, _coefficients(ctx, x, rows))
-            return _objective(slack < 0.0, residual, diam, norm_sq + diam, slack)
 
-        return evaluate
+def _gruss_evaluator(ctx: SpaceContext, rows: np.ndarray):
+    """``_residual_evaluator`` of the gruss mode: states carry x and y."""
+    dim, fsize = ctx.dimension, rows.shape[0]
 
     def evaluate(stack: np.ndarray):
         (x, y), (mid_x, mid_y), (d_x, d_y) = _split(stack, dim, fsize, 2)
         slack_x = _slack_inner(ctx, x, rows, mid_x - d_x, mid_x + d_x)
         slack_y = _slack_inner(ctx, y, rows, mid_y - d_y, mid_y + d_y)
-        diam_x, diam_y = diameter(d_x), diameter(d_y)
+        diam_x, diam_y = _diameter(d_x), _diameter(d_y)
         scale = np.sqrt((_norm_sq(ctx, x) + diam_x) * (_norm_sq(ctx, y) + diam_y))
         deviation = _modulus(_deviation(ctx, x, y, rows))
         # the slack SUM is the tie-break: with min() a recentering move on the
@@ -301,25 +288,26 @@ def _make_evaluator(ctx: SpaceContext, rows: np.ndarray, mode: str):
     return evaluate
 
 
-def _maximize(cfg: SearchConfig, mode: str) -> SharpnessResult:
-    """Multi-start search of one mode; restart r draws the family, the
-    vectors and then their boxes from the stream (seed, vector count, r)."""
+def _maximize(cfg: SearchConfig, mode: str, count: int, evaluator, kind, chain) -> SharpnessResult:
+    """Multi-start search of one mode: ``count`` vectors per state, each with
+    its own box, scored by ``evaluator(ctx, rows)``; the best state comes back
+    as a ``kind`` instance with its ``chain`` report.  Restart r draws the
+    family, the vectors and then their boxes from the stream (seed, count, r).
+    """
     ctx = SpaceContext(cfg.field, cfg.dimension)
     indices = tuple(range(cfg.family_size))
-    count = _VECTORS[mode]
     best = None
     evaluations = 0
     for restart in range(cfg.restarts):
         rng = rng_from_seed(cfg.seed, count, restart)
         fam = random_family(rng, ctx, cfg.family_size)
-        vectors = [random_vector(rng, ctx) for _ in range(count)]
+        vectors = [gaussian_scalars(rng, ctx.dimension, ctx.is_complex) for _ in range(count)]
         boxes = [certified_box_arrays(rng, ctx, v, fam, indices) for v in vectors]
         flat = np.concatenate([*vectors, *(part for box in boxes for part in box)])
-        evaluate = _make_evaluator(ctx, fam.members, mode)
         slots = _slots(flat.size, ctx.is_complex)
         scale = _STEP_SCALE * max(1.0, float(np.max(np.abs(flat))))
         state, (ratio, _slack, degenerate), used = _hill_climb(
-            flat, evaluate, slots, cfg.steps_per_restart, scale
+            flat, evaluator(ctx, fam.members), slots, cfg.steps_per_restart, scale
         )
         evaluations += used
         if best is None or ratio > best[0]:
@@ -328,14 +316,9 @@ def _maximize(cfg: SearchConfig, mode: str) -> SharpnessResult:
     vectors, mids, half_widths = _split(state, ctx.dimension, cfg.family_size, count)
     vectors = [as_vector(ctx, v) for v in vectors]
     boxes = [CoefficientBox.centered(indices, m, d) for m, d in zip(mids, half_widths)]
-    if mode == "residual":
-        instance = Instance(ctx, *vectors, fam, indices, *boxes)
-        report = counterpart_bounds(*instance)
-    else:
-        instance = PairInstance(ctx, *vectors, fam, indices, *boxes)
-        report = gruss_bounds(*instance)
+    instance = kind(ctx, *vectors, fam, indices, *boxes)
     payload = serialize.instance_to_dict(instance)
-    payload.update(report=report.to_dict(), ratio=ratio, mode=mode)
+    payload.update(report=chain(*instance).to_dict(), ratio=ratio, mode=mode)
     return SharpnessResult(float(ratio), payload, evaluations, degenerate)
 
 
@@ -345,10 +328,10 @@ def maximize_residual_ratio(cfg: SearchConfig = SearchConfig()) -> SharpnessResu
     The certified supremum is 1/4; with the default configuration the search
     gets within 1e-4 of it.
     """
-    return _maximize(cfg, "residual")
+    return _maximize(cfg, "residual", 1, _residual_evaluator, Instance, counterpart_bounds)
 
 
 def maximize_gruss_ratio(cfg: SearchConfig = SearchConfig()) -> SharpnessResult:
     """Search for the largest certified deviation-to-box-diameter ratio; the
     certified supremum is again 1/4."""
-    return _maximize(cfg, "gruss")
+    return _maximize(cfg, "gruss", 2, _gruss_evaluator, PairInstance, gruss_bounds)

@@ -13,6 +13,8 @@ weights for the weighted backend (see :mod:`orthobounds.quadrature`).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -276,6 +278,31 @@ def allowance(scale: float, terms: int, size: int = 0, gram_defect: float = 0.0)
     # sqrt(1 + delta) and a box of zero width, residual = -delta ||x||^2.
     rounding = terms * _UNIT_ROUNDOFF
     return (_ROUNDING_MULTIPLE * rounding / (1.0 - rounding) + size * gram_defect) * scale
+
+
+def _finite_real(name: str, value) -> float:
+    """``value`` as a float when it is a finite real number (a
+    ``numbers.Real`` that is not a bool).  A string, a bool, a complex number,
+    a NaN or an infinity raises ValueError naming ``name``; nothing is
+    coerced."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:  # an int or a Fraction beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return number
+
+
+def _tolerance(name: str, value) -> float:
+    """The one rule of every public tolerance parameter: a finite real number
+    >= 0 (see ``_finite_real``), else ValueError naming the parameter.  A NaN
+    tolerance would fail every check and an infinite one pass every check."""
+    number = _finite_real(name, value)
+    if number < 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return number
 
 
 def require_certified(fam: OrthonormalFamily) -> None:

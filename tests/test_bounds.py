@@ -131,6 +131,17 @@ class TestCoefficientBox:
         with pytest.raises(ValueError, match="one entry per index"):
             CoefficientBox((0, 1), (0.0,), (1.0, 1.0))
 
+    @pytest.mark.parametrize(
+        "midpoints, half_widths",
+        [([0.5, 0.5], [0.1]), (0.5, [0.1, 0.1]), ([0.5], [0.1, 0.1]), ([[0.5, 0.5]], [0.1, 0.1])],
+        ids=["one-half-width", "scalar-midpoint", "one-midpoint", "nested"],
+    )
+    def test_centered_does_not_broadcast(self, midpoints, half_widths):
+        # midpoint -/+ half-width used to broadcast before the constructor
+        # counted entries, so one half-width served every index
+        with pytest.raises(ValueError, match="one entry per index"):
+            CoefficientBox.centered((0, 1), midpoints, half_widths)
+
 
 class TestConditionSlackInner:
     """``check_condition(...).slack_inner``, the inner-product form."""

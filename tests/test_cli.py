@@ -150,6 +150,13 @@ class TestGrussCommand:
     def test_single_vector_file_rejected(self, instance_file):
         assert main(["gruss", str(instance_file)]) == 2
 
+    def test_single_vector_file_is_input_error(self, instance_file, capsys):
+        # reported by main, with the prefix of every other input error
+        assert main(["gruss", str(instance_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: instance file must carry y")
+
     def test_large_box_small_vectors_equality_instance(self, tmp_path):
         # x = y orthogonal to e with a box of half-width 1e3: deviation = t^2
         # equals refined = 1e6 - (1e6 - t^2), which cancels at the box's

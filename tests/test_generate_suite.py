@@ -109,11 +109,11 @@ class TestGenerateCertifiedInstance:
     def test_boundary_slack_factor_gives_zero_norm_slack(self):
         rng = rng_from_seed(7, 0)
         from orthobounds.space import SpaceContext
-        from orthobounds.generate import random_family, random_vector
+        from orthobounds.generate import gaussian_scalars, random_family
 
         ctx = SpaceContext(REAL, 5)
         fam = random_family(rng, ctx, 2)
-        x = random_vector(rng, ctx)
+        x = gaussian_scalars(rng, 5, False)
         mid, d = certified_box_arrays(rng, ctx, x, fam, (0, 1))
         d = rescaled_offsets(ctx, x, fam, (0, 1), mid, d, 1.0)
         box = CoefficientBox.centered((0, 1), mid, d)
@@ -398,8 +398,7 @@ class TestSuite:
 class TestTightnessTable:
     def test_rows_for_worked_examples(self, tmp_path):
         ctx3 = None
-        extremal = extremal_instance(1.0)
-        inst = Instance(extremal.ctx, extremal.x, extremal.family, extremal.indices, extremal.box)
+        inst = extremal_instance(1.0)
         from orthobounds.space import OrthonormalFamily, SpaceContext, as_vector
 
         ctx = SpaceContext(REAL, 3)

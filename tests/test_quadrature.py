@@ -29,6 +29,7 @@ from orthobounds.space import (
     REAL,
     DegeneracyError,
     OrthonormalFamily,
+    SpaceContext,
     as_vector,
     inner_product,
 )
@@ -230,6 +231,34 @@ class TestSandwichCheck:
         box = sandwich_box((0, 1), {0: constant, 1: ROOT_2PI}, {0: 3.0, 1: 3.0 * ROOT_2PI})
         assert box.lower_array.tobytes() == np.array([2.0, ROOT_2PI], dtype=complex).tobytes()
         assert box.upper_array.tobytes() == np.array([3.0, 3.0 * ROOT_2PI], dtype=complex).tobytes()
+
+    @pytest.mark.parametrize(
+        "tol", [math.nan, math.inf, -1e-12, True], ids=["nan", "inf", "negative", "bool"]
+    )
+    @pytest.mark.parametrize("call", ["check_condition", "sandwich_check", "l2_sandwich_gruss"])
+    def test_one_rule_for_tolerances(self, call, tol, trig_ctx, trig_family):
+        # a tolerance is a finite real number >= 0 that is not a bool: a NaN
+        # one failed every check, a negative one failed zero margins and an
+        # infinite one passed any input
+        f = sample(trig_ctx, lambda s: 2.0 + np.sin(s))
+        m, M = {0: ROOT_2PI}, {0: 3.0 * ROOT_2PI}
+        name = "sandwich_tol" if call == "l2_sandwich_gruss" else "tol"
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            if call == "check_condition":
+                ctx = SpaceContext(REAL, 3)
+                fam = OrthonormalFamily.from_members(ctx, np.eye(3))
+                box = CoefficientBox((0, 1), (0, 0), (1, 1))
+                check_condition(ctx, as_vector(ctx, (0.5, 0.3, 0.2)), fam, (0, 1), box, tol=tol)
+            elif call == "sandwich_check":
+                sandwich_check(trig_ctx, f, trig_family, (0,), m, M, tol)
+            else:
+                l2_sandwich_gruss(trig_ctx, f, f, trig_family, (0,), m, M, m, M, tol)
+
+    @pytest.mark.parametrize("tol", [1, np.float64(1e-12), Fraction(1, 10**12)], ids=repr)
+    def test_real_tolerances_read_as_floats(self, tol, trig_ctx, trig_family):
+        f = sample(trig_ctx, lambda s: 2.0 + np.sin(s))
+        m, M = {0: ROOT_2PI}, {0: 3.0 * ROOT_2PI}
+        assert sandwich_check(trig_ctx, f, trig_family, (0,), m, M, tol).holds
 
     def test_complex_context_rejected(self):
         ctx = WeightedL2Context(counting_measure(3), np.ones(3), COMPLEX)

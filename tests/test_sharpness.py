@@ -12,15 +12,16 @@ from orthobounds.bounds import (
 from orthobounds.generate import (
     Instance,
     certified_box_arrays,
+    gaussian_scalars,
     random_family,
-    random_vector,
     rng_from_seed,
 )
 from orthobounds.serialize import instance_from_dict
 from orthobounds.sharpness import (
     SearchConfig,
+    _gruss_evaluator,
     _hill_climb,
-    _make_evaluator,
+    _residual_evaluator,
     _slots,
     extremal_instance,
     maximize_gruss_ratio,
@@ -92,7 +93,7 @@ class TestSharpInEveryCell:
 class TestExtremalInstance:
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 10.0])
     def test_triple_equality(self, m):
-        report = extremal_instance(m).report()
+        report = counterpart_bounds(*extremal_instance(m))
         assert report.certified
         assert report.residual == pytest.approx(m * m, rel=1e-12)
         assert report.refined == pytest.approx(m * m, rel=1e-12)
@@ -100,13 +101,18 @@ class TestExtremalInstance:
 
     @pytest.mark.parametrize("m", [0.5, 1.0, 2.0, 10.0])
     def test_condition_slack_vanishes(self, m):
-        report = extremal_instance(m).report()
+        report = counterpart_bounds(*extremal_instance(m))
         assert abs(report.condition.slack_inner) <= 1e-14 * m * m
 
     def test_ratio_is_exactly_one_quarter_of_diameter_sum(self):
         inst = extremal_instance(2.0)
-        report = inst.report()
+        report = counterpart_bounds(*inst)
         assert report.residual / (4 * inst.box.half_diameter_sq) == pytest.approx(0.25, rel=1e-12)
+
+    def test_is_a_plain_instance(self):
+        inst = extremal_instance(1.0)
+        assert type(inst) is Instance
+        assert inst.indices == (0,) and inst.ctx.dimension == 2
 
     @pytest.mark.parametrize("m", [0.0, -1.0])
     def test_rejects_nonpositive_m(self, m):
@@ -270,7 +276,7 @@ def _start_state(cell, mode):
     count = {"residual": 1, "gruss": 2}[mode]
     rng = rng_from_seed(1905, count, 0)
     fam = random_family(rng, ctx, fsize)
-    vectors = [random_vector(rng, ctx) for _ in range(count)]
+    vectors = [gaussian_scalars(rng, dim, ctx.is_complex) for _ in range(count)]
     indices = tuple(range(fsize))
     boxes = [certified_box_arrays(rng, ctx, v, fam, indices) for v in vectors]
     return ctx, fam.members, np.concatenate([*vectors, *(p for box in boxes for p in box)])
@@ -298,7 +304,8 @@ class TestEvaluatorEdgeCases:
         if mode == "gruss":
             flat[-3 * cell[1]:-2 * cell[1]] = 0.0
         stack = np.array([*moves, far, flat])
-        evaluate = _make_evaluator(ctx, members, mode)
+        evaluator = _residual_evaluator if mode == "residual" else _gruss_evaluator
+        evaluate = evaluator(ctx, members)
         stacked = evaluate(stack)
         rows = [evaluate(stack[i : i + 1]) for i in range(len(stack))]
         for part, values in zip(stacked, zip(*rows)):
@@ -311,7 +318,7 @@ class TestEvaluatorEdgeCases:
     def test_degenerate_denominator_flagged(self):
         # x, y in the span with degenerate (zero-diameter) boxes: 0/0 -> 0
         members = np.eye(2, dtype=np.complex128)
-        evaluate = _make_evaluator(SpaceContext(REAL, 2), members, "gruss")
+        evaluate = _gruss_evaluator(SpaceContext(REAL, 2), members)
         x = np.array([1.0, 0.0], dtype=np.complex128)
         y = np.array([0.0, 1.0], dtype=np.complex128)
         mid_x, d_x = x[:2].copy(), np.zeros(2, dtype=np.complex128)
@@ -323,7 +330,7 @@ class TestEvaluatorEdgeCases:
 
     def test_infeasible_state_rejected(self):
         members = np.eye(1, 2, dtype=np.complex128)
-        evaluate = _make_evaluator(SpaceContext(REAL, 2), members, "residual")
+        evaluate = _residual_evaluator(SpaceContext(REAL, 2), members)
         x = np.array([10.0, 0.0], dtype=np.complex128)
         mid = np.array([0.0], dtype=np.complex128)
         d = np.array([1.0], dtype=np.complex128)
