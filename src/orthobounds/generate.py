@@ -70,7 +70,8 @@ def check_seed(seed: int) -> None:
 
 class _Families(NamedTuple):
     """Orthonormal families stacked along a leading axis: members (B, F, d)
-    and Gram defects (B,)."""
+    and Gram defects (B,), unvalidated: an OrthonormalFamily with a batch
+    axis cost verify-grid 1.3% (slower in 10 of 10 alternating runs)."""
 
     members: np.ndarray
     gram_defect: np.ndarray
@@ -218,10 +219,9 @@ def _row(stack: Instance | PairInstance, i: int) -> Instance | PairInstance:
     fam = OrthonormalFamily(stack.family.members[i], float(stack.family.gram_defect[i]))
     indices = stack.indices
     if isinstance(stack, PairInstance):
-        return PairInstance(
-            stack.ctx, stack.x[i], stack.y[i], fam, indices,
-            _box_row(stack.box_x, indices, i), _box_row(stack.box_y, indices, i),
-        )
+        box_x = _box_row(stack.box_x, indices, i)
+        box_y = box_x if stack.box_y is stack.box_x else _box_row(stack.box_y, indices, i)
+        return PairInstance(stack.ctx, stack.x[i], stack.y[i], fam, indices, box_x, box_y)
     return Instance(stack.ctx, stack.x[i], fam, indices, _box_row(stack.box, indices, i))
 
 
@@ -257,8 +257,8 @@ def generate_midpoint_pair(
 ) -> PairInstance:
     """Pair whose shared box certifies the midpoint (x+y)/2.
 
-    ``box_x`` is the shared midpoint box; ``box_y`` repeats it for interface
-    uniformity.
+    ``box_x`` is the shared midpoint box; ``box_y`` is the same object, for
+    interface uniformity.
     """
     return _row(_shared_box_pairs([rng], SpaceContext(field, dim), family_size, False), 0)
 

@@ -6,8 +6,9 @@ at all.  Nothing here takes a square root: where a chain takes one, the
 caller compares squared forms.  Like ``reference.py``, this module uses
 neither numpy nor the library's own code paths.
 
-Inner products are linear in the first argument: <x, y> = sum_k x_k conj(y_k),
-and the coefficients of x are c_i = <x, e_i>.
+Inner products are linear in the first argument: <x, y> = sum_k w_k x_k conj(y_k),
+and the coefficients of x are c_i = <x, e_i>.  The weights w are an optional
+list of ``Fraction``s (see ``weights``); without them every w_k is 1.
 """
 
 from fractions import Fraction
@@ -23,6 +24,11 @@ def exact(z):
 
 def vector(values):
     return [exact(z) for z in values]
+
+
+def weights(values):
+    """Float weights as exact Fractions; None (no weights) stays None."""
+    return None if values is None else [Fraction(float(w)) for w in values]
 
 
 def add(a, b):
@@ -42,15 +48,17 @@ def modulus_sq(z):
     return z[0] * z[0] + z[1] * z[1]
 
 
-def inner(x, y):
+def inner(x, y, w=None):
+    if w is not None:
+        x = [(wk * a[0], wk * a[1]) for wk, a in zip(w, x)]
     total = ZERO
     for a, b in zip(x, y):
         total = add(total, mul_conj(a, b))
     return total
 
 
-def coefficients(x, rows):
-    return [inner(x, e) for e in rows]
+def coefficients(x, rows, w=None):
+    return [inner(x, e, w) for e in rows]
 
 
 def combination(coeffs, rows):
@@ -63,16 +71,16 @@ def combination(coeffs, rows):
     return out
 
 
-def residual(x, rows):
+def residual(x, rows, w=None):
     """||x||^2 - sum_i |c_i|^2."""
-    return inner(x, x)[0] - sum(modulus_sq(c) for c in coefficients(x, rows))
+    return inner(x, x, w)[0] - sum(modulus_sq(c) for c in coefficients(x, rows, w))
 
 
-def slack_inner(x, rows, lower, upper):
+def slack_inner(x, rows, lower, upper, w=None):
     """Re <S(upper) - x, x - S(lower)>, S(a) = sum_i a_i e_i."""
     above = [sub(u, v) for u, v in zip(combination(upper, rows), x)]
     below = [sub(v, l) for v, l in zip(x, combination(lower, rows))]
-    return inner(above, below)[0]
+    return inner(above, below, w)[0]
 
 
 def half_diameter_sq(lower, upper):
@@ -80,9 +88,9 @@ def half_diameter_sq(lower, upper):
     return sum(modulus_sq(sub(u, l)) for u, l in zip(upper, lower)) / 4
 
 
-def deviation(x, y, rows):
+def deviation(x, y, rows, w=None):
     """<x, y> - sum_i c_i(x) conj(c_i(y))."""
     truncated = ZERO
-    for a, b in zip(coefficients(x, rows), coefficients(y, rows)):
+    for a, b in zip(coefficients(x, rows, w), coefficients(y, rows, w)):
         truncated = add(truncated, mul_conj(a, b))
-    return sub(inner(x, y), truncated)
+    return sub(inner(x, y, w), truncated)

@@ -127,9 +127,20 @@ class TestCoefficientBox:
         with pytest.raises(ValueError, match="overflows"):
             CoefficientBox((0,), (-1e200,), (1e200,))
 
-    def test_length_mismatch(self):
+    @pytest.mark.parametrize(
+        "indices, lower, upper",
+        [
+            ((0, 1), (0.0,), (1.0, 1.0)),
+            ((0,), 0.5, 1.0),
+            ((0, 1), [[0, 0], [0, 0]], [[1, 1], [1, 1]]),
+        ],
+        ids=["short", "scalar", "nested"],
+    )
+    def test_length_mismatch(self, indices, lower, upper):
+        # scalar and nested endpoints used to raise TypeError from len() and
+        # from the complex conversion
         with pytest.raises(ValueError, match="one entry per index"):
-            CoefficientBox((0, 1), (0.0,), (1.0, 1.0))
+            CoefficientBox(indices, lower, upper)
 
     @pytest.mark.parametrize(
         "midpoints, half_widths",
@@ -724,6 +735,28 @@ def test_margin_is_the_tightest_link_and_no_field(chain):
         assert type(report.margin) is float
         assert report.margin == min(MARGIN_LINKS[chain](report))
         assert set(report.to_dict()) == REPORT_KEYS[chain]
+
+
+def _plain_fields(result, name=""):
+    """(name, value) for every field of a chain result, nested
+    ConditionReports and the tuple of ``residual_identity_sides`` included."""
+    if isinstance(result, tuple):
+        return [q for i, value in enumerate(result) for q in _plain_fields(value, f"{name}[{i}]")]
+    if dataclasses.is_dataclass(result):
+        return [
+            q for key, value in vars(result).items() for q in _plain_fields(value, f"{name}.{key}")
+        ]
+    return [(name, result)]
+
+
+@pytest.mark.parametrize("field", [REAL, COMPLEX])
+def test_every_report_field_is_a_plain_python_scalar(field):
+    # numpy scalars would leak into JSON encoders and comparisons; the public
+    # chains convert every kernel value, in nested reports too
+    for pair in _oracle_pairs(field, None, count=3):
+        for chain, args in _chain_calls(pair).items():
+            for name, value in _plain_fields(getattr(bounds, chain)(*args)):
+                assert type(value) in (float, bool, complex), (chain, name, type(value))
 
 
 def _chain_calls(pair):

@@ -10,6 +10,7 @@ fraction of the allowance it saw (run with ``pytest -s`` to see them).  A
 fraction above 1 would contradict the allowance's derivation.
 """
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -51,6 +52,7 @@ def _fractions(ctx, x, y, fam, indices, box_x, box_y) -> dict[str, Fraction]:
     """|computed - exact| / allowance per value, worst of the x and y sides;
     the deviation's as |computed - exact|^2 / allowance^2."""
     rows = [exact.vector(fam.members[i]) for i in indices]
+    w = exact.weights(ctx.weights)
     terms = ctx.dimension + len(indices)
     worst = {}
     for v, box in ((x, box_x), (y, box_y)):
@@ -59,14 +61,14 @@ def _fractions(ctx, x, y, fam, indices, box_x, box_y) -> dict[str, Fraction]:
         v, lower, upper = (exact.vector(a) for a in (v, box.lower_array, box.upper_array))
         slack = report.condition.slack_inner
         for name, computed, value in (
-            ("residual", report.residual, exact.residual(v, rows)),
-            ("slack_inner", slack, exact.slack_inner(v, rows, lower, upper)),
+            ("residual", report.residual, exact.residual(v, rows, w)),
+            ("slack_inner", slack, exact.slack_inner(v, rows, lower, upper, w)),
             ("half_diameter_sq", box.half_diameter_sq, exact.half_diameter_sq(lower, upper)),
         ):
             fraction = abs(Fraction(computed) - value) / tol
             worst[name] = max(worst.get(name, fraction), fraction)
     computed = gruss_bounds(ctx, x, y, fam, indices, box_x, box_y).deviation
-    value = exact.deviation(exact.vector(x), exact.vector(y), rows)
+    value = exact.deviation(exact.vector(x), exact.vector(y), rows, w)
     tol = Fraction(allowance(pair_scale(ctx, x, y, box_x, box_y), terms))
     delta = exact.sub(exact.exact(computed), value)
     worst["deviation (squared)"] = exact.modulus_sq(delta) / tol**2
@@ -146,17 +148,23 @@ def test_vectors_in_the_span(cell):
 #: The smallest positive subnormal double.
 _TINY = 2.0**-1074
 
+#: The smallest positive normal double.
+_SMALLEST_NORMAL = 2.0**-1022
 
-def _adversarial_pair(cell, seed, defect, pull, scale, factor, subnormal):
+
+def _adversarial_pair(cell, seed, defect, pull, scale, factor, subnormal, weights=None):
     """A pair over a random family whose rows are pushed off orthonormal by up
     to ``defect`` times the certification tolerance.  Each vector lies within
     ``pull`` of span F (relative to its own size), times ``scale``; its box is
     centred near its coefficients, to within the residual, and its half-widths
     are ``factor`` >= 1 times the distance from x to the centre, so the box
     condition holds with small slack.  With ``subnormal`` the centres are
-    subnormal numbers and x is the centre's combination plus the residual."""
+    subnormal numbers and x is the centre's combination plus the residual.
+    With ``weights`` every inner product and norm is weighted; unit weights
+    give the unweighted pair bit for bit."""
     dim, size, field = cell
-    ctx = SpaceContext(field, dim)
+    ctx = SpaceContext(field, dim, weights)
+    w = np.ones(dim) if weights is None else ctx.weights
     rng = rng_from_seed(SEED, dim, size, seed)
     complex_field = field == COMPLEX
 
@@ -166,23 +174,25 @@ def _adversarial_pair(cell, seed, defect, pull, scale, factor, subnormal):
     rows = random_family(rng, ctx, size).members
     push = np.stack([gaussian(dim) for _ in range(size)])
     # ||row shift|| <= defect * tol / 2, so the Gram defect stays near defect * tol
-    rows = rows + defect * DEFAULT_ORTHO_TOL / (2.0 * np.sqrt(dim) * np.abs(push).max()) * push
+    # (in the weighted norm, at most sqrt(max w) times the unweighted one)
+    shift = defect * DEFAULT_ORTHO_TOL / (2.0 * np.sqrt(dim * w.max()) * np.abs(push).max())
+    rows = rows + shift * push
     fam = OrthonormalFamily.from_members(ctx, rows)
     assume(fam.certified)
     indices = tuple(range(size))
     vectors, boxes = [], []
     for _ in range(2):
         v = gaussian(dim)
-        inside = (rows.conj() @ v) @ rows
+        inside = (rows.conj() @ (w * v)) @ rows
         off = scale * pull * (v - inside)
         if subnormal:
             mid = _TINY * np.round(8.0 * gaussian(size))
             x = mid @ rows + off
         else:
-            mid = scale * (rows.conj() @ v) + 0.25 * scale * pull * gaussian(size)
+            mid = scale * (rows.conj() @ (w * v)) + 0.25 * scale * pull * gaussian(size)
             x = scale * inside + off
         direction = gaussian(size)
-        radius = factor * np.sqrt(np.sum(np.abs(x - mid @ rows) ** 2))
+        radius = factor * np.sqrt(np.sum(w * np.abs(x - mid @ rows) ** 2))
         half = radius / np.sqrt(np.sum(np.abs(direction) ** 2)) * direction
         vectors.append(x)
         boxes.append(CoefficientBox.centered(indices, mid, half))
@@ -194,7 +204,7 @@ def test_adversarial_pairs(cell):
     # hypothesis.target steers the search toward the largest fraction over
     # vectors almost in span F, scales from 1e-150 to 1e100, subnormal box
     # centres and families at the largest certified Gram defect.  Weighted
-    # contexts are left out: exact.py has no weights.
+    # contexts have their own adversary below.
     seen = []
 
     @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -215,3 +225,54 @@ def test_adversarial_pairs(cell):
 
     search()
     _conclude(f"{len(seen)} adversarial pairs in {cell}", seen)
+
+
+@pytest.mark.parametrize("cell", [(6, 3, REAL), (8, 4, COMPLEX)], ids=str)
+def test_adversarial_weighted_pairs(cell):
+    # test_adversarial_pairs' search over a weighted context whose weights,
+    # drawn too, vanish at one or more nodes but leave at least |F| positive
+    dim, size, _ = cell
+    seen = []
+
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        defect=st.floats(0.0, 1.0),
+        pull=st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
+        scale=st.floats(-150.0, 100.0).map(lambda e: 10.0**e),
+        factor=st.floats(1.0, 2.0),
+        subnormal=st.booleans(),
+        weights=st.lists(st.just(0.0) | st.floats(0.25, 4.0), min_size=dim, max_size=dim),
+    )
+    def search(**case):
+        assume(1 <= case["weights"].count(0.0) <= dim - size)
+        pair = _adversarial_pair(cell, **case)
+        ctx, x, y, _, _, box_x, box_y = pair
+        # the allowance is relative and has no underflow term, so its rounding
+        # term must be a normal number (test_allowance_in_the_subnormal_range)
+        scale = min(instance_scale(ctx, x, box_x), instance_scale(ctx, y, box_y))
+        assume(allowance(scale, dim + size) >= _SMALLEST_NORMAL)
+        fractions = _fractions(*pair)
+        seen.append(fractions)
+        worst = max(fractions.values())
+        target(float(worst), label="worst fraction of the allowance")
+        assert worst <= 1, fractions
+
+    search()
+    _conclude(f"{len(seen)} adversarial weighted pairs in {cell}", seen)
+
+
+@pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason=(
+    "the allowance is a relative bound with no underflow term: at an instance "
+    "scale of 6e-311 it rounds to 0, while the computed residual is off by one "
+    "subnormal unit"
+))
+def test_allowance_in_the_subnormal_range():
+    # the first failure the weighted adversary found before its scale floor:
+    # F spans the positive-weight nodes, so ||x||^2 is a rounding residue of
+    # scale^2 ~ 1e-280, and the subnormal box centres underflow
+    case = dict(seed=0, defect=0.0, pull=1.0, scale=1e-140, factor=1.0, subnormal=True)
+    with warnings.catch_warnings():  # hypothesis.assume outside a search
+        warnings.simplefilter("ignore")
+        pair = _adversarial_pair((6, 3, REAL), **case, weights=[0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    _conclude("the adversary's first subnormal-scale weighted pair", [_fractions(*pair)])

@@ -176,6 +176,12 @@ class TestPairGenerators:
             )
             assert report.certified
 
+    @pytest.mark.parametrize("generator", [generate_midpoint_pair, generate_twosided_pair])
+    def test_shared_box_is_one_object(self, generator):
+        # the one stacked box of a shared-box pair is built once per row
+        pair = generator(rng_from_seed(13, 0), 5, 2, REAL)
+        assert pair.box_x is pair.box_y
+
 
 def _per_instance_outcome(cfg, stream=rng_from_seed):
     """The outcome of ``cfg`` assembled one instance at a time, in the order
