@@ -142,10 +142,11 @@ def _cmd_verify(args) -> int:
     return 0 if outcome.ok else 1
 
 
-def _report_exit(payload: dict, report, tol: float, args) -> int:
-    """Write ``report`` for the instance file ``payload``; exit 0 unless the
-    chain is certified and its tightest link misses by more than ``tol``."""
-    payload = serialize.report_payload(report, payload)
+def _report_exit(inst: Instance | PairInstance, report, tol: float, args) -> int:
+    """Write ``report`` with the digest of ``inst``, the instance its file
+    describes; exit 0 unless the chain is certified and its tightest link
+    misses by more than ``tol``."""
+    payload = serialize.report_payload(report, inst)
     if args.format == "csv":
         rows = [(key, value if isinstance(value, float) else str(value)) for key, value in payload.items()]
         serialize.write_csv(args.out, ("field", "value"), rows)
@@ -157,23 +158,22 @@ def _report_exit(payload: dict, report, tol: float, args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    payload = serialize.load_json(args.instance)
-    inst = serialize.instance_from_dict(payload)
+    inst = serialize.instance_from_dict(serialize.load_json(args.instance))
+    one = inst
     if isinstance(inst, PairInstance):
-        inst = Instance(inst.ctx, inst.x, inst.family, inst.indices, inst.box_x)
-    report = counterpart_bounds(*inst)
-    tol = suite.chain_allowance(inst, instance_scale(inst.ctx, inst.x, inst.box))
-    return _report_exit(payload, report, tol, args)
+        one = Instance(inst.ctx, inst.x, inst.family, inst.indices, inst.box_x)
+    report = counterpart_bounds(*one)
+    tol = suite.chain_allowance(one, instance_scale(one.ctx, one.x, one.box))
+    return _report_exit(inst, report, tol, args)
 
 
 def _cmd_gruss(args) -> int:
-    payload = serialize.load_json(args.instance)
-    inst = serialize.instance_from_dict(payload)
+    inst = serialize.instance_from_dict(serialize.load_json(args.instance))
     if not isinstance(inst, PairInstance):
         raise ValueError("instance file must carry y (and box_y) for a deviation report")
     report = gruss_bounds(*inst)
     tol = suite.chain_allowance(inst, pair_scale(inst.ctx, inst.x, inst.y, inst.box_x, inst.box_y))
-    return _report_exit(payload, report, tol, args)
+    return _report_exit(inst, report, tol, args)
 
 
 def _cmd_l2demo(args) -> int:

@@ -38,6 +38,10 @@ _UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 #: Rounding-error multiple K of :func:`allowance`, counted in its derivation.
 _ROUNDING_MULTIPLE = 16
 
+#: The smallest positive subnormal double, 2^-1074: twice the largest
+#: absolute error of a product that underflows.
+_SMALLEST_SUBNORMAL = float(np.finfo(float).smallest_subnormal)
+
 Vector = np.ndarray
 
 
@@ -232,9 +236,10 @@ def _gram_defect(ctx: SpaceContext, rows: np.ndarray) -> np.ndarray:
 
 def allowance(scale: float, terms: int, size: int = 0, gram_defect: float = 0.0) -> float:
     """How far a computed chain value may cross its exact bound:
-    (K gamma_terms + size * gram_defect) * scale, with
+    (K gamma_terms + size * gram_defect) * scale + K terms eta, with
     gamma_n = n u / (1 - n u) (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 2nd ed., section 3.1), u the unit roundoff and K = 16.
+    Algorithms*, 2nd ed., section 3.1), u the unit roundoff, K = 16 and
+    eta = 2^-1075 the absolute error of a product that underflows.
 
     ``scale`` is the instance's magnitude (``bounds.instance_scale`` or
     ``pair_scale``, squared for squared comparisons), ``terms`` = d + |F| and
@@ -267,6 +272,25 @@ def allowance(scale: float, terms: int, size: int = 0, gram_defect: float = 0.0)
     # leaves far more room than either reading takes.  The two-vector chains
     # have the same terms per vector, with pair_scale the sum of both scales.
     #
+    # Underflow term.  The rounding term is relative and assumes no result
+    # underflows; below a scale of about 2^-1022 / (K gamma_terms) it is
+    # itself subnormal.  Under gradual underflow a product is
+    # fl(a b) = a b (1 + delta) + eta_k with |eta_k| <= eta = 2^-1075
+    # (lambda u, lambda = 2^-1022 the smallest normal), and a sum that
+    # underflows is exact (Higham, section 2.1).  So each product adds at
+    # most eta, which later sums carry at first order.  A later product
+    # multiplies a carried eta by a member entry (at most 1 in the norm-wise
+    # reading above) or by a vector entry (at most sqrt(scale)): for
+    # scale >= 1 the latter is below lambda u scale, inside the spare
+    # gamma_terms scale between 15 and K, and for smaller scales at most eta.
+    # Counting two real products per complex one, in units of terms eta:
+    # ||x||^2 2, sum |c_i|^2 2 (the errors of c_i reach it only through c_i
+    # itself), coarse 2 and slack_inner 2 (those of S(Phi) and S(phi) reach
+    # <u, v> only through entries of v and u).  The sum, 8, is at most K, so
+    # K terms eta bounds the underflow error.  It is an exact multiple of
+    # 2^-1074, below half an ulp of the rounding term at any scale above
+    # about 1e-291, where it changes no value.
+    #
     # Gram-defect term.  For rows R with Gram matrix G = R R^H = I + E and
     # defect delta = max |E_ij|, ||E||_2 <= |F| delta.  The exact chain links
     # then move by at most |F| delta scale: residual = ||x||^2 - x^H R^H R x
@@ -277,7 +301,8 @@ def allowance(scale: float, terms: int, size: int = 0, gram_defect: float = 0.0)
     # -|F| delta ||Delta||^2.  The term is sharp: at d = |F| = 1, with member
     # sqrt(1 + delta) and a box of zero width, residual = -delta ||x||^2.
     rounding = terms * _UNIT_ROUNDOFF
-    return (_ROUNDING_MULTIPLE * rounding / (1.0 - rounding) + size * gram_defect) * scale
+    underflow = _ROUNDING_MULTIPLE * terms * _SMALLEST_SUBNORMAL / 2
+    return (_ROUNDING_MULTIPLE * rounding / (1.0 - rounding) + size * gram_defect) * scale + underflow
 
 
 def _finite_real(name: str, value) -> float:

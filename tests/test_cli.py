@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -171,6 +172,38 @@ class TestGrussCommand:
             pair = PairInstance(ctx, x, x, fam, (0,), box, box)
             serialize.dump_json(serialize.instance_to_dict(pair), path)
             assert main(["gruss", str(path), "--out", str(tmp_path / "report.json")]) == 0, t
+
+
+class TestReportDigest:
+    """A report's digest names the instance its file describes."""
+
+    def _report(self, command, path, out, *extra):
+        assert main([command, str(path), "--out", str(out), *extra]) == 0
+        if out.suffix == ".csv":
+            with open(out, newline="", encoding="utf-8") as handle:
+                return dict(list(csv.reader(handle))[1:])
+        return json.loads(out.read_text())
+
+    def test_bounds_and_gruss_agree_on_a_pair_file(self, pair_file, tmp_path):
+        # bounds reads only x and box, yet names the whole pair
+        bounds = self._report("bounds", pair_file, tmp_path / "bounds.json")
+        gruss = self._report("gruss", pair_file, tmp_path / "gruss.json")
+        assert bounds["digest"] == gruss["digest"]
+
+    @pytest.mark.parametrize("command", ["bounds", "gruss"])
+    def test_stdlib_written_file(self, command, tmp_path):
+        pair = generate_certified_pair(rng_from_seed(2, 2), 8, 4, COMPLEX)
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(serialize.instance_to_dict(pair)), encoding="utf-8")
+        report = self._report(command, path, tmp_path / "report.json")
+        with open(path, encoding="utf-8") as handle:
+            assert report["digest"] == serialize.digest(json.load(handle))
+
+    @pytest.mark.parametrize("command", ["bounds", "gruss"])
+    def test_csv_digest_row_equals_the_json_one(self, command, pair_file, tmp_path):
+        as_json = self._report(command, pair_file, tmp_path / "report.json")
+        as_csv = self._report(command, pair_file, tmp_path / "report.csv", "--format", "csv")
+        assert as_csv["digest"] == as_json["digest"]
 
 
 class TestL2DemoCommand:

@@ -248,8 +248,9 @@ def test_adversarial_weighted_pairs(cell):
         assume(1 <= case["weights"].count(0.0) <= dim - size)
         pair = _adversarial_pair(cell, **case)
         ctx, x, y, _, _, box_x, box_y = pair
-        # the allowance is relative and has no underflow term, so its rounding
-        # term must be a normal number (test_allowance_in_the_subnormal_range)
+        # the search stays where the allowance's relative rounding term is a
+        # normal number; test_allowance_in_the_subnormal_range covers the
+        # subnormal range, where the underflow term takes over
         scale = min(instance_scale(ctx, x, box_x), instance_scale(ctx, y, box_y))
         assume(allowance(scale, dim + size) >= _SMALLEST_NORMAL)
         fractions = _fractions(*pair)
@@ -262,15 +263,13 @@ def test_adversarial_weighted_pairs(cell):
     _conclude(f"{len(seen)} adversarial weighted pairs in {cell}", seen)
 
 
-@pytest.mark.xfail(strict=True, raises=ZeroDivisionError, reason=(
-    "the allowance is a relative bound with no underflow term: at an instance "
-    "scale of 6e-311 it rounds to 0, while the computed residual is off by one "
-    "subnormal unit"
-))
 def test_allowance_in_the_subnormal_range():
     # the first failure the weighted adversary found before its scale floor:
     # F spans the positive-weight nodes, so ||x||^2 is a rounding residue of
-    # scale^2 ~ 1e-280, and the subnormal box centres underflow
+    # scale^2 ~ 1e-280, and the subnormal box centres underflow.  At this
+    # instance scale of 6e-311 the relative rounding term is 0 and the
+    # computed residual is off by one subnormal unit, which only the
+    # allowance's underflow term covers
     case = dict(seed=0, defect=0.0, pull=1.0, scale=1e-140, factor=1.0, subnormal=True)
     with warnings.catch_warnings():  # hypothesis.assume outside a search
         warnings.simplefilter("ignore")

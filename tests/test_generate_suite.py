@@ -480,8 +480,7 @@ class TestSerialization:
 
     def test_report_payload_has_fixed_field_names(self):
         inst = generate_certified_instance(rng_from_seed(5, 3), 3, 2, REAL)
-        payload = serialize.instance_to_dict(inst)
-        body = serialize.report_payload(counterpart_bounds(*inst), payload)
+        body = serialize.report_payload(counterpart_bounds(*inst), inst)
         assert {"residual", "refined", "coarse", "slack_inner", "slack_norm", "certified", "digest"} <= set(body)
 
     def test_l2_instance_roundtrip(self):

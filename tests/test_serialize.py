@@ -1,7 +1,10 @@
-"""The array-at-a-time codec: bit-exact round trips and pinned file bytes."""
+"""The array-at-a-time codec: bit-exact round trips, pinned file bytes, the
+JSON writer against the stdlib and the instance digest."""
 
+import copy
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -141,3 +144,156 @@ class TestWeightedL2Payload:
         del payload["rho"]
         with pytest.raises(ValueError, match="missing key"):
             serialize.l2_instance_from_dict(payload)
+
+
+#: JSON scalars, among them the spellings a writer could get wrong: signed
+#: zeros, NaN and the infinities, integers past 2^63, and strings holding
+#: separators, brackets, quotes and non-ASCII characters.
+json_text = st.text(st.sampled_from(list(', []{}"\\:\u00e9\u2028\U0001f600a1')), max_size=6)
+json_numbers = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 2**63, -(2**63) - 1, 2**70]),
+    st.floats(),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+)
+json_scalars = st.one_of(json_numbers, st.none(), json_text)
+
+
+@st.composite
+def rectangular_lists(draw):
+    """Nested lists of numbers of one shape, empty axes included."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    leaves = iter(draw(st.lists(json_numbers, min_size=math.prod(shape), max_size=math.prod(shape))))
+
+    def build(axis):
+        if axis == len(shape):
+            return next(leaves)
+        return [build(axis + 1) for _ in range(shape[axis])]
+
+    return build(0)
+
+
+#: encode_vector stacks of depth 1 to 3: vectors and rows, bare or as pairs.
+encoded_stacks = st.builds(
+    serialize.encode_vector, complex_arrays(is_complex=True), st.sampled_from([REAL, COMPLEX])
+)
+
+json_values = st.recursive(
+    json_scalars | rectangular_lists() | encoded_stacks,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(json_text, children, max_size=4),
+    max_leaves=12,
+)
+
+
+class TestJsonWriter:
+    @settings(deadline=None, max_examples=300)
+    @given(value=json_values)
+    def test_writes_the_stdlib_bytes(self, value):
+        assert serialize.dump_json(value, None) == json.dumps(value, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("value", [{1: 2}, {"a": [{"b": 0, 2: 1}]}], ids=["top", "nested"])
+    def test_non_string_key_raises(self, value):
+        with pytest.raises(TypeError):
+            serialize.dump_json(value, None)
+
+
+#: The report digest of the (16, 8, complex) pair GOLDEN_INSTANCE_SHA256 pins.
+GOLDEN_PAIR_DIGEST = "29782bbbf13a941219ec880a8d317f601d92ba3ef0e556bbd5672610890d8851"
+
+#: A real pair with integral and shared values, so it can be spelled in
+#: several ways: box_y equals box and tolerance is the default.
+SPELLED_PAIR = {
+    "field": "real",
+    "dimension": 3,
+    "vectors": [[1, 0, 0], [0, 1, 0]],
+    "tolerance": 1e-10,
+    "indices": [0, 1],
+    "x": [0.5, 0.25, 2],
+    "box": {"lower": [0, 0], "upper": [1, 1]},
+    "y": [0.25, 0.75, 1],
+    "box_y": {"lower": [0, 0], "upper": [1, 1]},
+}
+
+
+def _floats(payload):
+    """Every integer of ``payload``'s arrays written as a float."""
+    if isinstance(payload, dict):
+        return {k: v if k in ("dimension", "indices") else _floats(v) for k, v in payload.items()}
+    if isinstance(payload, list):
+        return [_floats(v) for v in payload]
+    return float(payload) if isinstance(payload, int) else payload
+
+
+def _pairs(payload):
+    """Every real array of ``payload`` written as [re, 0.0] pairs."""
+    out = copy.deepcopy(payload)
+    for key in ("vectors", "x", "y"):
+        out[key] = np.stack([np.array(out[key], float), np.zeros(np.shape(out[key]))], -1).tolist()
+    for box in (out["box"], out["box_y"]):
+        for key in ("lower", "upper"):
+            box[key] = [[v, 0.0] for v in box[key]]
+    return out
+
+
+def _without(key):
+    def respell(payload):
+        return {k: v for k, v in payload.items() if k != key}
+    return respell
+
+
+def _with_extra_key(payload):
+    return {**payload, "comment": "an unread key"}
+
+
+class TestInstanceDigest:
+    @pytest.fixture(scope="class")
+    def golden(self):
+        pair = generate_certified_pair(rng_from_seed(7, 1), 16, 8, COMPLEX)
+        return serialize.instance_to_dict(pair)
+
+    def test_golden_pair_digest(self, golden):
+        assert serialize.digest(golden) == GOLDEN_PAIR_DIGEST
+
+    @pytest.mark.parametrize("respell", [
+        _floats, _pairs, _without("tolerance"), _with_extra_key, _without("box_y"),
+    ], ids=["1-vs-1.0", "bare-vs-pairs", "default-tolerance", "extra-key", "box_y-omitted"])
+    def test_one_instance_one_digest(self, respell):
+        assert serialize.digest(respell(SPELLED_PAIR)) == serialize.digest(SPELLED_PAIR)
+
+    def test_compact_and_indented_files_agree(self, golden, tmp_path):
+        digests = []
+        for name, text in [
+            ("compact", json.dumps(golden, separators=(",", ":"))),
+            ("indented", serialize.dump_json(golden, None)),
+        ]:
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}.report.json"
+            path.write_text(text, encoding="utf-8")
+            assert main(["gruss", str(path), "--out", str(out)]) == 0
+            digests.append(json.loads(out.read_text())["digest"])
+        assert digests == [GOLDEN_PAIR_DIGEST] * 2
+
+    @pytest.mark.parametrize("where", [
+        ("vectors", 3, 5, 1), ("x", 15, 0), ("box", "lower", 7, 1), ("box", "upper", 0, 0),
+        ("y", 2, 1), ("box_y", "lower", 4, 0), ("box_y", "upper", 1, 1),
+    ], ids=str)
+    def test_one_flipped_bit_changes_it(self, golden, where):
+        changed = copy.deepcopy(golden)
+        *path, last = where
+        parent = changed
+        for key in path:
+            parent = parent[key]
+        bits = np.float64(parent[last]).view(np.uint64) ^ np.uint64(1)
+        parent[last] = float(bits.view(np.float64))
+        assert serialize.digest(changed) != GOLDEN_PAIR_DIGEST
+
+    def test_an_index_changes_it(self, golden):
+        changed = copy.deepcopy(golden)
+        changed["indices"][:2] = changed["indices"][1::-1]
+        assert serialize.digest(changed) != GOLDEN_PAIR_DIGEST
+
+    def test_the_tolerance_changes_it(self, golden):
+        assert serialize.digest({**golden, "tolerance": 2e-10}) != GOLDEN_PAIR_DIGEST
+
+    def test_the_field_changes_it(self):
+        changed = {**SPELLED_PAIR, "field": "complex"}
+        assert serialize.digest(changed) != serialize.digest(SPELLED_PAIR)
