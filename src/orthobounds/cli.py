@@ -41,7 +41,7 @@ from .quadrature import (
     sandwich_box,
 )
 from .sharpness import NOISE_FLOOR_REL, SearchConfig, maximize_gruss_ratio, maximize_residual_ratio
-from .space import REAL, allowance
+from .space import COMPLEX, REAL, allowance
 from .suite import SuiteConfig, run_suite
 
 
@@ -69,10 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the randomized invariant suite")
-    p.add_argument("--instances", type=int, default=50, help="instances per grid cell")
-    p.add_argument("--dims", type=_int_list, default=(2, 4, 8, 16))
-    p.add_argument("--family-sizes", type=_int_list, default=(1, 2, 4, 8))
-    p.add_argument("--fields", type=_str_list, default=("real", "complex"))
+    p.add_argument(
+        "--instances", type=int, default=SuiteConfig.instance_count, help="instances per grid cell"
+    )
+    p.add_argument("--dims", type=_int_list, default=SuiteConfig.dims)
+    p.add_argument("--family-sizes", type=_int_list, default=SuiteConfig.family_sizes)
+    p.add_argument("--fields", type=_str_list, default=SuiteConfig.fields)
     p.add_argument(
         "--tightness-out", default=None, help="also emit a per-instance tightness CSV"
     )
@@ -98,11 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sharpness", help="search for the best-constant ratio 1/4")
     p.add_argument("--mode", choices=("residual", "gruss"), default="residual")
-    p.add_argument("--dim", type=int, default=4)
-    p.add_argument("--family-size", type=int, default=2)
-    p.add_argument("--field", choices=("real", "complex"), default="real")
-    p.add_argument("--restarts", type=int, default=64)
-    p.add_argument("--steps", type=int, default=2000)
+    p.add_argument("--dim", type=int, default=SearchConfig.dimension)
+    p.add_argument("--family-size", type=int, default=SearchConfig.family_size)
+    p.add_argument("--field", choices=(REAL, COMPLEX), default=SearchConfig.field)
+    p.add_argument("--restarts", type=int, default=SearchConfig.restarts)
+    p.add_argument("--steps", type=int, default=SearchConfig.steps_per_restart)
     p.add_argument("--seed", type=int, default=SearchConfig.seed, help="64-bit RNG seed")
     p.add_argument("--out", default=None, help="output file path")
     return parser
@@ -110,11 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_verify(args) -> int:
     cfg = SuiteConfig(
-        instance_count=args.instances,
-        dims=tuple(args.dims),
-        family_sizes=tuple(args.family_sizes),
-        fields=tuple(args.fields),
-        seed=args.seed,
+        instance_count=args.instances, dims=args.dims, family_sizes=args.family_sizes,
+        fields=args.fields, seed=args.seed,
     )
     outcome = run_suite(cfg)
     for name, tally in sorted(outcome.checks.items()):
@@ -137,7 +136,7 @@ def _cmd_verify(args) -> int:
             rng = rng_from_seed(cfg.seed, 9000, i)
             rng_ids.append((f"bessel-{i:04d}", generate_certified_instance(rng, 4, 2, REAL)))
             rng_ids.append((f"gruss-{i:04d}", generate_certified_pair(rng, 4, 2, REAL)))
-        suite.emit_tightness_table(rng_ids, args.tightness_out)
+        serialize.write_csv(args.tightness_out, suite.TIGHTNESS_HEADER, suite.tightness_rows(rng_ids))
     print(f"total_failed={outcome.total_failed}")
     return 0 if outcome.ok else 1
 
@@ -220,17 +219,11 @@ def _cmd_l2demo(args) -> int:
 
 def _cmd_sharpness(args) -> int:
     cfg = SearchConfig(
-        dimension=args.dim,
-        family_size=args.family_size,
-        field=args.field,
-        restarts=args.restarts,
-        steps_per_restart=args.steps,
-        seed=args.seed,
+        dimension=args.dim, family_size=args.family_size, field=args.field,
+        restarts=args.restarts, steps_per_restart=args.steps, seed=args.seed,
     )
-    if args.mode == "residual":
-        result = maximize_residual_ratio(cfg)
-    else:
-        result = maximize_gruss_ratio(cfg)
+    search = maximize_residual_ratio if args.mode == "residual" else maximize_gruss_ratio
+    result = search(cfg)
     payload = {
         "mode": args.mode,
         "best_ratio": result.best_ratio,

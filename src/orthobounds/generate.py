@@ -28,6 +28,7 @@ from .space import (
     _cgs2,
     _coefficients,
     _combine,
+    _count,
     _norm,
     _rejected,
 )
@@ -77,10 +78,6 @@ class _Families(NamedTuple):
     gram_defect: np.ndarray
 
 
-def gaussian_scalars(rng: np.random.Generator, count: int, complex_field: bool) -> np.ndarray:
-    return _gaussians([rng], (count,), complex_field)[0]
-
-
 def _gaussians(rngs, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
     """Standard Gaussian scalars of ``shape`` from each stream, stacked.
 
@@ -98,15 +95,10 @@ def _gaussians(rngs, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
     return z
 
 
-def random_family(rng: np.random.Generator, ctx: SpaceContext, size: int) -> OrthonormalFamily:
-    """Orthonormalized random Gaussian vectors (retrying degenerate draws)."""
-    fam = _families([rng], ctx, size)
-    return OrthonormalFamily(fam.members[0], float(fam.gram_defect[0]))
-
-
 def _families(rngs, ctx: SpaceContext, size: int) -> _Families:
-    """``random_family`` on each stream: a stream whose draw CGS2 rejects
-    draws again, alone."""
+    """An orthonormalized random Gaussian family on each stream: a stream
+    whose draw CGS2 rejects draws again, alone."""
+    size = _count("family_size", size)
     if size > ctx.dimension:
         raise ValueError("family size cannot exceed the dimension")
     members, pivots, drop, defect = _cgs2(

@@ -24,6 +24,7 @@ from .space import (
     SpaceContext,
     Vector,
     _combine,
+    _count,
     _finite_real,
     _tolerance,
     as_vector,
@@ -157,8 +158,7 @@ def build_family(ctx: WeightedL2Context, kind: str, count: int) -> OrthonormalFa
     * ``legendre``: Legendre polynomials of increasing degree
     * ``indicator``: node indicators scaled by (w_k rho_k)^(-1/2)
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count("count", count)
     if count > ctx.size:
         raise ValueError("count exceeds the number of nodes")
     s = ctx.space.nodes

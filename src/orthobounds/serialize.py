@@ -65,13 +65,18 @@ def encode_vector(vector: Vector, field: str) -> list:
     return np.stack((a.real, a.imag), -1).tolist()
 
 
-def decode_vector(values, depth: int) -> np.ndarray:
-    """A ``depth``-d complex array (1: a vector, 2: rows) from numbers or ``[re, im]`` pairs."""
+def decode_vector(values, depth: int, field: str = COMPLEX) -> np.ndarray:
+    """A ``depth``-d complex array (1: a vector, 2: rows) from numbers or ``[re, im]`` pairs;
+    in a real ``field`` a zero imaginary part reads as the +0.0 of a bare
+    number, so ``[re, -0.0]`` spells what ``re`` does."""
     a = _numbers(values)
     if a.ndim == depth:
         return a.astype(np.complex128)
     if a.ndim == depth + 1 and a.shape[-1] == 2:
-        return np.ascontiguousarray(a, dtype=float).view(np.complex128)[..., 0]
+        z = np.ascontiguousarray(a, dtype=float).view(np.complex128)[..., 0]
+        if field == REAL:
+            z.imag[z.imag == 0.0] = 0.0
+        return z
     raise ValueError(f"expected {depth}-d numbers or [re, im] pairs, got shape {a.shape}")
 
 
@@ -134,23 +139,20 @@ def instance_from_dict(payload: Mapping) -> Instance | PairInstance:
     """The instance a file describes; a missing key, a value of the wrong JSON
     type or a malformed array raises ValueError."""
     _check_keys(payload, _INSTANCE_KEYS, _OPTIONAL_INSTANCE_KEYS)
-    field = payload["field"]
-    if field not in (REAL, COMPLEX):
-        raise ValueError(f"unknown field tag {field!r}")
-    ctx = SpaceContext(field, int(payload["dimension"]))
+    ctx = SpaceContext(payload["field"], payload["dimension"])
     fam = OrthonormalFamily.from_members(
         ctx,
-        decode_vector(payload["vectors"], 2),
+        decode_vector(payload["vectors"], 2, ctx.field),
         float(payload.get("tolerance", DEFAULT_ORTHO_TOL)),
     )
     if not all(_is_json(i, int) for i in payload["indices"]):
         raise ValueError("key 'indices' must hold integers")
     indices = tuple(map(int, payload["indices"]))
-    x = as_vector(ctx, decode_vector(payload["x"], 1))
-    box = _box_from_dict(payload["box"], indices)
+    x = as_vector(ctx, decode_vector(payload["x"], 1, ctx.field))
+    box = _box_from_dict(payload["box"], indices, ctx.field)
     if "y" in payload:
-        y = as_vector(ctx, decode_vector(payload["y"], 1))
-        box_y = _box_from_dict(payload.get("box_y", payload["box"]), indices)
+        y = as_vector(ctx, decode_vector(payload["y"], 1, ctx.field))
+        box_y = _box_from_dict(payload.get("box_y", payload["box"]), indices, ctx.field)
         return PairInstance(ctx, x, y, fam, indices, box, box_y)
     return Instance(ctx, x, fam, indices, box)
 
@@ -162,11 +164,10 @@ def _box_to_dict(box: CoefficientBox, field: str) -> dict:
     }
 
 
-def _box_from_dict(payload: Mapping, indices: tuple[int, ...]) -> CoefficientBox:
+def _box_from_dict(payload: Mapping, indices: tuple[int, ...], field: str) -> CoefficientBox:
     _check_keys(payload, _BOX_KEYS, {})
-    return CoefficientBox(
-        indices, decode_vector(payload["lower"], 1), decode_vector(payload["upper"], 1)
-    )
+    lower, upper = (decode_vector(payload[key], 1, field) for key in ("lower", "upper"))
+    return CoefficientBox(indices, lower, upper)
 
 
 def l2_instance_to_dict(
@@ -193,7 +194,7 @@ def l2_instance_from_dict(payload: Mapping) -> tuple[WeightedL2Context, dict[str
     )
     ctx = WeightedL2Context(space, _numbers(payload["rho"]), payload.get("field", REAL))
     functions = {
-        name: as_vector(ctx.context, decode_vector(values, 1))
+        name: as_vector(ctx.context, decode_vector(values, 1, ctx.field))
         for name, values in payload.get("functions", {}).items()
     }
     return ctx, functions

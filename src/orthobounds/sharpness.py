@@ -42,10 +42,10 @@ import numpy as np
 from . import serialize
 from .bounds import CoefficientBox, counterpart_bounds, gruss_bounds
 from .bounds import _deviation, _residual, _slack_inner
-from .generate import Instance, PairInstance, certified_box_arrays
-from .generate import check_seed, gaussian_scalars, random_family, rng_from_seed
-from .space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
-from .space import _coefficients, _dot, _modulus, _norm_sq
+from .generate import Instance, PairInstance, _box_arrays, _families, _gaussians
+from .generate import check_seed, rng_from_seed
+from .space import REAL, OrthonormalFamily, SpaceContext, as_vector
+from .space import _coefficients, _count, _dot, _field, _modulus, _norm_sq
 
 #: Hill-climbing steps start at _STEP_SCALE times the initial state's largest
 #: entry (at least 1) and decay geometrically down to _FINAL_STEP_FRACTION of
@@ -83,12 +83,11 @@ class SearchConfig:
     seed: int = 1905
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.steps_per_restart < 1:
-            raise ValueError("restarts and steps_per_restart must be >= 1")
-        if not 1 <= self.family_size <= self.dimension:
+        for name in ("dimension", "family_size", "restarts", "steps_per_restart"):
+            object.__setattr__(self, name, _count(name, getattr(self, name)))
+        if self.family_size > self.dimension:
             raise ValueError("need 1 <= family_size <= dimension")
-        if self.field not in (REAL, COMPLEX):
-            raise ValueError(f"unknown field tag {self.field!r}")
+        _field(self.field)
         check_seed(self.seed)
 
 
@@ -288,31 +287,39 @@ def _gruss_evaluator(ctx: SpaceContext, rows: np.ndarray):
     return evaluate
 
 
+def _start_states(cfg: SearchConfig, count: int, ctx: SpaceContext):
+    """Every restart's family and start state (restarts, size), drawn as one
+    stack the way ``run_suite`` draws a cell: the stream (seed, count, r) of
+    restart r draws its family, then its ``count`` vectors, then their boxes."""
+    rngs = [rng_from_seed(cfg.seed, count, r) for r in range(cfg.restarts)]
+    families = _families(rngs, ctx, cfg.family_size)
+    vectors = [_gaussians(rngs, (ctx.dimension,), ctx.is_complex) for _ in range(count)]
+    boxes = [_box_arrays(rngs, ctx, [v], families.members) for v in vectors]
+    return families, np.concatenate([*vectors, *(part for box in boxes for part in box)], -1)
+
+
 def _maximize(cfg: SearchConfig, mode: str, count: int, evaluator, kind, chain) -> SharpnessResult:
     """Multi-start search of one mode: ``count`` vectors per state, each with
     its own box, scored by ``evaluator(ctx, rows)``; the best state comes back
-    as a ``kind`` instance with its ``chain`` report.  Restart r draws the
-    family, the vectors and then their boxes from the stream (seed, count, r).
+    as a ``kind`` instance with its ``chain`` report.  Restart r climbs from
+    row r of ``_start_states``.
     """
     ctx = SpaceContext(cfg.field, cfg.dimension)
     indices = tuple(range(cfg.family_size))
+    families, states = _start_states(cfg, count, ctx)
+    slots = _slots(states.shape[-1], ctx.is_complex)
     best = None
     evaluations = 0
-    for restart in range(cfg.restarts):
-        rng = rng_from_seed(cfg.seed, count, restart)
-        fam = random_family(rng, ctx, cfg.family_size)
-        vectors = [gaussian_scalars(rng, ctx.dimension, ctx.is_complex) for _ in range(count)]
-        boxes = [certified_box_arrays(rng, ctx, v, fam, indices) for v in vectors]
-        flat = np.concatenate([*vectors, *(part for box in boxes for part in box)])
-        slots = _slots(flat.size, ctx.is_complex)
+    for restart, (members, flat) in enumerate(zip(families.members, states)):
         scale = _STEP_SCALE * max(1.0, float(np.max(np.abs(flat))))
         state, (ratio, _slack, degenerate), used = _hill_climb(
-            flat, evaluator(ctx, fam.members), slots, cfg.steps_per_restart, scale
+            flat, evaluator(ctx, members), slots, cfg.steps_per_restart, scale
         )
         evaluations += used
         if best is None or ratio > best[0]:
-            best = ratio, state, fam, degenerate
-    ratio, state, fam, degenerate = best
+            best = ratio, state, restart, degenerate
+    ratio, state, restart, degenerate = best
+    fam = OrthonormalFamily(families.members[restart], float(families.gram_defect[restart]))
     vectors, mids, half_widths = _split(state, ctx.dimension, cfg.family_size, count)
     vectors = [as_vector(ctx, v) for v in vectors]
     boxes = [CoefficientBox.centered(indices, m, d) for m, d in zip(mids, half_widths)]

@@ -64,10 +64,8 @@ class SpaceContext:
     weights: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.field not in (REAL, COMPLEX):
-            raise ValueError(f"unknown field tag {self.field!r}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be a positive integer")
+        _field(self.field)
+        object.__setattr__(self, "dimension", _count("dimension", self.dimension))
         if self.weights is not None:
             w = np.asarray(self.weights, dtype=float)
             if w.shape != (self.dimension,):
@@ -82,6 +80,20 @@ class SpaceContext:
     @property
     def is_complex(self) -> bool:
         return self.field == COMPLEX
+
+
+def _count(name: str, value) -> int:
+    """The one rule of every size and count: a ``numbers.Integral`` that is
+    not a bool and is at least 1, as an int; else ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _field(value) -> None:
+    """The one rule of every field tag: ``REAL`` or ``COMPLEX``."""
+    if not isinstance(value, str) or value not in (REAL, COMPLEX):
+        raise ValueError(f"field must be {REAL!r} or {COMPLEX!r}, got {value!r}")
 
 
 def as_vector(ctx: SpaceContext, coords: Iterable[complex]) -> Vector:

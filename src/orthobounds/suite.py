@@ -78,6 +78,8 @@ from .space import (
     SpaceContext,
     _coefficients,
     _combine,
+    _count,
+    _field,
     _inner,
     _modulus,
     _norm_sq,
@@ -100,20 +102,17 @@ class SuiteConfig:
     seed: int = 20230516
 
     def __post_init__(self) -> None:
-        if self.instance_count < 1:
-            raise ValueError("instance_count must be positive")
+        object.__setattr__(self, "instance_count", _count("instance_count", self.instance_count))
         if not self.cells():
             raise ValueError(
                 f"the grid has no cell: no family size in {list(self.family_sizes)} "
                 f"fits a dimension in {list(self.dims)} over fields {list(self.fields)}"
             )
         for name in ("dims", "family_sizes"):
-            for value in getattr(self, name):
-                if value < 1:
-                    raise ValueError(f"{name} must be positive integers, got {value!r}")
+            values = tuple(_count(f"each of {name}", value) for value in getattr(self, name))
+            object.__setattr__(self, name, values)
         for value in self.fields:
-            if value not in (REAL, COMPLEX):
-                raise ValueError(f"fields must be {REAL!r} or {COMPLEX!r}, got {value!r}")
+            _field(value)
         check_seed(self.seed)
 
     def cells(self) -> list[tuple[int, int, str]]:
@@ -124,13 +123,7 @@ class SuiteConfig:
         ]
 
     def to_dict(self) -> dict:
-        return {
-            "instance_count": self.instance_count,
-            "dims": list(self.dims),
-            "family_sizes": list(self.family_sizes),
-            "fields": list(self.fields),
-            "seed": self.seed,
-        }
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in vars(self).items()}
 
 
 @dataclass
@@ -439,8 +432,3 @@ TIGHTNESS_HEADER = (
     "slack_y",
     "ratio",
 )
-
-
-def emit_tightness_table(instances_with_ids, out_path) -> None:
-    """Write the refined-vs-coarse tightness comparison as CSV plot data."""
-    serialize.write_csv(out_path, TIGHTNESS_HEADER, tightness_rows(instances_with_ids))

@@ -10,20 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthobounds import serialize
+from orthobounds import cli, serialize
 from orthobounds.bounds import CoefficientBox
 from orthobounds.cli import main
 from orthobounds.generate import (
     Instance,
     PairInstance,
+    _families,
+    _gaussians,
     certified_box_arrays,
-    gaussian_scalars,
     generate_certified_instance,
     generate_certified_pair,
-    random_family,
     rng_from_seed,
 )
+from orthobounds.sharpness import SearchConfig
 from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
+from orthobounds.suite import SuiteConfig
 from test_bounds import rescaled_offsets
 
 
@@ -310,6 +312,28 @@ def test_help_lists_exactly_the_command_options(command, capsys):
     assert listed == COMMAND_OPTIONS[command]
 
 
+class _Captured(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "command, callee, config",
+    [("verify", "run_suite", SuiteConfig()), ("sharpness", "maximize_residual_ratio", SearchConfig())],
+)
+def test_option_defaults_are_the_config_defaults(command, callee, config, monkeypatch):
+    # the CLI states no default of its own: each option reads its config field
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        raise _Captured
+
+    monkeypatch.setattr(cli, callee, capture)
+    with pytest.raises(_Captured):
+        main([command])
+    assert seen == [config]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -485,8 +509,8 @@ def _perturbed_pair(seed, cell, size, shift):
     d, f, fld = cell
     rng = rng_from_seed(seed)
     ctx = SpaceContext(fld, d)
-    noise = np.stack([gaussian_scalars(rng, d, ctx.is_complex) for _ in range(f)])
-    members = random_family(rng, ctx, f).members + size / f * noise
+    noise = np.stack([_gaussians([rng], (d,), ctx.is_complex)[0] for _ in range(f)])
+    members = _families([rng], ctx, f).members[0] + size / f * noise
     defect = OrthonormalFamily.from_members(ctx, members, 1.0 / f).gram_defect
     if defect > 0.9 / f:
         return None
@@ -494,11 +518,11 @@ def _perturbed_pair(seed, cell, size, shift):
     idx = tuple(range(f))
     vectors, boxes = [], []
     for _ in range(2):
-        v = gaussian_scalars(rng, d, ctx.is_complex)
+        v = _gaussians([rng], (d,), ctx.is_complex)[0]
         factor = rng.uniform(0.9, 1.5)
         mid, half = certified_box_arrays(rng, ctx, v, fam, idx)
         half = rescaled_offsets(ctx, v, fam, idx, mid, half, factor)
-        move = shift * gaussian_scalars(rng, f, ctx.is_complex)
+        move = shift * _gaussians([rng], (f,), ctx.is_complex)[0]
         vectors.append(as_vector(ctx, v + move @ fam.members))
         boxes.append(CoefficientBox.centered(idx, mid + move, half))
     return PairInstance(ctx, vectors[0], vectors[1], fam, idx, boxes[0], boxes[1])

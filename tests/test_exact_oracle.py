@@ -8,6 +8,16 @@ at the instance scale (the pair scale for the deviation); the deviation's
 modulus is a root, so it is compared squared.  Each test prints the worst
 fraction of the allowance it saw (run with ``pytest -s`` to see them).  A
 fraction above 1 would contradict the allowance's derivation.
+
+The hypothesis adversaries are derandomized, yet their examples depend on
+which files pytest collects: Hypothesis (6.155.2) mines literal constants
+from every loaded local module and mixes them into its draws.  At (4, 2,
+real), ``pytest tests/test_exact_oracle.py -s`` prints a worst residual
+fraction of 0.0219 and ``pytest tests/test_exact_oracle.py
+tests/test_bounds.py -s`` prints 0.0437; with
+``hypothesis.internal.conjecture.providers._get_local_constants`` stubbed
+to return no constants, both print 0.0303.  So quote a fraction together
+with its pytest selection.
 """
 
 import warnings
@@ -26,12 +36,7 @@ from orthobounds.bounds import (
     instance_scale,
     pair_scale,
 )
-from orthobounds.generate import (
-    gaussian_scalars,
-    generate_certified_pair,
-    random_family,
-    rng_from_seed,
-)
+from orthobounds.generate import _families, _gaussians, generate_certified_pair, rng_from_seed
 from orthobounds.space import (
     COMPLEX,
     DEFAULT_ORTHO_TOL,
@@ -169,9 +174,9 @@ def _adversarial_pair(cell, seed, defect, pull, scale, factor, subnormal, weight
     complex_field = field == COMPLEX
 
     def gaussian(count):
-        return gaussian_scalars(rng, count, complex_field)
+        return _gaussians([rng], (count,), complex_field)[0]
 
-    rows = random_family(rng, ctx, size).members
+    rows = _families([rng], ctx, size).members[0]
     push = np.stack([gaussian(dim) for _ in range(size)])
     # ||row shift|| <= defect * tol / 2, so the Gram defect stays near defect * tol
     # (in the weighted norm, at most sqrt(max w) times the unweighted one)

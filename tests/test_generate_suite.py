@@ -17,6 +17,8 @@ from orthobounds.bounds import (
 from orthobounds.generate import (
     Instance,
     PairInstance,
+    _families,
+    _gaussians,
     certified_box_arrays,
     generate_certified_instance,
     generate_certified_pair,
@@ -28,7 +30,7 @@ from orthobounds.generate import (
 from orthobounds.quadrature import WeightedL2Context, periodic_trapezoid
 from orthobounds.sharpness import extremal_instance
 from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
-from orthobounds.suite import SuiteConfig, emit_tightness_table, run_suite, tightness_rows
+from orthobounds.suite import TIGHTNESS_HEADER, SuiteConfig, run_suite, tightness_rows
 from test_bounds import rescaled_offsets
 
 
@@ -108,12 +110,10 @@ class TestGenerateCertifiedInstance:
 
     def test_boundary_slack_factor_gives_zero_norm_slack(self):
         rng = rng_from_seed(7, 0)
-        from orthobounds.space import SpaceContext
-        from orthobounds.generate import gaussian_scalars, random_family
-
         ctx = SpaceContext(REAL, 5)
-        fam = random_family(rng, ctx, 2)
-        x = gaussian_scalars(rng, 5, False)
+        members, defect = _families([rng], ctx, 2)
+        fam = OrthonormalFamily(members[0], float(defect[0]))
+        x = _gaussians([rng], (5,), False)[0]
         mid, d = certified_box_arrays(rng, ctx, x, fam, (0, 1))
         d = rescaled_offsets(ctx, x, fam, (0, 1), mid, d, 1.0)
         box = CoefficientBox.centered((0, 1), mid, d)
@@ -429,9 +429,7 @@ class TestTightnessTable:
         assert by_id["degenerate"][6] == 0.0
 
         out = tmp_path / "tightness.csv"
-        emit_tightness_table(
-            [("extremal", inst), ("r3-gruss", pair), ("degenerate", degenerate)], out
-        )
+        serialize.write_csv(out, TIGHTNESS_HEADER, rows)
         lines = out.read_text().strip().splitlines()
         assert lines[0].startswith("instance-id,")
         assert len(lines) == 4

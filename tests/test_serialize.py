@@ -235,6 +235,17 @@ def _pairs(payload):
     return out
 
 
+def _signed_zero_pairs(payload):
+    """``_pairs`` with every imaginary part written as -0.0."""
+    out = _pairs(payload)
+    boxes = [(box, key) for box in (out["box"], out["box_y"]) for key in ("lower", "upper")]
+    for owner, key in [(out, "vectors"), (out, "x"), (out, "y"), *boxes]:
+        a = np.array(owner[key])
+        a[..., 1] = -0.0
+        owner[key] = a.tolist()
+    return out
+
+
 def _without(key):
     def respell(payload):
         return {k: v for k, v in payload.items() if k != key}
@@ -297,3 +308,31 @@ class TestInstanceDigest:
     def test_the_field_changes_it(self):
         changed = {**SPELLED_PAIR, "field": "complex"}
         assert serialize.digest(changed) != serialize.digest(SPELLED_PAIR)
+
+    def test_a_signed_zero_imaginary_part_is_one_real_instance(self, tmp_path):
+        # a real-field file may write a zero imaginary part as -0.0; it is
+        # the instance of the bare reals, down to the report bytes
+        reports = {}
+        for name, payload in [("bare", SPELLED_PAIR), ("signed", _signed_zero_pairs(SPELLED_PAIR))]:
+            path = tmp_path / f"{name}.json"
+            serialize.dump_json(payload, path)
+            for command in ("bounds", "gruss"):
+                out = tmp_path / f"{name}.{command}.json"
+                assert main([command, str(path), "--out", str(out)]) == 0
+                reports[name, command] = out.read_bytes()
+            assert serialize.digest(payload) == serialize.digest(SPELLED_PAIR)
+        for command in ("bounds", "gruss"):
+            assert reports["signed", command] == reports["bare", command]
+
+    def test_a_complex_file_keeps_its_signed_zeros(self):
+        payload = {**_signed_zero_pairs(SPELLED_PAIR), "field": "complex"}
+        pair = serialize.instance_from_dict(payload)
+        for a in (pair.family.members, pair.x, pair.y, pair.box_x.lower_array, pair.box_y.upper_array):
+            assert np.signbit(a.imag).all()
+        assert serialize.digest(payload) != serialize.digest({**_pairs(SPELLED_PAIR), "field": "complex"})
+
+    def test_a_nonzero_imaginary_part_of_a_real_file_is_rejected(self):
+        payload = _pairs(SPELLED_PAIR)
+        payload["x"][1][1] = 5e-324
+        with pytest.raises(ValueError, match="imaginary"):
+            serialize.instance_from_dict(payload)

@@ -9,13 +9,7 @@ from orthobounds.bounds import (
     gruss_bounds,
     instance_scale,
 )
-from orthobounds.generate import (
-    Instance,
-    certified_box_arrays,
-    gaussian_scalars,
-    random_family,
-    rng_from_seed,
-)
+from orthobounds.generate import Instance, rng_from_seed
 from orthobounds.serialize import instance_from_dict
 from orthobounds.sharpness import (
     SearchConfig,
@@ -23,6 +17,7 @@ from orthobounds.sharpness import (
     _hill_climb,
     _residual_evaluator,
     _slots,
+    _start_states,
     extremal_instance,
     maximize_gruss_ratio,
     maximize_residual_ratio,
@@ -273,13 +268,9 @@ def _start_state(cell, mode):
     draws it, with the family members."""
     dim, fsize, field = cell
     ctx = SpaceContext(field, dim)
-    count = {"residual": 1, "gruss": 2}[mode]
-    rng = rng_from_seed(1905, count, 0)
-    fam = random_family(rng, ctx, fsize)
-    vectors = [gaussian_scalars(rng, dim, ctx.is_complex) for _ in range(count)]
-    indices = tuple(range(fsize))
-    boxes = [certified_box_arrays(rng, ctx, v, fam, indices) for v in vectors]
-    return ctx, fam.members, np.concatenate([*vectors, *(p for box in boxes for p in box)])
+    cfg = SearchConfig(dimension=dim, family_size=fsize, field=field, restarts=1, seed=1905)
+    families, states = _start_states(cfg, {"residual": 1, "gruss": 2}[mode], ctx)
+    return ctx, families.members[0], states[0]
 
 
 class TestEvaluatorEdgeCases:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -30,6 +31,10 @@ from orthobounds.quadrature import (
     periodic_trapezoid,
 )
 from orthobounds.bounds import CoefficientBox, instance_scale, pair_scale
+from orthobounds.generate import generate_certified_instance, rng_from_seed
+from orthobounds.serialize import instance_from_dict
+from orthobounds.sharpness import SearchConfig
+from orthobounds.suite import SuiteConfig
 from reference import ref_inner
 
 S = 1.0 / math.sqrt(2.0)
@@ -406,3 +411,60 @@ class TestStackedPrimitives:
         # and each modulus is the scalar abs of its entry, bit for bit
         scalar_abs = np.array([abs(complex(z)) for z in x.ravel()]).reshape(x.shape)
         assert _modulus(x).tobytes() == scalar_abs.tobytes()
+
+
+#: Every entry point of a size or count, as a function of the value.
+COUNT_ENTRIES = {
+    "SpaceContext": lambda v: SpaceContext(REAL, v),
+    "SuiteConfig.instance_count": lambda v: SuiteConfig(instance_count=v),
+    "SuiteConfig.dims": lambda v: SuiteConfig(dims=(v, 16)),
+    "SuiteConfig.family_sizes": lambda v: SuiteConfig(family_sizes=(1, v)),
+    "SearchConfig.dimension": lambda v: SearchConfig(dimension=v, family_size=1),
+    "SearchConfig.family_size": lambda v: SearchConfig(family_size=v),
+    "SearchConfig.restarts": lambda v: SearchConfig(restarts=v),
+    "SearchConfig.steps_per_restart": lambda v: SearchConfig(steps_per_restart=v),
+    "generate.dim": lambda v: generate_certified_instance(rng_from_seed(1), v, 1, REAL),
+    "generate.family_size": lambda v: generate_certified_instance(rng_from_seed(1), 4, v, REAL),
+    "build_family": lambda v: build_family(
+        WeightedL2Context.uniform_density(periodic_trapezoid(8)), "trig", v
+    ),
+}
+
+#: Every entry point of a field tag.
+FIELD_ENTRIES = {
+    "SpaceContext": lambda v: SpaceContext(v, 2),
+    "SuiteConfig": lambda v: SuiteConfig(fields=(REAL, v)),
+    "SearchConfig": lambda v: SearchConfig(field=v),
+    "instance file": lambda v: instance_from_dict({
+        "field": v, "dimension": 1, "vectors": [[1.0]], "indices": [0], "x": [1.0],
+        "box": {"lower": [0.0], "upper": [2.0]},
+    }),
+}
+
+
+class TestInputRules:
+    """One integer rule for every size and count and one field rule for every
+    field tag (``space._count``, ``space._field``), whichever entry point
+    reads them; each message ends with the bad value."""
+
+    @pytest.mark.parametrize("value", [2.5, np.float64(2.0), True, 0, -1], ids=repr)
+    @pytest.mark.parametrize("entry", COUNT_ENTRIES)
+    def test_a_count_that_is_no_positive_integer_is_rejected(self, entry, value):
+        with pytest.raises(ValueError, match=f"positive integer, got {re.escape(repr(value))}$"):
+            COUNT_ENTRIES[entry](value)
+
+    def test_an_integral_count_is_stored_as_an_int(self):
+        three = np.int64(3)
+        assert type(SpaceContext(REAL, three).dimension) is int
+        names = ("dimension", "family_size", "restarts", "steps_per_restart")
+        cfg = SearchConfig(**dict.fromkeys(names, three))
+        assert {type(getattr(cfg, name)) for name in names} == {int}
+        grid = SuiteConfig(instance_count=three, dims=(three,), family_sizes=(three,))
+        assert {type(v) for v in (grid.instance_count, *grid.dims, *grid.family_sizes)} == {int}
+        assert grid == SuiteConfig(instance_count=3, dims=(3,), family_sizes=(3,))
+
+    @pytest.mark.parametrize("value", ["quaternion", "Real"])
+    @pytest.mark.parametrize("entry", FIELD_ENTRIES)
+    def test_an_unknown_field_is_rejected(self, entry, value):
+        with pytest.raises(ValueError, match=f"'real' or 'complex', got {value!r}$"):
+            FIELD_ENTRIES[entry](value)
