@@ -47,6 +47,7 @@ from .space import (
     _combine,
     _dot,
     _inner,
+    _integer,
     _modulus,
     _norm,
     _norm_sq,
@@ -83,9 +84,9 @@ class CoefficientBox:
     endpoint_norm_sq: float = field(init=False)
 
     def __post_init__(self, lower, upper) -> None:
+        object.__setattr__(self, "indices", tuple(_integer("each index", i) for i in self.indices))
         if not self.indices:
             raise ValueError("box must cover a nonempty index set")
-        object.__setattr__(self, "indices", tuple(map(int, self.indices)))
         for name, values in (("lower_array", lower), ("upper_array", upper)):
             endpoints = np.array(values, dtype=np.complex128)
             if endpoints.shape != (len(self.indices),):

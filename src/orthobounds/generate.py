@@ -29,6 +29,7 @@ from .space import (
     _coefficients,
     _combine,
     _count,
+    _integer,
     _norm,
     _rejected,
 )
@@ -62,11 +63,12 @@ def rng_from_seed(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), *map(int, key)))))
 
 
-def check_seed(seed: int) -> None:
-    """The seed rule of every command and seeded config: a seed must fit in
-    64 unsigned bits."""
-    if not 0 <= int(seed) < 2**64:
+def check_seed(seed: int) -> int:
+    """The seed rule of every command and seeded config: an integer
+    (``space._integer``) that fits in 64 unsigned bits, returned as an int."""
+    if not 0 <= _integer("seed", seed) < 2**64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed!r}")
+    return int(seed)
 
 
 class _Families(NamedTuple):

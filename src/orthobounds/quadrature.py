@@ -26,6 +26,7 @@ from .space import (
     _combine,
     _count,
     _finite_real,
+    _integer,
     _tolerance,
     as_vector,
     gram_schmidt,
@@ -70,15 +71,17 @@ class DiscretizedMeasureSpace:
         return int(self.nodes.size)
 
 
-def check_count(count: int) -> None:
-    """The node rule of every quadrature rule: at least one node."""
-    if count < 1:
+def check_count(count: int) -> int:
+    """The node rule of every quadrature rule: an integer (``space._integer``)
+    of at least one node, returned as an int."""
+    if _integer("node count", count) < 1:
         raise ValueError(f"a quadrature rule needs at least one node, got {count}")
+    return int(count)
 
 
 def counting_measure(count: int) -> DiscretizedMeasureSpace:
     """Unit mass at integer nodes 0..count-1; bridges to the coordinate backend."""
-    check_count(count)
+    count = check_count(count)
     return DiscretizedMeasureSpace(np.arange(count, dtype=float), np.ones(count), COUNTING)
 
 
@@ -88,7 +91,7 @@ def periodic_trapezoid(count: int) -> DiscretizedMeasureSpace:
     For 2pi-periodic integrands this is the trapezoid rule, which is
     spectrally accurate on trigonometric polynomials.
     """
-    check_count(count)
+    count = check_count(count)
     nodes = 2.0 * np.pi * np.arange(count) / count
     weights = np.full(count, 2.0 * np.pi / count)
     return DiscretizedMeasureSpace(nodes, weights, PERIODIC_TRAPEZOID)
@@ -97,7 +100,7 @@ def periodic_trapezoid(count: int) -> DiscretizedMeasureSpace:
 def gauss_legendre(count: int) -> DiscretizedMeasureSpace:
     """Gauss-Legendre rule on [-1, 1]; exact on polynomials of degree
     <= 2*count - 1."""
-    check_count(count)
+    count = check_count(count)
     nodes, weights = np.polynomial.legendre.leggauss(count)
     return DiscretizedMeasureSpace(nodes, weights, GAUSS_LEGENDRE)
 

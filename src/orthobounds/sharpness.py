@@ -28,9 +28,10 @@ The evaluator maps a stack of states to (infeasible, ratio, slack,
 degenerate) arrays through the same private kernel as the bound chains in
 :mod:`orthobounds.bounds` (condition slack, residual, deviation), so the
 search has no formulas of its own; ``tests/reference.py`` stays the
-independent second route.  That one evaluator serves the coordinate poll,
-which evaluates a sweep's moves in stacked chunks, and the start state and
-the pattern moves as stacks of one.
+independent second route.  That one evaluator serves the poll, which
+evaluates a sweep's moves along the rows of a direction matrix (today the
+coordinate directions) in stacked chunks, and the start state and the
+pattern moves as stacks of one.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ class SearchConfig:
         if self.family_size > self.dimension:
             raise ValueError("need 1 <= family_size <= dimension")
         _field(self.field)
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,11 @@ class SharpnessResult:
     degenerate: bool = False
 
 
-def _slots(total: int, complex_field: bool) -> list[tuple[int, bool]]:
-    slots = [(i, False) for i in range(total)]
-    if complex_field:
-        slots += [(i, True) for i in range(total)]
-    return slots
+def _coordinate_directions(size: int, complex_field: bool) -> np.ndarray:
+    """The coordinate poll's directions: the identity over a state's ``size``
+    coordinates, then ``1j`` times it for a complex field."""
+    eye = np.eye(size, dtype=np.complex128)
+    return np.concatenate([eye, 1j * eye]) if complex_field else eye
 
 
 #: Moves per stacked poll chunk.  The chunk only has to outlast the usual run
@@ -118,29 +119,32 @@ def _slots(total: int, complex_field: bool) -> list[tuple[int, bool]]:
 _CHUNK = 32
 
 
-def _hill_climb(state, evaluate, slots, steps, initial_scale):
-    """Coordinate-wise hill climbing with geometric step decay and a stacked,
-    opportunistic poll.
+def _hill_climb(state, evaluate, directions, steps, initial_scale):
+    """Hill climbing along the rows of ``directions`` with geometric step
+    decay and a stacked, opportunistic poll.
 
-    A sweep tries the moves (slot k, +step), (slot k, -step) for each slot in
-    order and accepts the first acceptable one; after an accepted move the
-    sweep goes on at slot k+1 from the new state.  The step shrinks
-    geometrically whenever a full sweep produces no accepted move.
-    ``evaluate`` maps a stack of states to (infeasible, ratio, slack,
-    degenerate) arrays.  Acceptance is lexicographic: a strictly larger ratio
-    always wins, and at an unchanged ratio a strictly larger feasibility slack
-    wins; an infeasible state or a NaN slack never wins.  The tie rule
-    matters: box midpoints do not enter the ratio at all, so recentering moves
-    only ever show up as slack gains, and without them the offset coordinates
-    jam against the feasibility boundary early.
+    A sweep tries the moves +step, -step along each row in order and accepts
+    the first acceptable one; after an accepted move the sweep goes on at the
+    next row from the new state.  The step shrinks geometrically whenever a
+    full sweep produces no accepted move.  ``evaluate`` maps a stack of states
+    to (infeasible, ratio, slack, degenerate) arrays.  Acceptance is
+    lexicographic: a strictly larger ratio always wins, and at an unchanged
+    ratio a strictly larger feasibility slack wins; an infeasible state or a
+    NaN slack never wins.  The tie rule matters: box midpoints do not enter
+    the ratio at all, so recentering moves only ever show up as slack gains,
+    and without them the offset coordinates jam against the feasibility
+    boundary early.
 
     The poll is stacked: the sweep's next ``_CHUNK`` moves from the current
     state (fewer at the end of the sweep or of the budget) are evaluated as
-    one stack, and the first acceptable one in the sequential order is taken.
-    ``evaluations`` counts the moves that order would have tried: up to and
-    including the accepted one, or the whole chunk on a miss.  So the budget,
-    the step schedule and every trajectory are those of trying one move at a
-    time.  The start state and each pattern move are stacks of one.
+    one stack ``state + step * moves``, and the first acceptable one in the
+    sequential order is taken.  ``evaluations`` counts the moves that order
+    would have tried: up to and including the accepted one, or the whole
+    chunk on a miss.  So the budget, the step schedule and every trajectory
+    are those of trying one move at a time.  The start state and each
+    pattern move are stacks of one.  A unit coordinate direction moves its
+    coordinate by exactly +-step and adds a zero to every other coordinate,
+    which can only turn a -0.0 part into +0.0.
 
     The evaluation budget is ``2 * steps`` (both directions per step); the
     climb stops early once the step underflows relative to its start.
@@ -152,8 +156,7 @@ def _hill_climb(state, evaluate, slots, steps, initial_scale):
     budget = 2 * steps
     scale = initial_scale
     floor = _FINAL_STEP_FRACTION * initial_scale
-    columns = np.repeat([index for index, _ in slots], 2)
-    moves = columns.size
+    moves = np.stack([directions, -directions], axis=1).reshape(-1, directions.shape[-1])
 
     def acceptable(values):
         infeasible, ratio, slack, _ = values
@@ -163,18 +166,10 @@ def _hill_climb(state, evaluate, slots, steps, initial_scale):
     while evaluations < budget and scale > floor:
         improved = False
         sweep_start = state
-        # each move's delta as the Python scalar a single move adds, so even
-        # the signs of its zero parts match
-        deltas = np.array(
-            [1j * signed if imaginary else signed
-             for _, imaginary in slots for signed in (scale, -scale)],
-            dtype=np.complex128,
-        )
         move = 0
-        while move < moves and evaluations < budget:
-            count = min(_CHUNK, moves - move, budget - evaluations)
-            chunk = np.repeat(state[None], count, axis=0)
-            chunk[np.arange(count), columns[move : move + count]] += deltas[move : move + count]
+        while move < len(moves) and evaluations < budget:
+            count = min(_CHUNK, len(moves) - move, budget - evaluations)
+            chunk = state + scale * moves[move : move + count]
             values = evaluate(chunk)
             hits = np.flatnonzero(acceptable(values))
             if not hits.size:
@@ -185,7 +180,7 @@ def _hill_climb(state, evaluate, slots, steps, initial_scale):
             evaluations += hit + 1
             state, (_, best) = chunk[hit], _row(values, hit)
             improved = True
-            move = (move + hit) // 2 * 2 + 2  # the next slot's +step
+            move = (move + hit) // 2 * 2 + 2  # the next row's +step
         if not improved:
             scale *= 0.5
             continue
@@ -307,13 +302,13 @@ def _maximize(cfg: SearchConfig, mode: str, count: int, evaluator, kind, chain) 
     ctx = SpaceContext(cfg.field, cfg.dimension)
     indices = tuple(range(cfg.family_size))
     families, states = _start_states(cfg, count, ctx)
-    slots = _slots(states.shape[-1], ctx.is_complex)
+    directions = _coordinate_directions(states.shape[-1], ctx.is_complex)
     best = None
     evaluations = 0
     for restart, (members, flat) in enumerate(zip(families.members, states)):
         scale = _STEP_SCALE * max(1.0, float(np.max(np.abs(flat))))
         state, (ratio, _slack, degenerate), used = _hill_climb(
-            flat, evaluator(ctx, members), slots, cfg.steps_per_restart, scale
+            flat, evaluator(ctx, members), directions, cfg.steps_per_restart, scale
         )
         evaluations += used
         if best is None or ratio > best[0]:

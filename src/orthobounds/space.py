@@ -82,11 +82,24 @@ class SpaceContext:
         return self.field == COMPLEX
 
 
+def _integer(name: str, value, what: str = "an integer") -> int:
+    """The one integer rule of every size, count, index and seed: a
+    ``numbers.Integral`` that is not a bool, as an int (``int()`` would also
+    take 0.9, "1" and True); else ValueError saying ``name`` must be ``what``
+    and ending with the bad value."""
+    if type(value) is int:  # skips the ABC check, run per index of every box
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 def _count(name: str, value) -> int:
-    """The one rule of every size and count: a ``numbers.Integral`` that is
-    not a bool and is at least 1, as an int; else ValueError naming ``name``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    """The one rule of every size and count: an integer (``_integer``) that
+    is at least 1."""
+    what = "a positive integer"
+    if _integer(name, value, what) < 1:
+        raise ValueError(f"{name} must be {what}, got {value!r}")
     return int(value)
 
 
@@ -203,11 +216,13 @@ class OrthonormalFamily:
         m = np.asarray(self.members, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] < 1:
             raise ValueError("members must be a nonempty (count x dimension) matrix")
-        if not 0.0 <= self.tolerance <= 1.0 / m.shape[0]:
+        tolerance = _tolerance("family tolerance", self.tolerance)
+        if tolerance > 1.0 / m.shape[0]:
             raise ValueError(
-                f"family tolerance {self.tolerance!r} must lie in [0, 1/size] = "
+                f"family tolerance {tolerance!r} must lie in [0, 1/size] = "
                 f"[0, {1.0 / m.shape[0]:.6g}]"
             )
+        object.__setattr__(self, "tolerance", tolerance)
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "members", m)
@@ -411,7 +426,7 @@ def index_set(indices: Sequence[int], family_size: int) -> tuple[int, ...]:
 
     Must be nonempty, strictly increasing and within range.
     """
-    idx = tuple(map(int, indices))
+    idx = tuple(_integer("each index", i) for i in indices)
     if not idx:
         raise ValueError("index set must be nonempty")
     if any(i < 0 or i >= family_size for i in idx):

@@ -81,6 +81,7 @@ from .space import (
     _count,
     _field,
     _inner,
+    _integer,
     _modulus,
     _norm_sq,
     allowance,
@@ -103,17 +104,24 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "instance_count", _count("instance_count", self.instance_count))
+        # integers before the grid check, so that cells() compares numbers;
+        # positive ones after it, so that --dims 0 names the empty grid
+        names = ("dims", "family_sizes")
+        for name in names:
+            values = getattr(self, name)
+            values = tuple(_integer(f"each of {name}", v, "a positive integer") for v in values)
+            object.__setattr__(self, name, values)
         if not self.cells():
             raise ValueError(
                 f"the grid has no cell: no family size in {list(self.family_sizes)} "
                 f"fits a dimension in {list(self.dims)} over fields {list(self.fields)}"
             )
-        for name in ("dims", "family_sizes"):
-            values = tuple(_count(f"each of {name}", value) for value in getattr(self, name))
-            object.__setattr__(self, name, values)
+        for name in names:
+            for value in getattr(self, name):
+                _count(f"each of {name}", value)
         for value in self.fields:
             _field(value)
-        check_seed(self.seed)
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
     def cells(self) -> list[tuple[int, int, str]]:
         return [

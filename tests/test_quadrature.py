@@ -76,6 +76,14 @@ class TestMeasureSpaces:
         with pytest.raises(ValueError, match="at least one node"):
             rule(count)
 
+    @pytest.mark.parametrize("rule", [counting_measure, periodic_trapezoid, gauss_legendre])
+    @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)], ids=repr)
+    def test_a_node_count_must_be_an_integer(self, rule, count):
+        # 2.5 used to reach numpy's own errors; gauss_legendre(True) gave one node
+        message = f"node count must be an integer, got {re.escape(repr(count))}$"
+        with pytest.raises(ValueError, match=message):
+            rule(count)
+
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError, match="positive"):
             counting_measure(3).__class__(np.arange(3.0), np.array([1.0, 0.0, 1.0]), "counting")

@@ -13,10 +13,10 @@ from orthobounds.generate import Instance, rng_from_seed
 from orthobounds.serialize import instance_from_dict
 from orthobounds.sharpness import (
     SearchConfig,
+    _coordinate_directions,
     _gruss_evaluator,
     _hill_climb,
     _residual_evaluator,
-    _slots,
     _start_states,
     extremal_instance,
     maximize_gruss_ratio,
@@ -283,11 +283,9 @@ class TestEvaluatorEdgeCases:
         ctx, members, state = _start_state(cell, mode)
         step = 0.125 * float(np.max(np.abs(state)))
         moves = []
-        for index, imaginary in _slots(state.size, ctx.is_complex):
+        for direction in _coordinate_directions(state.size, ctx.is_complex):
             for signed in (step, -step):
-                move = state.copy()
-                move[index] += 1j * signed if imaginary else signed
-                moves.append(move)
+                moves.append(state + signed * direction)
         far = state.copy()
         far[0] += 1e3 * step
         flat = state.copy()
@@ -340,7 +338,8 @@ class TestHillClimb:
             return np.zeros(len(stack), bool), ratio, slack, np.zeros(len(stack), bool)
 
         start = np.zeros(1, dtype=np.complex128)
-        state, best, evaluations = _hill_climb(start, evaluate, _slots(1, False), 5, 1.0)
+        directions = _coordinate_directions(1, False)
+        state, best, evaluations = _hill_climb(start, evaluate, directions, 5, 1.0)
         assert state.tobytes() == start.tobytes()
         assert best == (0.0, 0.0, False)
         assert evaluations == 10

@@ -31,7 +31,7 @@ from orthobounds.quadrature import (
     periodic_trapezoid,
 )
 from orthobounds.bounds import CoefficientBox, instance_scale, pair_scale
-from orthobounds.generate import generate_certified_instance, rng_from_seed
+from orthobounds.generate import check_seed, generate_certified_instance, rng_from_seed
 from orthobounds.serialize import instance_from_dict
 from orthobounds.sharpness import SearchConfig
 from orthobounds.suite import SuiteConfig
@@ -345,6 +345,14 @@ class TestVectorValidation:
         with pytest.raises(ValueError, match="family tolerance"):
             OrthonormalFamily.from_members(ctx, np.eye(2), tolerance)
 
+    @pytest.mark.parametrize("tolerance", ["1e-10", None, 1j, True])
+    def test_family_tolerance_must_be_a_real_number(self, tolerance):
+        # a string, None or a complex number used to fail the range comparison
+        # with a TypeError
+        message = f"^family tolerance .*, got {re.escape(repr(tolerance))}$"
+        with pytest.raises(ValueError, match=message):
+            OrthonormalFamily(np.eye(2), 0.0, tolerance)
+
     @pytest.mark.parametrize("tolerance", [0.0, 1e-3, 0.5])
     def test_family_tolerance_up_to_one_over_size_accepted(self, tolerance):
         ctx = SpaceContext(REAL, 2)
@@ -368,6 +376,25 @@ class TestIndexSet:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
             index_set((1, 1), 4)
+
+    @pytest.mark.parametrize("index", [0.9, "1", True], ids=repr)
+    @pytest.mark.parametrize("entry", ["index_set", "CoefficientBox"])
+    def test_an_index_must_be_an_integer(self, entry, index):
+        # int() used to read 0.9 as member 0 and "1" and True as member 1
+        message = f"index must be an integer, got {re.escape(repr(index))}$"
+        with pytest.raises(ValueError, match=message):
+            if entry == "index_set":
+                index_set((index,), 2)
+            else:
+                CoefficientBox((index,), (0.0,), (1.0,))
+
+    def test_integral_indices_are_stored_as_ints(self):
+        one = np.int64(1)
+        assert index_set((one,), 2) == (1,)
+        assert type(CoefficientBox((one,), (0.0,), (1.0,)).indices[0]) is int
+        # an index array: np.array([0]) used to read as an empty index set
+        assert CoefficientBox(np.array([0]), (0.0,), (1.0,)).indices == (0,)
+        assert CoefficientBox(np.arange(2), (0.0, 0.0), (1.0, 1.0)).indices == (0, 1)
 
 
 class TestStackedPrimitives:
@@ -430,6 +457,13 @@ COUNT_ENTRIES = {
     ),
 }
 
+#: Every entry point of a seed.
+SEED_ENTRIES = {
+    "check_seed": check_seed,
+    "SuiteConfig": lambda v: SuiteConfig(seed=v),
+    "SearchConfig": lambda v: SearchConfig(seed=v),
+}
+
 #: Every entry point of a field tag.
 FIELD_ENTRIES = {
     "SpaceContext": lambda v: SpaceContext(v, 2),
@@ -443,9 +477,9 @@ FIELD_ENTRIES = {
 
 
 class TestInputRules:
-    """One integer rule for every size and count and one field rule for every
-    field tag (``space._count``, ``space._field``), whichever entry point
-    reads them; each message ends with the bad value."""
+    """One integer rule for every size, count and seed and one field rule for
+    every field tag (``space._integer``, ``space._count``, ``space._field``),
+    whichever entry point reads them; each message ends with the bad value."""
 
     @pytest.mark.parametrize("value", [2.5, np.float64(2.0), True, 0, -1], ids=repr)
     @pytest.mark.parametrize("entry", COUNT_ENTRIES)
@@ -462,6 +496,26 @@ class TestInputRules:
         grid = SuiteConfig(instance_count=three, dims=(three,), family_sizes=(three,))
         assert {type(v) for v in (grid.instance_count, *grid.dims, *grid.family_sizes)} == {int}
         assert grid == SuiteConfig(instance_count=3, dims=(3,), family_sizes=(3,))
+
+    @pytest.mark.parametrize("value", ["2", None, 1j], ids=repr)
+    @pytest.mark.parametrize("name", ["dims", "family_sizes"])
+    def test_a_grid_value_that_is_no_integer_is_rejected(self, name, value):
+        # cells() used to compare it first and raise a TypeError
+        grid = {"dims": (value, 16), "family_sizes": (1, value)}[name]
+        message = f"{name} must be a positive integer, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SuiteConfig(**{name: grid})
+
+    @pytest.mark.parametrize("value", [2.7, "5", True], ids=repr)
+    @pytest.mark.parametrize("entry", SEED_ENTRIES)
+    def test_a_seed_that_is_no_integer_is_rejected(self, entry, value):
+        # int(seed) used to pass them, and the configs stored them as given
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {re.escape(repr(value))}$"):
+            SEED_ENTRIES[entry](value)
+
+    def test_an_integral_seed_is_stored_as_an_int(self):
+        for cfg in (SuiteConfig(seed=np.uint64(5)), SearchConfig(seed=np.int64(5))):
+            assert type(cfg.seed) is int and cfg.seed == 5
 
     @pytest.mark.parametrize("value", ["quaternion", "Real"])
     @pytest.mark.parametrize("entry", FIELD_ENTRIES)
