@@ -7,15 +7,34 @@ by the ``generate_*`` functions certify by construction: box midpoints are
 placed near the expansion coefficients and the box diameters are scaled so
 the norm form of the condition holds with a nonnegative margin.
 
-Each generator works on a stack of instances, one per stream: every draw is
-made from each stream in turn, in one fixed order per stream, and the
-arithmetic runs on the stacked draws.  A stream whose family CGS2 rejects, or
-whose box direction is zero, redraws alone, as a single stream would.  The
-public generators are stacks of one; ``suite.run_suite`` stacks a cell.
+Generation works on a stack of streams, one instance per stream and source,
+in two phases.  A source (``_CERTIFIED`` ... ``_TWOSIDED``, or the search's
+start states) declares its draws once, in stream order: its family, then its
+vectors and boxes.  ``_plan`` lays a list of sources out as one row of normals
+and one row of uniforms per stream.
+
+* Draw phase: each stream draws all its sources in one loop, with one
+  ``standard_normal(out=...)`` per run of normals inside a source and one
+  ``random()`` per uniform.  A vector's log-normal scale is the run's normal
+  z taken as ``math.exp(0.0 + 0.5 * z)``: numpy's ``Generator.lognormal``
+  computes exactly ``exp(loc + scale * z)`` with libm's ``exp``, and
+  ``uniform()`` computes ``0.0 + 1.0 * random()``, so the numbers are those
+  of one ``lognormal``, ``standard_normal`` or ``uniform`` call per draw.
+* Build phase: the arithmetic runs once across all sources, one ``_cgs2`` on
+  the stack of every source's families and one box pass over every box.
+
+A stream whose family CGS2 rejects, or whose box direction is zero, is
+replayed alone from a snapshot of its bit generator's state: one call per
+draw, in the same order, redrawing each draw the build rejected and checking
+each redraw, as a stream that checked every draw as it went would.  The stack
+is then built again.  The public generators are one source on one stream;
+``suite.run_suite`` draws a cell's five sources on each of its streams.
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -54,13 +73,17 @@ class PairInstance(NamedTuple):
 
 
 def rng_from_seed(seed: int, *key: int) -> np.random.Generator:
-    """Independent PCG64 stream for (seed, key...).
+    """Independent PCG64 stream for (seed, key...): the seed under
+    ``check_seed``, each key a nonnegative integer (``space._integer``).
 
     Streams for distinct key paths are statistically independent and
     reproduce across platforms, which is what makes suite outcomes and
     search results byte-stable.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), *map(int, key)))))
+    for value in key:
+        if _integer("each key", value, "a nonnegative integer") < 0:
+            raise ValueError(f"each key must be a nonnegative integer, got {value!r}")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((check_seed(seed), *map(int, key)))))
 
 
 def check_seed(seed: int) -> int:
@@ -80,6 +103,15 @@ class _Families(NamedTuple):
     gram_defect: np.ndarray
 
 
+def _complex(draws: np.ndarray) -> np.ndarray:
+    """Vectors (..., n) from standard normal draws (..., parts, n): the real
+    parts, plus (with two parts) the imaginary parts."""
+    z = draws[..., 0, :].astype(np.complex128)
+    if draws.shape[-2] == 2:
+        z = z + 1j * draws[..., 1, :]
+    return z
+
+
 def _gaussians(rngs, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
     """Standard Gaussian scalars of ``shape`` from each stream, stacked.
 
@@ -91,30 +123,300 @@ def _gaussians(rngs, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
     draws = np.empty((len(rngs), *shape[:-1], parts, shape[-1]))
     for row, rng in zip(draws.reshape(len(rngs), -1), rngs):
         rng.standard_normal(out=row)
-    z = draws[..., 0, :].astype(np.complex128)
-    if complex_field:
-        z = z + 1j * draws[..., 1, :]
-    return z
+    return _complex(draws)
+
+
+def _length(direction: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.sum(np.abs(direction) ** 2, axis=-1))
+
+
+# A source is a tuple of steps in stream order: ``_FAMILY`` (its Gaussian
+# family, orthonormalized), then ``_Vector`` and ``_Box`` steps.
+_FAMILY = "family"
+
+
+class _Vector(NamedTuple):
+    """A Gaussian vector, at a log-normal scale drawn first when ``scaled``."""
+
+    scaled: bool = True
+
+
+class _Box(NamedTuple):
+    """A box certifying each vector it ``covers``: "x" and "y" are the
+    source's first and second vectors, "x+y" and "x-y" half their sum and
+    difference.  Its midpoints are the mean of their coefficients plus
+    Gaussian noise of size ``sigma``; its half-offsets point in a Gaussian
+    direction, scaled so that sqrt(sum |d_i|^2) is a slack factor times the
+    farthest vector's distance ||v - sum mid_i e_i||.  The factor is 1 + u
+    with u uniform on [0, 1), drawn after the noise; a ``loose`` box draws u
+    before the noise and takes 2u, so that about half of its boxes violate
+    the condition."""
+
+    covers: tuple[str, ...]
+    sigma: float = 0.25
+    loose: bool = False
+
+
+_CERTIFIED = (_FAMILY, _Vector(), _Box(("x",)))
+_LOOSE = (_FAMILY, _Vector(), _Box(("x",), loose=True))
+_PAIR = (_FAMILY, _Vector(), _Box(("x",)), _Vector(), _Box(("y",)))
+_MIDPOINT = (_FAMILY, _Vector(), _Vector(), _Box(("x+y",)))
+_TWOSIDED = (_FAMILY, _Vector(), _Vector(), _Box(("x+y", "x-y"), 0.1))
+
+
+class _Built(NamedTuple):
+    """A build of every source of a plan: families (S, B, F, d) and their
+    Gram defects and CGS2 rejections (S, B); vectors (V, B, d); box midpoints
+    and half-offsets (N, B, F) and which box directions are zero (N, B)."""
+
+    members: np.ndarray
+    gram_defect: np.ndarray
+    rejected: np.ndarray
+    vectors: np.ndarray
+    mid: np.ndarray
+    half: np.ndarray
+    zero: np.ndarray
+
+
+class _Plan:
+    """The draws of a list of sources on one stream, laid out as one row of
+    normals and one row of uniforms, and the build that turns a stack of
+    such rows into families, vectors and boxes.
+
+    ``draws`` lists every draw in stream order as (check, index, start, stop):
+    a slice of the normals row, or (``stop`` None) one uniform; ``check``
+    names what the build may reject ("family" or "direction", the index-th
+    one) and is None elsewhere.  ``calls`` merges the normals of a source
+    that no uniform separates into one slice."""
+
+    def __init__(self, sources, dimension: int, size: int, complex_field: bool):
+        self.dimension, self.size = dimension, size
+        self.parts = parts = 2 if complex_field else 1
+        self.draws, self.calls = [], []
+        families, vectors, scales, boxes, self.slices = [], [], [], [], []
+        normals = uniforms = 0
+
+        def draw(count=None, check=None, index=0):
+            nonlocal normals, uniforms
+            if count is None:
+                self.draws.append((None, None, uniforms, None))
+                self.calls.append((uniforms, None))
+                uniforms += 1
+                return uniforms - 1
+            self.draws.append((check, index, normals, normals + count))
+            if len(self.calls) > first_call and self.calls[-1][1] == normals:
+                self.calls[-1] = (self.calls[-1][0], normals + count)
+            else:
+                self.calls.append((normals, normals + count))
+            normals += count
+            return range(normals - count, normals)
+
+        for source, steps in enumerate(sources):
+            first_call = len(self.calls)  # a run of normals stays inside its source
+            first_vector, first_box = len(vectors), len(boxes)
+            # a source that draws no vectors covers the ones its caller gives
+            own = [len(vectors) + i for i in range(sum(isinstance(s, _Vector) for s in steps))] or [0, 1]
+            for step in steps:
+                if step == _FAMILY:
+                    families.append(draw(size * parts * dimension, "family", len(families)))
+                elif isinstance(step, _Vector):
+                    if step.scaled:
+                        scales.append(draw(1)[0])
+                    vectors.append(draw(parts * dimension))
+                else:
+                    uniform = draw() if step.loose else None
+                    noise = draw(parts * size)
+                    if not step.loose:
+                        uniform = draw()
+                    direction = draw(parts * size, "direction", len(boxes))
+                    covers = [_cover(name, own) for name in step.covers]
+                    boxes.append((source, covers, step, noise, uniform, direction))
+            self.slices.append((slice(first_vector, len(vectors)), slice(first_box, len(boxes))))
+        self.normals, self.uniforms = normals, uniforms
+        self.families, self.vectors = _columns(families), _columns(vectors)
+        if len(scales) not in (0, len(vectors)):
+            raise ValueError("a plan's vectors are all drawn at a log-normal scale or none is")
+        self.scales = _index(scales)
+        self.box_source = _index([box[0] for box in boxes])
+        # each box's first covered vector, and the ones after it as (box, cover)
+        self.first = _index([box[1][0][0] for box in boxes])
+        self.halves = [(b, box[1][0]) for b, box in enumerate(boxes) if box[1][0][1] is not None]
+        self.extra = [(b, cover) for b, box in enumerate(boxes) for cover in box[1][1:]]
+        self.box_count = np.array([len(box[1]) for box in boxes])[:, None, None]
+        self.sigma = np.array([box[2].sigma for box in boxes])[:, None, None]
+        self.loose = np.array([box[2].loose for box in boxes])[:, None]
+        self.uniform = _index([box[4] for box in boxes])
+        # every box's noise, then every box's direction
+        self.box_normals = _columns([box[3] for box in boxes] + [box[5] for box in boxes])
+
+    def run(self, rngs, ctx: SpaceContext, rows=None, vectors=None) -> _Built:
+        """Draw and build every source on each stream of ``rngs``, replaying
+        a stream the build rejects.  ``rows`` (1, B, F, d) and ``vectors``
+        (V, B, d) stand in for a family and vectors the sources do not draw."""
+        normals = np.empty((len(rngs), self.normals))
+        uniforms = np.empty((len(rngs), self.uniforms))
+        states = []
+        for rng, row, urow in zip(rngs, normals, uniforms):
+            states.append(rng.bit_generator.state)
+            for start, stop in self.calls:
+                if stop is None:
+                    urow[start] = rng.random()
+                else:
+                    rng.standard_normal(out=row[start:stop])
+        built = self._build(ctx, normals, uniforms, rows, vectors)
+        if not (built.rejected.any() or built.zero.any()):
+            return built
+        for i in np.flatnonzero(built.rejected.any(axis=0) | built.zero.any(axis=0)):
+            rngs[i].bit_generator.state = states[i]
+            verdicts = {"family": built.rejected[:, i], "direction": built.zero[:, i]}
+            self._replay(ctx, rngs[i], normals[i], uniforms[i], verdicts)
+        return self._build(ctx, normals, uniforms, rows, vectors)
+
+    def _replay(self, ctx, rng, normals, uniforms, verdicts) -> None:
+        """Draw one stream again, one call per draw: a draw the build
+        rejected is drawn anew until it passes, and once one has been, every
+        later checked draw is checked as it is drawn."""
+        shifted = False
+        for check, index, start, stop in self.draws:
+            if stop is None:
+                uniforms[start] = rng.random()
+                continue
+            rng.standard_normal(out=normals[start:stop])
+            if check is None:
+                continue
+            rejected = self._rejects(ctx, check, normals[start:stop]) if shifted else verdicts[check][index]
+            while rejected:
+                shifted = True
+                rng.standard_normal(out=normals[start:stop])
+                rejected = self._rejects(ctx, check, normals[start:stop])
+
+    def _rejects(self, ctx, check: str, draws: np.ndarray) -> bool:
+        if check == "family":
+            members = _complex(draws.reshape(1, self.size, self.parts, self.dimension))
+            return bool(_rejected(*_cgs2(ctx, members)[1:])[0])
+        return bool(_length(_complex(draws.reshape(1, self.parts, self.size)))[0] == 0.0)
+
+    def _build(self, ctx, normals, uniforms, rows, vectors) -> _Built:
+        """Every source built from the drawn rows at once: one CGS2 over all
+        families and one box pass over all boxes.  A rejected family or a
+        zero direction is flagged, and its stream's results are meaningless."""
+        count, size, parts, dim = len(normals), self.size, self.parts, self.dimension
+        streams = np.arange(count).reshape(1, count, 1)
+
+        def gather(columns, *shape):
+            # (K, B, *shape): draws of the K items of ``columns`` on each stream
+            return normals[streams, columns].reshape(len(columns), count, *shape)
+
+        families = len(self.families)
+        if families:
+            draws = gather(self.families, size, parts, dim).reshape(-1, size, parts, dim)
+            members, pivots, drop, defect = _cgs2(ctx, _complex(draws))
+            rejected = _rejected(pivots, drop, defect).reshape(families, count)
+            rows = members.reshape(families, count, size, dim)
+            defect = defect.reshape(families, count)
+        else:
+            defect = rejected = np.zeros((0, count))
+        if len(self.vectors):
+            vectors = _complex(gather(self.vectors, parts, dim))
+            if self.scales.size:
+                z = normals[:, self.scales].T.ravel().tolist()
+                scales = np.array([math.exp(0.0 + 0.5 * t) for t in z])
+                vectors = scales.reshape(len(self.scales), count, 1) * vectors
+        if not len(self.box_normals):
+            empty = np.zeros((0, count, size), complex)
+            return _Built(rows, defect, rejected, vectors, empty, empty, np.zeros((0, count), bool))
+        # the box pass: every box of every source at once
+        covered = vectors[self.first]
+        for box, cover in self.halves:
+            covered[box] = _covered(vectors, cover)
+        extra = [(box, _covered(vectors, cover)) for box, cover in self.extra]
+        box_rows = rows[self.box_source]
+        # the mean of the covered coefficients, summed from 0 as sum() would
+        total = 0 + _coefficients(ctx, covered, box_rows)
+        for box, v in extra:
+            total[box] = total[box] + _coefficients(ctx, v, box_rows[box])
+        boxes = len(self.uniform)
+        box_normals = _complex(gather(self.box_normals, parts, size))
+        noise, direction = box_normals[:boxes], box_normals[boxes:]
+        mid = total / self.box_count + self.sigma * noise
+        combination = _combine(mid, box_rows)
+        radius = _norm(ctx, covered - combination)
+        for box, v in extra:
+            radius[box] = np.maximum(radius[box], _norm(ctx, v - combination[box]))
+        u = uniforms[:, self.uniform].T
+        target = np.where(self.loose, 2.0 * u, 1.0 + u) * radius
+        length = _length(direction)
+        zero = length == 0.0
+        scale = target / np.where(zero, 1.0, length)
+        half = np.where((target > 0.0)[..., None], direction * scale[..., None], 0.0)
+        return _Built(rows, defect, rejected, vectors, mid, half, zero)
+
+
+def _cover(name: str, own: list[int]) -> tuple[int, int | None, bool]:
+    """(i, j, plus) of a covered vector: vector i, or half of v_i + v_j
+    (``plus``) or of v_i - v_j."""
+    if name in ("x", "y"):
+        return own["xy".index(name)], None, True
+    return own[0], own[1], name == "x+y"
+
+
+def _covered(vectors: np.ndarray, cover) -> np.ndarray:
+    i, j, plus = cover
+    if j is None:
+        return vectors[i]
+    return 0.5 * (vectors[i] + vectors[j] if plus else vectors[i] - vectors[j])
+
+
+def _index(values) -> np.ndarray:
+    index = np.array(values, dtype=np.intp)
+    index.setflags(write=False)
+    return index
+
+
+def _columns(ranges) -> np.ndarray:
+    """The normals columns of equal-length draws, one row per draw, shaped to
+    index a (streams, columns) array into (draws, streams, length)."""
+    return _index([list(r) for r in ranges]).reshape(len(ranges), 1, -1 if ranges else 0)
+
+
+@lru_cache(maxsize=64)
+def _plan(sources, dimension: int, size: int, complex_field: bool) -> _Plan:
+    return _Plan(sources, dimension, size, complex_field)
+
+
+def _drawn(rngs, ctx: SpaceContext, size: int, sources) -> tuple[_Plan, _Built]:
+    """The plan of ``sources`` and its build on each stream of ``rngs``."""
+    size = _count("family_size", size)
+    if size > ctx.dimension:
+        raise ValueError("family size cannot exceed the dimension")
+    plan = _plan(tuple(sources), ctx.dimension, size, ctx.is_complex)
+    return plan, plan.run(rngs, ctx)
+
+
+def _stacks(rngs, ctx: SpaceContext, size: int, sources) -> list[Instance | PairInstance]:
+    """One stack of instances per source, a row per stream: an Instance for
+    a source of one vector, else a PairInstance whose one box, if it has
+    only one, is both ``box_x`` and ``box_y``."""
+    plan, built = _drawn(rngs, ctx, size, sources)
+    lower, upper, half_diameter_sq = _Boxes.centered(built.mid, built.half)
+    indices = tuple(range(size))
+    stacks = []
+    for source, (vectors, own) in enumerate(plan.slices):
+        family = _Families(built.members[source], built.gram_defect[source])
+        vectors = built.vectors[vectors]
+        own = [_Boxes(lower[b], upper[b], half_diameter_sq[b]) for b in range(own.start, own.stop)]
+        if len(vectors) == 1:
+            stacks.append(Instance(ctx, vectors[0], family, indices, *own))
+        else:
+            stacks.append(PairInstance(ctx, *vectors, family, indices, own[0], own[-1]))
+    return stacks
 
 
 def _families(rngs, ctx: SpaceContext, size: int) -> _Families:
     """An orthonormalized random Gaussian family on each stream: a stream
     whose draw CGS2 rejects draws again, alone."""
-    size = _count("family_size", size)
-    if size > ctx.dimension:
-        raise ValueError("family size cannot exceed the dimension")
-    members, pivots, drop, defect = _cgs2(
-        ctx, _gaussians(rngs, (size, ctx.dimension), ctx.is_complex)
-    )
-    for i in np.flatnonzero(_rejected(pivots, drop, defect)):
-        members[i], defect[i] = (a[0] for a in _families(rngs[i : i + 1], ctx, size))
-    return _Families(members, defect)
-
-
-def _vectors(rngs, ctx: SpaceContext) -> np.ndarray:
-    """A Gaussian vector on each stream at a log-normal scale, drawn first."""
-    scales = np.array([rng.lognormal(0.0, 0.5) for rng in rngs])
-    return scales[:, None] * _gaussians(rngs, (ctx.dimension,), ctx.is_complex)
+    _, built = _drawn(rngs, ctx, size, ((_FAMILY,),))
+    return _Families(built.members[0], built.gram_defect[0])
 
 
 def certified_box_arrays(
@@ -137,75 +439,9 @@ def certified_box_arrays(
     nonnegative up to the family's Gram defect.
     """
     (x,), _, rows = _validated(ctx, fam, indices, (x,))
-    mid, half = _box_arrays([rng], ctx, [x[None]], rows[None])
-    return mid[0], half[0]
-
-
-def _box_arrays(rngs, ctx, vectors, rows, mid_sigma=0.25, slack_factor=None):
-    """``certified_box_arrays`` on each stream for one box that certifies
-    every vector of ``vectors``, for inputs valid by construction:
-    ``vectors`` a list of stacks (B, d), ``rows`` (B, F, d) the selected rows
-    of certified families.  The midpoints are the mean of the vectors'
-    coefficients plus noise of size ``mid_sigma``, and the radius covers the
-    farthest vector."""
-    count = rows.shape[-2]
-    noise = mid_sigma * _gaussians(rngs, (count,), ctx.is_complex)
-    coefficients = [_coefficients(ctx, v, rows) for v in vectors]
-    mid = sum(coefficients) / len(coefficients) + noise
-    combination = _combine(mid, rows)
-    radius = np.maximum.reduce([_norm(ctx, v - combination) for v in vectors])
-    if slack_factor is None:
-        slack_factor = 1.0 + _uniforms(rngs)
-    return mid, _offsets(rngs, ctx, count, slack_factor * radius)
-
-
-def _uniforms(rngs) -> np.ndarray:
-    return np.array([rng.uniform() for rng in rngs])
-
-
-def _offsets(rngs, ctx: SpaceContext, count: int, target: np.ndarray) -> np.ndarray:
-    """Half-offsets in a random direction with sqrt(sum |d_i|^2) = target."""
-    direction, length = _direction(rngs, ctx, count)
-    return np.where((target > 0.0)[:, None], direction * (target / length)[:, None], 0.0)
-
-
-def _direction(rngs, ctx: SpaceContext, count: int):
-    """A Gaussian direction and its length per stream; a stream that draws the
-    zero vector draws again, alone."""
-    direction = _gaussians(rngs, (count,), ctx.is_complex)
-    length = np.sqrt(np.sum(np.abs(direction) ** 2, axis=-1))
-    for i in np.flatnonzero(length == 0.0):
-        direction[i], length[i] = (a[0] for a in _direction(rngs[i : i + 1], ctx, count))
-    return direction, length
-
-
-def _instances(rngs, ctx: SpaceContext, size: int, loose: bool = False) -> Instance:
-    """Certified instances, or (``loose``) unconstrained ones, one per stream."""
-    fam = _families(rngs, ctx, size)
-    x = _vectors(rngs, ctx)
-    factor = 2.0 * _uniforms(rngs) if loose else None
-    box = _Boxes.centered(*_box_arrays(rngs, ctx, [x], fam.members, slack_factor=factor))
-    return Instance(ctx, x, fam, tuple(range(size)), box)
-
-
-def _certified_pairs(rngs, ctx: SpaceContext, size: int) -> PairInstance:
-    ctx, x, fam, indices, box_x = _instances(rngs, ctx, size)
-    y = _vectors(rngs, ctx)
-    box_y = _Boxes.centered(*_box_arrays(rngs, ctx, [y], fam.members))
-    return PairInstance(ctx, x, y, fam, indices, box_x, box_y)
-
-
-def _shared_box_pairs(rngs, ctx: SpaceContext, size: int, twosided: bool) -> PairInstance:
-    """Pairs whose one box certifies (x+y)/2 and, when ``twosided``, (x-y)/2."""
-    fam = _families(rngs, ctx, size)
-    x = _vectors(rngs, ctx)
-    y = _vectors(rngs, ctx)
-    if twosided:
-        mid, half = _box_arrays(rngs, ctx, [0.5 * (x + y), 0.5 * (x - y)], fam.members, 0.1)
-    else:
-        mid, half = _box_arrays(rngs, ctx, [0.5 * (x + y)], fam.members)
-    box = _Boxes.centered(mid, half)
-    return PairInstance(ctx, x, y, fam, tuple(range(size)), box, box)
+    plan = _plan(((_Box(("x",)),),), ctx.dimension, len(rows), ctx.is_complex)
+    built = plan.run([rng], ctx, rows[None, None], x[None, None])
+    return built.mid[0, 0], built.half[0, 0]
 
 
 def _row(stack: Instance | PairInstance, i: int) -> Instance | PairInstance:
@@ -223,11 +459,16 @@ def _box_row(boxes: _Boxes, indices: tuple[int, ...], i: int) -> CoefficientBox:
     return CoefficientBox(indices, boxes.lower_array[i], boxes.upper_array[i])
 
 
+def _generated(source, rng, dim, family_size, field):
+    (stack,) = _stacks([rng], SpaceContext(field, dim), family_size, (source,))
+    return _row(stack, 0)
+
+
 def generate_certified_instance(
     rng: np.random.Generator, dim: int, family_size: int, field: str
 ) -> Instance:
     """Random instance whose box condition holds by construction."""
-    return _row(_instances([rng], SpaceContext(field, dim), family_size), 0)
+    return _generated(_CERTIFIED, rng, dim, family_size, field)
 
 
 def generate_unconstrained_instance(
@@ -236,14 +477,14 @@ def generate_unconstrained_instance(
     """Random instance with no feasibility guarantee: the box diameter scale
     is drawn from [0, 2), so roughly half of the draws violate the condition.
     """
-    return _row(_instances([rng], SpaceContext(field, dim), family_size, loose=True), 0)
+    return _generated(_LOOSE, rng, dim, family_size, field)
 
 
 def generate_certified_pair(
     rng: np.random.Generator, dim: int, family_size: int, field: str
 ) -> PairInstance:
     """Two vectors over one family, each certified by its own box."""
-    return _row(_certified_pairs([rng], SpaceContext(field, dim), family_size), 0)
+    return _generated(_PAIR, rng, dim, family_size, field)
 
 
 def generate_midpoint_pair(
@@ -254,7 +495,7 @@ def generate_midpoint_pair(
     ``box_x`` is the shared midpoint box; ``box_y`` is the same object, for
     interface uniformity.
     """
-    return _row(_shared_box_pairs([rng], SpaceContext(field, dim), family_size, False), 0)
+    return _generated(_MIDPOINT, rng, dim, family_size, field)
 
 
 def generate_twosided_pair(
@@ -266,4 +507,4 @@ def generate_twosided_pair(
     the diameter covers the larger of the two distances, so both conditions
     hold by construction.
     """
-    return _row(_shared_box_pairs([rng], SpaceContext(field, dim), family_size, True), 0)
+    return _generated(_TWOSIDED, rng, dim, family_size, field)

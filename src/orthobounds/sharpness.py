@@ -43,7 +43,7 @@ import numpy as np
 from . import serialize
 from .bounds import CoefficientBox, counterpart_bounds, gruss_bounds
 from .bounds import _deviation, _residual, _slack_inner
-from .generate import Instance, PairInstance, _box_arrays, _families, _gaussians
+from .generate import _FAMILY, Instance, PairInstance, _Box, _drawn, _Families, _Vector
 from .generate import check_seed, rng_from_seed
 from .space import REAL, OrthonormalFamily, SpaceContext, as_vector
 from .space import _coefficients, _count, _dot, _field, _modulus, _norm_sq
@@ -284,13 +284,16 @@ def _gruss_evaluator(ctx: SpaceContext, rows: np.ndarray):
 
 def _start_states(cfg: SearchConfig, count: int, ctx: SpaceContext):
     """Every restart's family and start state (restarts, size), drawn as one
-    stack the way ``run_suite`` draws a cell: the stream (seed, count, r) of
-    restart r draws its family, then its ``count`` vectors, then their boxes."""
+    stack through the draw plan ``run_suite`` draws a cell with: the stream
+    (seed, count, r) of restart r draws its family, then its ``count``
+    vectors, then their boxes."""
     rngs = [rng_from_seed(cfg.seed, count, r) for r in range(cfg.restarts)]
-    families = _families(rngs, ctx, cfg.family_size)
-    vectors = [_gaussians(rngs, (ctx.dimension,), ctx.is_complex) for _ in range(count)]
-    boxes = [_box_arrays(rngs, ctx, [v], families.members) for v in vectors]
-    return families, np.concatenate([*vectors, *(part for box in boxes for part in box)], -1)
+    names = "xy"[:count]
+    source = (_FAMILY, *(_Vector(scaled=False) for _ in names), *(_Box((name,)) for name in names))
+    _, built = _drawn(rngs, ctx, cfg.family_size, (source,))
+    boxes = (part for box in zip(built.mid, built.half) for part in box)
+    families = _Families(built.members[0], built.gram_defect[0])
+    return families, np.concatenate([*built.vectors, *boxes], -1)
 
 
 def _maximize(cfg: SearchConfig, mode: str, count: int, evaluator, kind, chain) -> SharpnessResult:

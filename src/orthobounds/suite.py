@@ -23,7 +23,7 @@ Gram defect.
 
 ``run_suite`` generates and checks one cell at a time, its instances stacked
 along a leading axis, on the kernel of :mod:`orthobounds.bounds`.  It reads
-one table, ``_SOURCES``, of (stacked generator, evaluator) pairs, one per
+one table, ``_SOURCES``, of (declared draws, evaluator) pairs, one per
 generated source.  An evaluator takes only its stack: it computes the kernel
 report and each vector's squared norm once, takes the allowance scale from
 those norms, and derives all of the source's records, a chain holding when it
@@ -41,7 +41,6 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -62,13 +61,16 @@ from .bounds import (
     gruss_bounds,
 )
 from .generate import (
+    _CERTIFIED,
+    _LOOSE,
+    _MIDPOINT,
+    _PAIR,
+    _TWOSIDED,
     Instance,
     PairInstance,
-    _certified_pairs,
     _Families,
-    _instances,
     _row,
-    _shared_box_pairs,
+    _stacks,
     check_seed,
     rng_from_seed,
 )
@@ -104,6 +106,12 @@ class SuiteConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "instance_count", _count("instance_count", self.instance_count))
+        for name in ("dims", "family_sizes", "fields"):
+            values = getattr(self, name)
+            # a string or a scalar would be split into characters or not iterate
+            if not isinstance(values, (tuple, list)):
+                raise ValueError(f"{name} must be a tuple or a list, got {values!r}")
+            object.__setattr__(self, name, tuple(values))
         # integers before the grid check, so that cells() compares numbers;
         # positive ones after it, so that --dims 0 names the empty grid
         names = ("dims", "family_sizes")
@@ -361,15 +369,16 @@ def _twosided_records(pair: PairInstance):
     return {"companion_abs": _shared_box_verdict(_companion_abs, pair)}
 
 
-#: Each generated source as (stacked generator, evaluator), in the order
+#: Each generated source as (declared draws, evaluator), in the order
 #: ``run_suite`` draws and records them.
 _SOURCES = (
-    (_instances, _instance_records),
-    (partial(_instances, loose=True), _loose_records),
-    (_certified_pairs, _pair_records),
-    (partial(_shared_box_pairs, twosided=False), _midpoint_records),
-    (partial(_shared_box_pairs, twosided=True), _twosided_records),
+    (_CERTIFIED, _instance_records),
+    (_LOOSE, _loose_records),
+    (_PAIR, _pair_records),
+    (_MIDPOINT, _midpoint_records),
+    (_TWOSIDED, _twosided_records),
 )
+_DRAWN = tuple(source for source, _ in _SOURCES)
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
@@ -378,23 +387,21 @@ def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
     Instance i of cell c draws from the stream ``rng_from_seed(seed, c, i)``,
     once per entry of ``_SOURCES``: a certified instance, an unconstrained
     one, a certified pair, a midpoint pair and a two-sided pair, in that
-    order.  A cell's instances are generated and checked as one stack per
-    source; evaluation draws nothing, so each stream's draws keep that order.
-    Records go out instance by instance, and a failing instance is rebuilt
-    from its row of the stack.  Results are deterministic for a given config;
+    order, the draws the public generators make one after another.  A cell
+    is drawn and built at once (``generate._stacks``) and checked as one
+    stack per source; evaluation draws nothing.  Records go out instance by
+    instance, and a failing instance is rebuilt from its row of the stack.  Results are deterministic for a given config;
     callers that keep the outcome write ``outcome.to_dict()``.
     """
     outcome = SuiteOutcome(config=cfg)
     for cell_index, (dim, fsize, fld) in enumerate(cfg.cells()):
         ctx = SpaceContext(fld, dim)
         rngs = [rng_from_seed(cfg.seed, cell_index, i) for i in range(cfg.instance_count)]
-        results = []
-        for generate, evaluate in _SOURCES:
-            stack = generate(rngs, ctx, fsize)
-            results += [
-                (name, stack, ok.tolist(), margin.tolist())
-                for name, (ok, margin) in evaluate(stack).items()
-            ]
+        results = [
+            (name, stack, ok.tolist(), margin.tolist())
+            for stack, (_, evaluate) in zip(_stacks(rngs, ctx, fsize, _DRAWN), _SOURCES)
+            for name, (ok, margin) in evaluate(stack).items()
+        ]
         for i in range(cfg.instance_count):
             for name, stack, ok, margin in results:
                 outcome.record(name, ok[i], margin[i], None if ok[i] else _row(stack, i))

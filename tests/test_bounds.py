@@ -185,7 +185,7 @@ class TestConditionSlackInner:
     def test_matches_reference_on_random_instances(self):
         for field in (REAL, COMPLEX):
             for i in range(50):
-                rng = rng_from_seed(101, i, field == COMPLEX)
+                rng = rng_from_seed(101, i, int(field == COMPLEX))
                 inst = generate_unconstrained_instance(rng, 5, 3, field)
                 got = check_condition(*inst).slack_inner
                 want = ref_slack_inner(
@@ -324,7 +324,7 @@ class TestResidualIdentity:
     def test_agreement_on_random_instances(self):
         for field in (REAL, COMPLEX):
             for i in range(200):
-                rng = rng_from_seed(13, i, field == COMPLEX)
+                rng = rng_from_seed(13, i, int(field == COMPLEX))
                 inst = generate_unconstrained_instance(rng, 8, 4, field)
                 left, right = residual_identity_sides(
                     inst.ctx, inst.x, inst.family, inst.indices, inst.box

@@ -32,6 +32,7 @@ from orthobounds.sharpness import extremal_instance
 from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
 from orthobounds.suite import TIGHTNESS_HEADER, SuiteConfig, run_suite, tightness_rows
 from test_bounds import rescaled_offsets
+from test_source_draws import DRAWS
 
 
 def _rounded(value):
@@ -249,6 +250,27 @@ class _ZeroedDraw(np.random.Generator):
         return values
 
 
+class _Recording(np.random.Generator):
+    """A stream that logs each draw call as (method, number of values)."""
+
+    def __init__(self, seed, key, log):
+        super().__init__(rng_from_seed(seed, *key).bit_generator)
+        self.log = log.setdefault(key, [])
+
+
+def _logged(name):
+    def draw(self, *args, **kwargs):
+        values = getattr(np.random.Generator, name)(self, *args, **kwargs)
+        self.log.append((name, np.size(values)))
+        return values
+
+    return draw
+
+
+for _name in DRAWS:
+    setattr(_Recording, _name, _logged(_name))
+
+
 class TestStackedSuite:
     @pytest.mark.parametrize(
         "cell, count", [((2, 1, REAL), 6), ((16, 8, COMPLEX), 6), ((128, 64, COMPLEX), 2)], ids=str
@@ -265,10 +287,28 @@ class TestStackedSuite:
             assert record == other, (k, record, other)
         assert _outcome_text(stacked) == _outcome_text(alone)
 
-    @pytest.mark.parametrize("call, what", [(1, "family"), (4, "box direction")])
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_each_stream_draws_as_the_public_generators_do(self, monkeypatch, field):
+        # every family size, each stream's calls in order, with their sizes
+        cfg = SuiteConfig(instance_count=2, dims=(8,), family_sizes=(1, 2, 4, 8), fields=(field,))
+        suite_log, alone_log = {}, {}
+        monkeypatch.setattr(suite, "rng_from_seed", lambda seed, *key: _Recording(seed, key, suite_log))
+        run_suite(cfg)
+        _per_instance_outcome(cfg, lambda seed, *key: _Recording(seed, key, alone_log))
+        assert len(suite_log) == 8
+        assert suite_log == alone_log
+        # one call per run of normals and one per uniform: 17 per cell
+        assert {len(calls) for calls in suite_log.values()} == {17}
+
+    @pytest.mark.parametrize(
+        "call, what",
+        [(1, "family"), (2, "box direction"), (5, "pair family"), (6, "pair box direction")],
+    )
     def test_a_redrawn_stream_matches_the_per_instance_route(self, monkeypatch, call, what):
-        # instance 1's first family draw is all zeros, which CGS2 rejects, or
-        # the first box direction is zero; that stream alone draws again
+        # the call-th standard_normal call of instance 1 is all zeros: a run
+        # of normals that starts with a family, which CGS2 rejects, or a box
+        # direction, in the first source or a later one; that stream alone is
+        # replayed and draws it again
         cfg = SuiteConfig(instance_count=3, dims=(4,), family_sizes=(2,), fields=(COMPLEX,), seed=5)
 
         def stream(seed, *key):

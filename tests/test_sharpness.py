@@ -35,7 +35,7 @@ def _basis(dim, field):
     """A seeded orthonormal basis q_0 .. q_{dim-1}: the rows of gram_schmidt
     of a Gaussian dim x dim draw."""
     ctx = SpaceContext(field, dim)
-    rng = rng_from_seed(1905, dim, field == COMPLEX)
+    rng = rng_from_seed(1905, dim, int(field == COMPLEX))
     raw = rng.standard_normal((dim, dim)).astype(np.complex128)
     if field == COMPLEX:
         raw.imag = rng.standard_normal((dim, dim))

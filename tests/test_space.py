@@ -460,6 +460,7 @@ COUNT_ENTRIES = {
 #: Every entry point of a seed.
 SEED_ENTRIES = {
     "check_seed": check_seed,
+    "rng_from_seed": rng_from_seed,
     "SuiteConfig": lambda v: SuiteConfig(seed=v),
     "SearchConfig": lambda v: SearchConfig(seed=v),
 }
@@ -506,12 +507,27 @@ class TestInputRules:
         with pytest.raises(ValueError, match=message):
             SuiteConfig(**{name: grid})
 
+    @pytest.mark.parametrize(
+        "name, value", [("dims", 2), ("family_sizes", "12"), ("fields", "real"), ("fields", None)], ids=repr
+    )
+    def test_a_grid_that_is_no_tuple_is_rejected(self, name, value):
+        # fields="real" used to complain about 'r', and dims=2 raised a TypeError
+        message = f"{name} must be a tuple or a list, got {re.escape(repr(value))}$"
+        with pytest.raises(ValueError, match=message):
+            SuiteConfig(**{name: value})
+
     @pytest.mark.parametrize("value", [2.7, "5", True], ids=repr)
     @pytest.mark.parametrize("entry", SEED_ENTRIES)
     def test_a_seed_that_is_no_integer_is_rejected(self, entry, value):
         # int(seed) used to pass them, and the configs stored them as given
         with pytest.raises(ValueError, match=f"seed must be an integer, got {re.escape(repr(value))}$"):
             SEED_ENTRIES[entry](value)
+
+    @pytest.mark.parametrize("value", [2.7, "5", True, -1], ids=repr)
+    def test_a_stream_key_that_is_no_nonnegative_integer_is_rejected(self, value):
+        # int(key) used to take 2.7 as 2 and True as 1
+        with pytest.raises(ValueError, match=f"nonnegative integer, got {re.escape(repr(value))}$"):
+            rng_from_seed(1, 0, value)
 
     def test_an_integral_seed_is_stored_as_an_int(self):
         for cfg in (SuiteConfig(seed=np.uint64(5)), SearchConfig(seed=np.int64(5))):
