@@ -28,10 +28,12 @@ The evaluator maps a stack of states to (infeasible, ratio, slack,
 degenerate) arrays through the same private kernel as the bound chains in
 :mod:`orthobounds.bounds` (condition slack, residual, deviation), so the
 search has no formulas of its own; ``tests/reference.py`` stays the
-independent second route.  That one evaluator serves the poll, which
-evaluates a sweep's moves along the rows of a direction matrix (today the
-coordinate directions) in stacked chunks, and the start state and the
-pattern moves as stacks of one.
+independent second route.  The gruss evaluator passes x and y, their
+midpoints and their half-widths as (2, n, ...) stacks through one call each
+of the slack, norm and diameter kernels.  That one evaluator serves the
+poll, which evaluates a sweep's moves along the rows of a direction matrix
+(today the coordinate directions) in stacked chunks, and the start state
+and the pattern moves as stacks of one.
 """
 
 from __future__ import annotations
@@ -115,7 +117,9 @@ def _coordinate_directions(size: int, complex_field: bool) -> np.ndarray:
 #: at 32 moves per chunk, 1.82 s doubling from 8, 1.76 s doubling from 16,
 #: 2.20 s on the whole remaining sweep and 4.87-5.05 s one move at a time;
 #: this climb takes 2.67, 1.97, 1.69 and 1.68 s at 8, 16, 32 and 64 moves,
-#: 1.81 s on the whole sweep and 4.61 s one move at a time.
+#: 1.81 s on the whole sweep and 4.61 s one move at a time.  With the stacked
+#: gruss evaluator, 8 alternating rounds gave medians of 0.89, 0.87 and
+#: 0.89 s at 16, 32 and 64 moves, and no size won every round.
 _CHUNK = 32
 
 
@@ -137,8 +141,10 @@ def _hill_climb(state, evaluate, directions, steps, initial_scale):
 
     The poll is stacked: the sweep's next ``_CHUNK`` moves from the current
     state (fewer at the end of the sweep or of the budget) are evaluated as
-    one stack ``state + step * moves``, and the first acceptable one in the
-    sequential order is taken.  ``evaluations`` counts the moves that order
+    one stack ``state + scaled[a:b]``, with ``scaled = step * moves`` formed
+    once per step size (the bits of ``state + step * moves[a:b]``), and the
+    first acceptable one in the sequential order, the acceptance mask's
+    ``argmax``, is taken.  ``evaluations`` counts the moves that order
     would have tried: up to and including the accepted one, or the whole
     chunk on a miss.  So the budget, the step schedule and every trajectory
     are those of trying one move at a time.  The start state and each
@@ -157,11 +163,14 @@ def _hill_climb(state, evaluate, directions, steps, initial_scale):
     scale = initial_scale
     floor = _FINAL_STEP_FRACTION * initial_scale
     moves = np.stack([directions, -directions], axis=1).reshape(-1, directions.shape[-1])
+    scaled = scale * moves
 
     def acceptable(values):
         infeasible, ratio, slack, _ = values
-        wins = (ratio > best[0]) | ((ratio == best[0]) & (slack > best[1]))
-        return wins & ~infeasible & ~np.isnan(slack)
+        wins = ratio > best[0]
+        wins |= (ratio == best[0]) & (slack > best[1])
+        wins &= slack == slack  # a NaN slack never wins
+        return wins > infeasible  # wins & ~infeasible, in one call
 
     while evaluations < budget and scale > floor:
         improved = False
@@ -169,20 +178,21 @@ def _hill_climb(state, evaluate, directions, steps, initial_scale):
         move = 0
         while move < len(moves) and evaluations < budget:
             count = min(_CHUNK, len(moves) - move, budget - evaluations)
-            chunk = state + scale * moves[move : move + count]
+            chunk = state + scaled[move : move + count]
             values = evaluate(chunk)
-            hits = np.flatnonzero(acceptable(values))
-            if not hits.size:
+            wins = acceptable(values)
+            hit = int(wins.argmax())
+            if not wins[hit]:
                 evaluations += count
                 move += count
                 continue
-            hit = int(hits[0])
             evaluations += hit + 1
             state, (_, best) = chunk[hit], _row(values, hit)
             improved = True
             move = (move + hit) // 2 * 2 + 2  # the next row's +step
         if not improved:
             scale *= 0.5
+            np.multiply(scale, moves, out=scaled)  # in place: one scaled copy at a time
             continue
         # pattern move: ride the aggregated sweep direction while it keeps
         # paying off; single-coordinate steps alone crawl along the diagonal
@@ -201,8 +211,10 @@ def _hill_climb(state, evaluate, directions, steps, initial_scale):
 def _row(values, index: int):
     """Row ``index`` of evaluated values as Python scalars: (infeasible,
     (ratio, slack, degenerate))."""
-    infeasible, ratio, slack, degenerate = (part[index] for part in values)
-    return bool(infeasible), (float(ratio), float(slack), bool(degenerate))
+    infeasible, ratio, slack, degenerate = values
+    return bool(infeasible[index]), (
+        float(ratio[index]), float(slack[index]), bool(degenerate[index])
+    )
 
 
 #: Residuals and deviations below NOISE_FLOOR_REL times the instance scale
@@ -219,13 +231,9 @@ def _split(flat: np.ndarray, dim: int, fsize: int, count: int):
     vectors, then (midpoints, half-widths) of each vector's box, each with
     the vector axis first, (count, dim) or (count, n, dim)."""
     lead = flat.shape[:-1]
-    vectors = flat[..., : count * dim].reshape(*lead, count, dim)
-    boxes = flat[..., count * dim :].reshape(*lead, count, 2, fsize)
-    return (
-        vectors.swapaxes(0, -2),
-        boxes[..., 0, :].swapaxes(0, -2),
-        boxes[..., 1, :].swapaxes(0, -2),
-    )
+    vectors = flat[..., : count * dim].reshape(*lead, count, dim).swapaxes(0, -2)
+    boxes = flat[..., count * dim :].reshape(*lead, count, 2, fsize).swapaxes(0, -2)
+    return vectors, boxes[0], boxes[1]
 
 
 def _objective(infeasible, value, diameter, scale, slack):
@@ -234,7 +242,7 @@ def _objective(infeasible, value, diameter, scale, slack):
     and a zero diameter giving ratio 0 and the degenerate flag."""
     value = np.where(value < NOISE_FLOOR_REL * scale, 0.0, value)
     degenerate = diameter <= 0.0
-    ratio = np.divide(value, diameter, out=np.zeros_like(value), where=~degenerate)
+    ratio = np.divide(value, diameter, out=np.zeros(value.shape), where=~degenerate)
     return infeasible, ratio, slack, degenerate
 
 
@@ -252,7 +260,8 @@ def _residual_evaluator(ctx: SpaceContext, rows: np.ndarray):
     dim, fsize = ctx.dimension, rows.shape[0]
 
     def evaluate(stack: np.ndarray):
-        (x,), (mid,), (d,) = _split(stack, dim, fsize, 1)
+        vectors, mids, halves = _split(stack, dim, fsize, 1)
+        x, mid, d = vectors[0], mids[0], halves[0]  # indexing, not iterating
         slack = _slack_inner(ctx, x, rows, mid - d, mid + d)
         norm_sq, diam = _norm_sq(ctx, x), _diameter(d)
         residual = _residual(norm_sq, _coefficients(ctx, x, rows))
@@ -266,17 +275,20 @@ def _gruss_evaluator(ctx: SpaceContext, rows: np.ndarray):
     dim, fsize = ctx.dimension, rows.shape[0]
 
     def evaluate(stack: np.ndarray):
-        (x, y), (mid_x, mid_y), (d_x, d_y) = _split(stack, dim, fsize, 2)
-        slack_x = _slack_inner(ctx, x, rows, mid_x - d_x, mid_x + d_x)
-        slack_y = _slack_inner(ctx, y, rows, mid_y - d_y, mid_y + d_y)
-        diam_x, diam_y = _diameter(d_x), _diameter(d_y)
-        scale = np.sqrt((_norm_sq(ctx, x) + diam_x) * (_norm_sq(ctx, y) + diam_y))
-        deviation = _modulus(_deviation(ctx, x, y, rows))
+        vectors, mid, d = _split(stack, dim, fsize, 2)
+        slack = _slack_inner(ctx, vectors, rows, mid - d, mid + d)
+        diam = _diameter(d)
+        scales = _norm_sq(ctx, vectors) + diam
+        deviation = _modulus(_deviation(ctx, vectors[0], vectors[1], rows))
         # the slack SUM is the tie-break: with min() a recentering move on the
         # non-binding box would never be accepted
-        infeasible = (slack_x < 0.0) | (slack_y < 0.0)
+        negative = slack < 0.0
         return _objective(
-            infeasible, deviation, np.sqrt(diam_x * diam_y), scale, slack_x + slack_y
+            negative[0] | negative[1],
+            deviation,
+            np.sqrt(diam[0] * diam[1]),
+            np.sqrt(scales[0] * scales[1]),
+            slack[0] + slack[1],
         )
 
     return evaluate

@@ -235,16 +235,18 @@ def test_adversarial_pairs(cell):
 @pytest.mark.parametrize("cell", [(6, 3, REAL), (8, 4, COMPLEX)], ids=str)
 def test_adversarial_weighted_pairs(cell):
     # test_adversarial_pairs' search over a weighted context whose weights,
-    # drawn too, vanish at one or more nodes but leave at least |F| positive
+    # drawn too, vanish at one or more nodes but leave at least |F| positive.
+    # Scales below 1e-148 put the allowance's relative rounding term below
+    # the smallest normal number, where its underflow term takes over
     dim, size, _ = cell
-    seen = []
+    seen, subnormal_terms = [], []
 
     @settings(max_examples=50, derandomize=True, deadline=None, database=None)
     @given(
         seed=st.integers(0, 2**16),
         defect=st.floats(0.0, 1.0),
         pull=st.floats(-12.0, 0.0).map(lambda e: 10.0**e),
-        scale=st.floats(-150.0, 100.0).map(lambda e: 10.0**e),
+        scale=(st.floats(-150.0, 100.0) | st.floats(-165.0, -148.0)).map(lambda e: 10.0**e),
         factor=st.floats(1.0, 2.0),
         subnormal=st.booleans(),
         weights=st.lists(st.just(0.0) | st.floats(0.25, 4.0), min_size=dim, max_size=dim),
@@ -253,11 +255,9 @@ def test_adversarial_weighted_pairs(cell):
         assume(1 <= case["weights"].count(0.0) <= dim - size)
         pair = _adversarial_pair(cell, **case)
         ctx, x, y, _, _, box_x, box_y = pair
-        # the search stays where the allowance's relative rounding term is a
-        # normal number; test_allowance_in_the_subnormal_range covers the
-        # subnormal range, where the underflow term takes over
         scale = min(instance_scale(ctx, x, box_x), instance_scale(ctx, y, box_y))
-        assume(allowance(scale, dim + size) >= _SMALLEST_NORMAL)
+        relative = allowance(scale, dim + size) - allowance(0.0, dim + size)
+        subnormal_terms.append(relative < _SMALLEST_NORMAL)
         fractions = _fractions(*pair)
         seen.append(fractions)
         worst = max(fractions.values())
@@ -265,7 +265,12 @@ def test_adversarial_weighted_pairs(cell):
         assert worst <= 1, fractions
 
     search()
-    _conclude(f"{len(seen)} adversarial weighted pairs in {cell}", seen)
+    _conclude(
+        f"{len(seen)} adversarial weighted pairs in {cell}, "
+        f"{sum(subnormal_terms)} with a subnormal relative term",
+        seen,
+    )
+    assert any(subnormal_terms)
 
 
 def test_allowance_in_the_subnormal_range():

@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from orthobounds import serialize, sharpness
 from orthobounds.bounds import (
     CoefficientBox,
     companion_abs_bound,
@@ -9,13 +12,16 @@ from orthobounds.bounds import (
     gruss_bounds,
     instance_scale,
 )
+from orthobounds.bounds import _deviation, _slack_inner
 from orthobounds.generate import Instance, rng_from_seed
 from orthobounds.serialize import instance_from_dict
 from orthobounds.sharpness import (
     SearchConfig,
     _coordinate_directions,
+    _diameter,
     _gruss_evaluator,
     _hill_climb,
+    _objective,
     _residual_evaluator,
     _start_states,
     extremal_instance,
@@ -23,6 +29,7 @@ from orthobounds.sharpness import (
     maximize_residual_ratio,
 )
 from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, gram_schmidt
+from orthobounds.space import _modulus, _norm_sq
 from orthobounds.suite import SuiteConfig, chain_allowance
 
 FAST = SearchConfig(restarts=6, steps_per_restart=1500, seed=11)
@@ -237,6 +244,45 @@ class TestSearchTrajectories:
         assert maximize_gruss_ratio(cfg).best_ratio.hex() == "0x1.e4171fa24f99ap-3"
 
     @pytest.mark.parametrize(
+        "mode, cell, ratio_hex, evaluations, instance_sha256",
+        [
+            (
+                "residual", (4, 2, REAL), "0x1.fffffe500979fp-3", 734,
+                "47fb371056b44893f97cb1fca37eb1884cea801737ead8a3db67975164dfd836",
+            ),
+            (
+                "residual", (16, 8, COMPLEX), "0x1.fffff4790f4f4p-3", 4000,
+                "1db0b5dff3de37e0e874be3198918e23c7b2ab5836c8112367232b9819e975ab",
+            ),
+            (
+                "gruss", (4, 2, REAL), "0x1.fff25b7f834a2p-3", 1583,
+                "6d7f8ce2fef8f8fc4d2455295a3ea1a83ec26986f53e219c1ca5e872d9246b14",
+            ),
+            (
+                "gruss", (16, 8, COMPLEX), "0x1.e4171fa24f99ap-3", 4000,
+                "22d6dd1989ee6800cea8fb5fc92d7d44269f442a36ce5eb0550f7864b8c399c8",
+            ),
+        ],
+    )
+    def test_benchmark_searches_are_pinned_to_the_bit(
+        self, mode, cell, ratio_hex, evaluations, instance_sha256
+    ):
+        # the four searches of the benchmark's sharpness workload at one
+        # restart: the best ratio to the bit and the SHA-256 of the best
+        # instance's JSON (its vectors, boxes, report and ratio)
+        dim, fsize, field = cell
+        cfg = SearchConfig(
+            dimension=dim, family_size=fsize, field=field,
+            restarts=1, steps_per_restart=2000, seed=1905,
+        )
+        search = maximize_residual_ratio if mode == "residual" else maximize_gruss_ratio
+        result = search(cfg)
+        text = serialize.dump_json(result.best_instance, None)
+        assert result.best_ratio.hex() == ratio_hex
+        assert result.evaluations == evaluations
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == instance_sha256
+
+    @pytest.mark.parametrize(
         "mode, cell, steps, ratio, evaluations",
         [
             (mode, cell, steps, ratio, 2 * steps)
@@ -273,6 +319,25 @@ def _start_state(cell, mode):
     return ctx, families.members[0], states[0]
 
 
+def _edge_stack(cell, mode):
+    """``test_stack_equals_its_rows``' stack: every coordinate move of the
+    start state, then x far outside its box, then zero-width boxes."""
+    ctx, members, state = _start_state(cell, mode)
+    step = 0.125 * float(np.max(np.abs(state)))
+    moves = [
+        state + signed * direction
+        for direction in _coordinate_directions(state.size, ctx.is_complex)
+        for signed in (step, -step)
+    ]
+    far = state.copy()
+    far[0] += 1e3 * step
+    flat = state.copy()
+    flat[-cell[1]:] = 0.0
+    if mode == "gruss":
+        flat[-3 * cell[1]:-2 * cell[1]] = 0.0
+    return ctx, members, np.array([*moves, far, flat])
+
+
 class TestEvaluatorEdgeCases:
     @pytest.mark.parametrize("mode", ["residual", "gruss"])
     @pytest.mark.parametrize("cell", [(4, 2, REAL), (16, 8, COMPLEX)], ids=str)
@@ -303,6 +368,29 @@ class TestEvaluatorEdgeCases:
         infeasible, _, _, degenerate = stacked
         assert infeasible[-2] and degenerate[-1]
         assert not infeasible[: len(moves)].all()
+
+    @pytest.mark.parametrize("cell", [(4, 2, REAL), (16, 8, COMPLEX)], ids=str)
+    def test_gruss_pair_stack_equals_separate_vectors(self, cell):
+        # the gruss evaluator takes x and y as one (2, n, ...) stack; each
+        # kernel call on it gives the bits of separate calls on x and on y
+        ctx, members, stack = _edge_stack(cell, "gruss")
+        dim, fsize = cell[:2]
+        x, y = stack[:, :dim], stack[:, dim : 2 * dim]
+        boxes = 2 * dim + np.arange(4) * fsize
+        mid_x, d_x, mid_y, d_y = (stack[:, a : a + fsize] for a in boxes)
+        slack_x = _slack_inner(ctx, x, members, mid_x - d_x, mid_x + d_x)
+        slack_y = _slack_inner(ctx, y, members, mid_y - d_y, mid_y + d_y)
+        diam_x, diam_y = _diameter(d_x), _diameter(d_y)
+        scale = np.sqrt((_norm_sq(ctx, x) + diam_x) * (_norm_sq(ctx, y) + diam_y))
+        expected = _objective(
+            (slack_x < 0.0) | (slack_y < 0.0),
+            _modulus(_deviation(ctx, x, y, members)),
+            np.sqrt(diam_x * diam_y),
+            scale,
+            slack_x + slack_y,
+        )
+        for part, values in zip(_gruss_evaluator(ctx, members)(stack), expected):
+            assert part.tobytes() == values.tobytes()
 
     def test_degenerate_denominator_flagged(self):
         # x, y in the span with degenerate (zero-diameter) boxes: 0/0 -> 0
@@ -343,3 +431,65 @@ class TestHillClimb:
         assert state.tobytes() == start.tobytes()
         assert best == (0.0, 0.0, False)
         assert evaluations == 10
+
+    @staticmethod
+    def _scripted(ratio_weights, slack_weights):
+        """An evaluator of real states: ratio and slack linear in the state,
+        infeasible once a coordinate leaves [-1, 1]; it logs each stack's
+        length."""
+        calls = []
+
+        def evaluate(stack):
+            calls.append(len(stack))
+            real = stack.real
+            infeasible = (np.abs(real) > 1.0).any(axis=1)
+            degenerate = np.zeros(len(stack), bool)
+            return infeasible, real @ ratio_weights, real @ slack_weights, degenerate
+
+        return evaluate, calls
+
+    @pytest.mark.parametrize(
+        "steps, calls",
+        [
+            (17, [1, 32, 32]),
+            (45, [1, 32, 32, 6, 1, 32, 8, 9]),
+        ],
+    )
+    def test_hits_on_the_first_and_last_row_of_a_chunk(self, monkeypatch, steps, calls):
+        # 20 coordinates, 40 moves (+e0, -e0, +e1, ...), so at 32 moves per
+        # chunk a full sweep is a chunk of 32 and a chunk of 8.  The ratio is
+        # state[0] - state[16]:
+        # - the start (1 evaluation) has ratio 0;
+        # - chunk [0, 32) hits on its first row, +e0 (2 evaluations);
+        # - chunk [2, 34) hits on its last row, -e16 (34 evaluations);
+        # - with a budget of 34 the climb stops there.  With a budget of 90:
+        # - chunk [34, 40) misses (40), the pattern move to 2 e0 - 2 e16 is
+        #   infeasible (41), a sweep of 32 + 8 misses at step 1 (81), and the
+        #   sweep at step 1/2 is cut to 9 moves by the budget (90)
+        monkeypatch.setattr(sharpness, "_CHUNK", 32)
+        evaluate, seen = self._scripted(np.eye(20)[0] - np.eye(20)[16], np.zeros(20))
+        directions = _coordinate_directions(20, False)
+        start = np.zeros(20, dtype=np.complex128)
+        state, best, evaluations = _hill_climb(start, evaluate, directions, steps, 1.0)
+        expected = np.zeros(20, dtype=np.complex128)
+        expected[0], expected[16] = 1.0, -1.0
+        assert state.tobytes() == expected.tobytes()
+        assert best == (2.0, 0.0, False)
+        assert evaluations == 2 * steps
+        assert seen == calls
+
+    def test_a_tie_is_won_only_by_a_larger_slack(self):
+        # the ratio is 0 everywhere and the slack is state[1]:
+        # - +e0 and -e0 tie on both and are refused, +e1 raises the slack
+        #   (1 + 3 evaluations; -e1 is in the stack of 4 but not counted);
+        # - the pattern move to 2 e1 is infeasible (5);
+        # - the sweeps at steps 1 and 1/2 miss (9, 13), and the budget cuts
+        #   the sweep at step 1/4 to 3 moves (16)
+        evaluate, seen = self._scripted(np.zeros(2), np.array([0.0, 1.0]))
+        directions = _coordinate_directions(2, False)
+        start = np.zeros(2, dtype=np.complex128)
+        state, best, evaluations = _hill_climb(start, evaluate, directions, 8, 1.0)
+        assert state.tobytes() == np.array([0.0, 1.0], dtype=np.complex128).tobytes()
+        assert best == (0.0, 1.0, False)
+        assert evaluations == 16
+        assert seen == [1, 4, 1, 4, 4, 3]
