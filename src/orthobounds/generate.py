@@ -10,8 +10,9 @@ the norm form of the condition holds with a nonnegative margin.
 Generation works on a stack of streams, one instance per stream and source,
 in two phases.  A source (``_CERTIFIED`` ... ``_TWOSIDED``, or the search's
 start states) declares its draws once, in stream order: its family, then its
-vectors and boxes.  ``_plan`` lays a list of sources out as one row of normals
-and one row of uniforms per stream.
+vectors and boxes; a box names the vectors it covers by their offset from the
+source's first vector.  ``_plan`` lays a list of sources out as one row of
+normals and one row of uniforms per stream.
 
 * Draw phase: each stream draws all its sources in one loop, with one
   ``standard_normal(out=...)`` per run of normals inside a source and one
@@ -24,11 +25,12 @@ and one row of uniforms per stream.
   the stack of every source's families and one box pass over every box.
 
 A stream whose family CGS2 rejects, or whose box direction is zero, is
-replayed alone from a snapshot of its bit generator's state: one call per
-draw, in the same order, redrawing each draw the build rejected and checking
-each redraw, as a stream that checked every draw as it went would.  The stack
-is then built again.  The public generators are one source on one stream;
-``suite.run_suite`` draws a cell's five sources on each of its streams.
+replayed alone from a snapshot of its bit generator's state, one call per draw
+in the same order, as a stream that checked every draw as it went would: the
+first draw that one CGS2 or length check rejects is drawn anew, and so is each
+later checked draw until it passes.  The stack is then built again.  The
+public generators are one source on one stream; ``suite.run_suite`` draws a
+cell's five sources on each of its streams.
 """
 
 from __future__ import annotations
@@ -112,20 +114,6 @@ def _complex(draws: np.ndarray) -> np.ndarray:
     return z
 
 
-def _gaussians(rngs, shape: tuple[int, ...], complex_field: bool) -> np.ndarray:
-    """Standard Gaussian scalars of ``shape`` from each stream, stacked.
-
-    Each vector along the last axis takes ``shape[-1]`` real parts, then (for
-    the complex field) as many imaginary parts; the draws of one stream are a
-    single standard_normal call, which yields the same numbers as one call
-    per part."""
-    parts = 2 if complex_field else 1
-    draws = np.empty((len(rngs), *shape[:-1], parts, shape[-1]))
-    for row, rng in zip(draws.reshape(len(rngs), -1), rngs):
-        rng.standard_normal(out=row)
-    return _complex(draws)
-
-
 def _length(direction: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(direction) ** 2, axis=-1))
 
@@ -183,11 +171,13 @@ class _Plan:
     normals and one row of uniforms, and the build that turns a stack of
     such rows into families, vectors and boxes.
 
-    ``draws`` lists every draw in stream order as (check, index, start, stop):
-    a slice of the normals row, or (``stop`` None) one uniform; ``check``
-    names what the build may reject ("family" or "direction", the index-th
-    one) and is None elsewhere.  ``calls`` merges the normals of a source
-    that no uniform separates into one slice."""
+    ``draws`` lists every draw in stream order as (check, start, stop): a
+    slice of the normals row, or (``stop`` None) one uniform; ``check`` names
+    what the build may reject ("family" or "direction") and is None
+    elsewhere.  ``calls`` merges the normals of a source that no uniform
+    separates into one slice.  A box's covers index vectors from its
+    source's first vector on, so a source that draws none covers the ones
+    ``run`` is given."""
 
     def __init__(self, sources, dimension: int, size: int, complex_field: bool):
         self.dimension, self.size = dimension, size
@@ -196,14 +186,14 @@ class _Plan:
         families, vectors, scales, boxes, self.slices = [], [], [], [], []
         normals = uniforms = 0
 
-        def draw(count=None, check=None, index=0):
+        def draw(count=None, check=None):
             nonlocal normals, uniforms
             if count is None:
-                self.draws.append((None, None, uniforms, None))
+                self.draws.append((None, uniforms, None))
                 self.calls.append((uniforms, None))
                 uniforms += 1
                 return uniforms - 1
-            self.draws.append((check, index, normals, normals + count))
+            self.draws.append((check, normals, normals + count))
             if len(self.calls) > first_call and self.calls[-1][1] == normals:
                 self.calls[-1] = (self.calls[-1][0], normals + count)
             else:
@@ -214,11 +204,9 @@ class _Plan:
         for source, steps in enumerate(sources):
             first_call = len(self.calls)  # a run of normals stays inside its source
             first_vector, first_box = len(vectors), len(boxes)
-            # a source that draws no vectors covers the ones its caller gives
-            own = [len(vectors) + i for i in range(sum(isinstance(s, _Vector) for s in steps))] or [0, 1]
             for step in steps:
                 if step == _FAMILY:
-                    families.append(draw(size * parts * dimension, "family", len(families)))
+                    families.append(draw(size * parts * dimension, "family"))
                 elif isinstance(step, _Vector):
                     if step.scaled:
                         scales.append(draw(1)[0])
@@ -228,8 +216,8 @@ class _Plan:
                     noise = draw(parts * size)
                     if not step.loose:
                         uniform = draw()
-                    direction = draw(parts * size, "direction", len(boxes))
-                    covers = [_cover(name, own) for name in step.covers]
+                    direction = draw(parts * size, "direction")
+                    covers = [_cover(name, first_vector) for name in step.covers]
                     boxes.append((source, covers, step, noise, uniform, direction))
             self.slices.append((slice(first_vector, len(vectors)), slice(first_box, len(boxes))))
         self.normals, self.uniforms = normals, uniforms
@@ -268,27 +256,28 @@ class _Plan:
             return built
         for i in np.flatnonzero(built.rejected.any(axis=0) | built.zero.any(axis=0)):
             rngs[i].bit_generator.state = states[i]
-            verdicts = {"family": built.rejected[:, i], "direction": built.zero[:, i]}
-            self._replay(ctx, rngs[i], normals[i], uniforms[i], verdicts)
+            self._replay(ctx, rngs[i], normals[i], uniforms[i])
         return self._build(ctx, normals, uniforms, rows, vectors)
 
-    def _replay(self, ctx, rng, normals, uniforms, verdicts) -> None:
-        """Draw one stream again, one call per draw: a draw the build
-        rejected is drawn anew until it passes, and once one has been, every
-        later checked draw is checked as it is drawn."""
-        shifted = False
-        for check, index, start, stop in self.draws:
+    def _replay(self, ctx, rng, normals, uniforms) -> None:
+        """Draw one stream again from its snapshot, one call per draw, as a
+        stream that checked each draw as it drew it would: the first draw
+        that ``_rejects`` is drawn anew, and from there each checked draw is
+        drawn again until it passes."""
+        first = next(
+            k for k, (check, start, stop) in enumerate(self.draws)
+            if check is not None and self._rejects(ctx, check, normals[start:stop])
+        )
+        for k, (check, start, stop) in enumerate(self.draws):
             if stop is None:
                 uniforms[start] = rng.random()
                 continue
-            rng.standard_normal(out=normals[start:stop])
-            if check is None:
-                continue
-            rejected = self._rejects(ctx, check, normals[start:stop]) if shifted else verdicts[check][index]
-            while rejected:
-                shifted = True
-                rng.standard_normal(out=normals[start:stop])
-                rejected = self._rejects(ctx, check, normals[start:stop])
+            drawn = normals[start:stop]
+            rng.standard_normal(out=drawn)
+            if k == first:  # the draw the build rejected is drawn anew
+                rng.standard_normal(out=drawn)
+            while k >= first and check is not None and self._rejects(ctx, check, drawn):
+                rng.standard_normal(out=drawn)
 
     def _rejects(self, ctx, check: str, draws: np.ndarray) -> bool:
         if check == "family":
@@ -352,12 +341,13 @@ class _Plan:
         return _Built(rows, defect, rejected, vectors, mid, half, zero)
 
 
-def _cover(name: str, own: list[int]) -> tuple[int, int | None, bool]:
-    """(i, j, plus) of a covered vector: vector i, or half of v_i + v_j
-    (``plus``) or of v_i - v_j."""
+def _cover(name: str, first: int) -> tuple[int, int | None, bool]:
+    """(i, j, plus) of a covered vector, for a source whose first vector is
+    vector ``first``: vector i, or half of v_i + v_j (``plus``) or of
+    v_i - v_j."""
     if name in ("x", "y"):
-        return own["xy".index(name)], None, True
-    return own[0], own[1], name == "x+y"
+        return first + "xy".index(name), None, True
+    return first, first + 1, name == "x+y"
 
 
 def _covered(vectors: np.ndarray, cover) -> np.ndarray:
@@ -410,13 +400,6 @@ def _stacks(rngs, ctx: SpaceContext, size: int, sources) -> list[Instance | Pair
         else:
             stacks.append(PairInstance(ctx, *vectors, family, indices, own[0], own[-1]))
     return stacks
-
-
-def _families(rngs, ctx: SpaceContext, size: int) -> _Families:
-    """An orthonormalized random Gaussian family on each stream: a stream
-    whose draw CGS2 rejects draws again, alone."""
-    _, built = _drawn(rngs, ctx, size, ((_FAMILY,),))
-    return _Families(built.members[0], built.gram_defect[0])
 
 
 def certified_box_arrays(

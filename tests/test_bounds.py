@@ -24,7 +24,6 @@ from orthobounds.bounds import (
 from orthobounds.cli import main
 from orthobounds.generate import (
     Instance,
-    _gaussians,
     certified_box_arrays,
     generate_certified_instance,
     generate_certified_pair,
@@ -42,6 +41,7 @@ from orthobounds.space import (
     inner_product,
     norm,
 )
+from draws import gaussian
 from reference import (
     ref_coefficient_term,
     ref_deviation,
@@ -609,9 +609,9 @@ def _oracle_pairs(field, weights, count=12):
     ctx = SpaceContext(field, 6, None if weights is None else np.array(weights))
     for i in range(count):
         rng = rng_from_seed(404, i)
-        fam = gram_schmidt(ctx, [_gaussians([rng], (6,), ctx.is_complex)[0] for _ in range(4)])
+        fam = gram_schmidt(ctx, [gaussian(rng, 6, ctx.is_complex) for _ in range(4)])
         F = (0, 2, 3)
-        x, y = (as_vector(ctx, _gaussians([rng], (6,), ctx.is_complex)[0]) for _ in range(2))
+        x, y = (as_vector(ctx, gaussian(rng, 6, ctx.is_complex)) for _ in range(2))
         box_x = CoefficientBox.centered(F, *certified_box_arrays(rng, ctx, x, fam, F))
         mid, half = certified_box_arrays(rng, ctx, y, fam, F)
         box_y = CoefficientBox.centered(
@@ -896,7 +896,7 @@ def test_reports_are_unitarily_invariant(field):
     for i, pair in enumerate(_oracle_pairs(field, None, count=6)):
         ctx, x, y, fam, F, box_x, box_y = pair
         rng = rng_from_seed(405, i)
-        q, _ = np.linalg.qr(np.stack([_gaussians([rng], (6,), ctx.is_complex)[0] for _ in range(6)]))
+        q, _ = np.linalg.qr(np.stack([gaussian(rng, 6, ctx.is_complex) for _ in range(6)]))
         q = q if ctx.is_complex else q.real
         turned = OrthonormalFamily.from_members(ctx, fam.members @ q.T)
         _assert_reports_agree(

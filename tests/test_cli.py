@@ -16,8 +16,6 @@ from orthobounds.cli import main
 from orthobounds.generate import (
     Instance,
     PairInstance,
-    _families,
-    _gaussians,
     certified_box_arrays,
     generate_certified_instance,
     generate_certified_pair,
@@ -26,6 +24,7 @@ from orthobounds.generate import (
 from orthobounds.sharpness import SearchConfig
 from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
 from orthobounds.suite import SuiteConfig
+from draws import family, gaussian
 from test_bounds import rescaled_offsets
 
 
@@ -509,8 +508,8 @@ def _perturbed_pair(seed, cell, size, shift):
     d, f, fld = cell
     rng = rng_from_seed(seed)
     ctx = SpaceContext(fld, d)
-    noise = np.stack([_gaussians([rng], (d,), ctx.is_complex)[0] for _ in range(f)])
-    members = _families([rng], ctx, f).members[0] + size / f * noise
+    noise = np.stack([gaussian(rng, d, ctx.is_complex) for _ in range(f)])
+    members = family(rng, ctx, f).members + size / f * noise
     defect = OrthonormalFamily.from_members(ctx, members, 1.0 / f).gram_defect
     if defect > 0.9 / f:
         return None
@@ -518,11 +517,11 @@ def _perturbed_pair(seed, cell, size, shift):
     idx = tuple(range(f))
     vectors, boxes = [], []
     for _ in range(2):
-        v = _gaussians([rng], (d,), ctx.is_complex)[0]
+        v = gaussian(rng, d, ctx.is_complex)
         factor = rng.uniform(0.9, 1.5)
         mid, half = certified_box_arrays(rng, ctx, v, fam, idx)
         half = rescaled_offsets(ctx, v, fam, idx, mid, half, factor)
-        move = shift * _gaussians([rng], (f,), ctx.is_complex)[0]
+        move = shift * gaussian(rng, f, ctx.is_complex)
         vectors.append(as_vector(ctx, v + move @ fam.members))
         boxes.append(CoefficientBox.centered(idx, mid + move, half))
     return PairInstance(ctx, vectors[0], vectors[1], fam, idx, boxes[0], boxes[1])

@@ -28,6 +28,7 @@ import pytest
 from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
+import draws
 import exact
 from orthobounds.bounds import (
     CoefficientBox,
@@ -36,7 +37,7 @@ from orthobounds.bounds import (
     instance_scale,
     pair_scale,
 )
-from orthobounds.generate import _families, _gaussians, generate_certified_pair, rng_from_seed
+from orthobounds.generate import generate_certified_pair, rng_from_seed
 from orthobounds.space import (
     COMPLEX,
     DEFAULT_ORTHO_TOL,
@@ -174,9 +175,9 @@ def _adversarial_pair(cell, seed, defect, pull, scale, factor, subnormal, weight
     complex_field = field == COMPLEX
 
     def gaussian(count):
-        return _gaussians([rng], (count,), complex_field)[0]
+        return draws.gaussian(rng, count, complex_field)
 
-    rows = _families([rng], ctx, size).members[0]
+    rows = draws.family(rng, ctx, size).members
     push = np.stack([gaussian(dim) for _ in range(size)])
     # ||row shift|| <= defect * tol / 2, so the Gram defect stays near defect * tol
     # (in the weighted norm, at most sqrt(max w) times the unweighted one)

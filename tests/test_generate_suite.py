@@ -17,8 +17,6 @@ from orthobounds.bounds import (
 from orthobounds.generate import (
     Instance,
     PairInstance,
-    _families,
-    _gaussians,
     certified_box_arrays,
     generate_certified_instance,
     generate_certified_pair,
@@ -31,6 +29,7 @@ from orthobounds.quadrature import WeightedL2Context, periodic_trapezoid
 from orthobounds.sharpness import extremal_instance
 from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
 from orthobounds.suite import TIGHTNESS_HEADER, SuiteConfig, run_suite, tightness_rows
+from draws import family, gaussian
 from test_bounds import rescaled_offsets
 from test_source_draws import DRAWS
 
@@ -112,15 +111,34 @@ class TestGenerateCertifiedInstance:
     def test_boundary_slack_factor_gives_zero_norm_slack(self):
         rng = rng_from_seed(7, 0)
         ctx = SpaceContext(REAL, 5)
-        members, defect = _families([rng], ctx, 2)
-        fam = OrthonormalFamily(members[0], float(defect[0]))
-        x = _gaussians([rng], (5,), False)[0]
+        fam = family(rng, ctx, 2)
+        x = gaussian(rng, 5, False)
         mid, d = certified_box_arrays(rng, ctx, x, fam, (0, 1))
         d = rescaled_offsets(ctx, x, fam, (0, 1), mid, d, 1.0)
         box = CoefficientBox.centered((0, 1), mid, d)
         slack = check_condition(ctx, x, fam, (0, 1), box).slack_norm
         scale = instance_scale(ctx, x, box)
         assert abs(slack) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_box_arrays_redraw_a_zero_direction(self, field):
+        # the box draws its noise, its slack uniform, then its direction: the
+        # second standard_normal call is all zeros, and the direction alone is
+        # drawn again
+        ctx = SpaceContext(field, 6)
+        fam = OrthonormalFamily.from_members(ctx, np.eye(6)[[0, 2, 3]])
+        x = as_vector(ctx, np.linspace(1.0, 2.0, 6) * (1 + 1j if ctx.is_complex else 1))
+        idx = (0, 1, 2)
+        plain = rng_from_seed(4, 2)
+        mid, half = certified_box_arrays(plain, ctx, x, fam, idx)
+        zeroed = _ZeroedDraw(4, (2,), 2)
+        redrawn_mid, redrawn_half = certified_box_arrays(zeroed, ctx, x, fam, idx)
+        assert redrawn_mid.tobytes() == mid.tobytes()
+        assert np.all(redrawn_half != 0) and not np.array_equal(redrawn_half, half)
+        box = CoefficientBox.centered(idx, redrawn_mid, redrawn_half)
+        assert check_condition(ctx, x, fam, idx, box).holds
+        plain.standard_normal((2 if ctx.is_complex else 1) * len(idx))
+        assert zeroed.bit_generator.state == plain.bit_generator.state
 
     def test_box_arrays_apply_the_size_guard(self):
         # without it, ||x||^2 overflows and the half-widths come out inf and NaN

@@ -7,7 +7,8 @@ no hand-kept list.
 
 No public name or defaulted parameter lives for the tests alone: each must
 be reached from outside ``tests/``.  The library, the benchmark scripts, the
-acceptance suite and the README are parsed for it.
+acceptance suite and the README are parsed for it.  Nor does a module-level
+private function: each must be named in ``src/`` outside its definition.
 """
 
 import ast
@@ -187,3 +188,18 @@ def test_every_public_name_and_default_has_a_caller():
                 if not _passes(outside, node.name, parameter, position)
             ]
     assert orphans == [], f"no caller outside tests/ reaches these names or defaults: {orphans}"
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    # A module-level private function is named in src/ outside its own
+    # definition: a helper that only tests call lives in tests/.
+    modules = _parsed(SRC.glob("*.py"))
+    named = _identifiers(node for tree in modules.values() for node in ast.walk(tree))
+    orphans = [
+        f"{module}.{node.name}"
+        for module, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name[0] == "_"
+        and not (named - _identifiers(ast.walk(node)))[node.name]
+    ]
+    assert orphans == [], f"no caller in src/ reaches these private functions: {orphans}"

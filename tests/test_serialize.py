@@ -103,6 +103,15 @@ class TestGoldenBytes:
             "e5636559cd4adf7edd970a11492d2820021ed4cb2280c7e0c8053e8c9a7cdcca"
         )
 
+    def test_l2demo_legendre_file_bytes(self, tmp_path):
+        # the CLI's one route through certified_box_arrays: a weighted
+        # context, and a box drawn for a family and vector the caller gives
+        out = tmp_path / "legendre.json"
+        assert main(["l2demo", "legendre", "--nodes", "64", "--seed", "3", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "118b60d76baa38faaf81b44631f219d03c356280073b90056f771d8e47a21a57"
+        )
+
 
 class TestWeightedL2Payload:
     @pytest.fixture()
