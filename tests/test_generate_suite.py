@@ -87,6 +87,40 @@ def test_generated_data_is_pinned(shape, generator):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PINNED_DIGESTS[shape, generator]
 
 
+#: (d, F) cells of the test family helper's pin, from (1, 1) to (64, 64)
+FAMILY_CELLS = [
+    (d, f) for d in (1, 2, 3, 4, 8, 16, 32, 64) for f in sorted({1, d // 2 or 1, d - 1 or 1, d})
+]
+
+
+def test_test_family_helper_is_pinned():
+    # sha256 over each family's member bytes, its Gram defect and the next 3
+    # normals of its stream: a change to what draws.family draws, keeps or
+    # leaves on the stream fails here
+    digest = hashlib.sha256()
+
+    def record(rng, fam):
+        digest.update(fam.members.tobytes())
+        digest.update(np.float64(fam.gram_defect).tobytes())
+        digest.update(rng.standard_normal(3).tobytes())
+
+    for dim, size in FAMILY_CELLS:
+        for field in (REAL, COMPLEX):
+            for seed in range(20):
+                rng = rng_from_seed(20230516, dim, size, (REAL, COMPLEX).index(field), seed)
+                record(rng, family(rng, SpaceContext(field, dim), size))
+    # a zeroed first draw is rejected and the family drawn again
+    ctx = SpaceContext(COMPLEX, 4)
+    zeroed, plain = _ZeroedDraw(3, (1,), 1), rng_from_seed(3, 1)
+    redrawn = family(zeroed, ctx, 2)
+    plain.standard_normal((1, 2, 2, 4))
+    assert redrawn.members.tobytes() == family(plain, ctx, 2).members.tobytes()
+    record(zeroed, redrawn)
+    with pytest.raises(ValueError):
+        family(rng_from_seed(3, 2), SpaceContext(REAL, 2), 3)
+    assert digest.hexdigest() == "4f623e2e7e54bbbc8a1cd12a310f591c32f2036b55f99a63f9e730f772f00f2a"
+
+
 class TestRngStreams:
     def test_same_key_reproduces(self):
         a = rng_from_seed(42, 1, 2).standard_normal(5)
