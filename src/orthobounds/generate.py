@@ -12,7 +12,8 @@ in two phases.  A source (``_CERTIFIED`` ... ``_TWOSIDED``, or the search's
 start states) declares its draws once, in stream order: its family, then its
 vectors and boxes; a box names the vectors it covers by their offset from the
 source's first vector.  ``_plan`` lays a list of sources out as one row of
-normals and one row of uniforms per stream.
+normals and one row of uniforms per stream.  A plan holds full sources, or
+``certified_box_arrays``'s one box-only source, built on stand-ins.
 
 * Draw phase: each stream draws all its sources in one loop, with one
   ``standard_normal(out=...)`` per run of normals inside a source and one
@@ -154,16 +155,17 @@ _TWOSIDED = (_FAMILY, _Vector(), _Vector(), _Box(("x+y", "x-y"), 0.1))
 
 class _Built(NamedTuple):
     """A build of every source of a plan: families (S, B, F, d) and their
-    Gram defects and CGS2 rejections (S, B); vectors (V, B, d); box midpoints
-    and half-offsets (N, B, F) and which box directions are zero (N, B)."""
+    Gram defects (S, B; None on stand-ins); vectors (V, B, d); box midpoints
+    and half-offsets (N, B, F); and retry flags (S + N, B), set where CGS2
+    rejected a family or a box direction is zero, and reduced to streams
+    only when one is set."""
 
     members: np.ndarray
     gram_defect: np.ndarray
-    rejected: np.ndarray
     vectors: np.ndarray
     mid: np.ndarray
     half: np.ndarray
-    zero: np.ndarray
+    retry: np.ndarray
 
 
 class _Plan:
@@ -175,9 +177,9 @@ class _Plan:
     slice of the normals row, or (``stop`` None) one uniform; ``check`` names
     what the build may reject ("family" or "direction") and is None
     elsewhere.  ``calls`` merges the normals of a source that no uniform
-    separates into one slice.  A box's covers index vectors from its
-    source's first vector on, so a source that draws none covers the ones
-    ``run`` is given."""
+    separates into one slice.  The sources are either full (family, vectors,
+    boxes) or the one box-only source of ``certified_box_arrays``, whose
+    covers index the stand-in vectors ``run`` is given."""
 
     def __init__(self, sources, dimension: int, size: int, complex_field: bool):
         self.dimension, self.size = dimension, size
@@ -239,8 +241,8 @@ class _Plan:
 
     def run(self, rngs, ctx: SpaceContext, rows=None, vectors=None) -> _Built:
         """Draw and build every source on each stream of ``rngs``, replaying
-        a stream the build rejects.  ``rows`` (1, B, F, d) and ``vectors``
-        (V, B, d) stand in for a family and vectors the sources do not draw."""
+        a stream the build flags.  ``rows`` (1, B, F, d) and ``vectors``
+        (V, B, d) stand in for what a box-only source does not draw."""
         normals = np.empty((len(rngs), self.normals))
         uniforms = np.empty((len(rngs), self.uniforms))
         states = []
@@ -252,9 +254,9 @@ class _Plan:
                 else:
                     rng.standard_normal(out=row[start:stop])
         built = self._build(ctx, normals, uniforms, rows, vectors)
-        if not (built.rejected.any() or built.zero.any()):
+        if not np.count_nonzero(built.retry):
             return built
-        for i in np.flatnonzero(built.rejected.any(axis=0) | built.zero.any(axis=0)):
+        for i in np.flatnonzero(np.logical_or.reduce(built.retry)):
             rngs[i].bit_generator.state = states[i]
             self._replay(ctx, rngs[i], normals[i], uniforms[i])
         return self._build(ctx, normals, uniforms, rows, vectors)
@@ -287,8 +289,9 @@ class _Plan:
 
     def _build(self, ctx, normals, uniforms, rows, vectors) -> _Built:
         """Every source built from the drawn rows at once: one CGS2 over all
-        families and one box pass over all boxes.  A rejected family or a
-        zero direction is flagged, and its stream's results are meaningless."""
+        families, unless ``rows`` stands in for them, and one box pass over
+        all boxes.  A rejected family or a zero direction flags its stream
+        for a retry, and the stream's results are meaningless."""
         count, size, parts, dim = len(normals), self.size, self.parts, self.dimension
         streams = np.arange(count).reshape(1, count, 1)
 
@@ -296,24 +299,19 @@ class _Plan:
             # (K, B, *shape): draws of the K items of ``columns`` on each stream
             return normals[streams, columns].reshape(len(columns), count, *shape)
 
-        families = len(self.families)
-        if families:
+        if rows is None:
             draws = gather(self.families, size, parts, dim).reshape(-1, size, parts, dim)
             members, pivots, drop, defect = _cgs2(ctx, _complex(draws))
-            rejected = _rejected(pivots, drop, defect).reshape(families, count)
-            rows = members.reshape(families, count, size, dim)
-            defect = defect.reshape(families, count)
-        else:
-            defect = rejected = np.zeros((0, count))
-        if len(self.vectors):
+            rejected = _rejected(pivots, drop, defect).reshape(-1, count)
+            rows = members.reshape(-1, count, size, dim)
+            defect = defect.reshape(-1, count)
             vectors = _complex(gather(self.vectors, parts, dim))
             if self.scales.size:
                 z = normals[:, self.scales].T.ravel().tolist()
                 scales = np.array([math.exp(0.0 + 0.5 * t) for t in z])
                 vectors = scales.reshape(len(self.scales), count, 1) * vectors
-        if not len(self.box_normals):
-            empty = np.zeros((0, count, size), complex)
-            return _Built(rows, defect, rejected, vectors, empty, empty, np.zeros((0, count), bool))
+        else:  # a stand-in family is neither measured nor rejected
+            defect, rejected = None, np.zeros((0, count), bool)
         # the box pass: every box of every source at once
         covered = vectors[self.first]
         for box, cover in self.halves:
@@ -338,7 +336,7 @@ class _Plan:
         zero = length == 0.0
         scale = target / np.where(zero, 1.0, length)
         half = np.where((target > 0.0)[..., None], direction * scale[..., None], 0.0)
-        return _Built(rows, defect, rejected, vectors, mid, half, zero)
+        return _Built(rows, defect, vectors, mid, half, np.concatenate((rejected, zero)))
 
 
 def _cover(name: str, first: int) -> tuple[int, int | None, bool]:

@@ -143,7 +143,7 @@ def instance_from_dict(payload: Mapping) -> Instance | PairInstance:
     fam = OrthonormalFamily.from_members(
         ctx,
         decode_vector(payload["vectors"], 2, ctx.field),
-        float(payload.get("tolerance", DEFAULT_ORTHO_TOL)),
+        payload.get("tolerance", DEFAULT_ORTHO_TOL),
     )
     if not all(_is_json(i, int) for i in payload["indices"]):
         raise ValueError("key 'indices' must hold integers")

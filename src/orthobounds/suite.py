@@ -169,7 +169,10 @@ class SuiteOutcome:
     config: SuiteConfig
     checks: dict[str, CheckTally] = field(default_factory=dict)
     failures: list[dict] = field(default_factory=list)
-    total_failed: int = 0
+
+    @property
+    def total_failed(self) -> int:
+        return sum(tally.failed for tally in self.checks.values())
 
     @property
     def ok(self) -> bool:
@@ -178,13 +181,11 @@ class SuiteOutcome:
     def record(self, name: str, ok: bool, margin: float, instance=None) -> None:
         tally = self.checks.setdefault(name, CheckTally())
         tally.record(ok, margin)
-        if not ok:
-            self.total_failed += 1
-            if len(self.failures) < MAX_STORED_FAILURES and instance is not None:
-                payload = serialize.instance_to_dict(instance)
-                payload["check"] = name
-                payload["margin"] = margin
-                self.failures.append(payload)
+        if not ok and len(self.failures) < MAX_STORED_FAILURES and instance is not None:
+            payload = serialize.instance_to_dict(instance)
+            payload["check"] = name
+            payload["margin"] = margin
+            self.failures.append(payload)
 
     def to_dict(self) -> dict:
         return {

@@ -446,6 +446,8 @@ MALFORMED_FILES = {
     },
     "boolean-indices": lambda payload: {**payload, "indices": [False, True]},
     "boolean-tolerance": lambda payload: {**payload, "tolerance": False},
+    # an integer beyond the float range escaped as OverflowError, exit 1
+    "overflowing-tolerance": lambda payload: {**payload, "tolerance": 10**400},
 }
 
 

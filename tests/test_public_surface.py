@@ -7,8 +7,9 @@ no hand-kept list.
 
 No public name or defaulted parameter lives for the tests alone: each must
 be reached from outside ``tests/``.  The library, the benchmark scripts, the
-acceptance suite and the README are parsed for it.  Nor does a module-level
-private function: each must be named in ``src/`` outside its definition.
+acceptance suite and the README are parsed for it.  Nor does a private
+function or method: each must be named in its own module outside its
+definition, or imported from that module by another module of ``src/``.
 """
 
 import ast
@@ -190,16 +191,65 @@ def test_every_public_name_and_default_has_a_caller():
     assert orphans == [], f"no caller outside tests/ reaches these names or defaults: {orphans}"
 
 
+def private_orphans(modules: dict[str, ast.Module]) -> list[str]:
+    """``module.name`` (``module.Class.name`` for a method) of each private
+    function and private method that nothing reaches: its own module names it
+    nowhere outside its definition, and no other module imports it from that
+    module.  A name in another module does not count, so two private names
+    that match cannot hide an orphan.  Dunder methods are not private."""
+    imported = {
+        (node.module.rpartition(".")[2], alias.name)
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module
+        for alias in node.names
+    }
+    orphans = []
+    for module, tree in modules.items():
+        named = _identifiers(ast.walk(tree))
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for owner, body in [("", tree.body), *((f"{c.name}.", c.body) for c in classes)]:
+            orphans += [
+                f"{module}.{owner}{node.name}"
+                for node in body
+                if isinstance(node, ast.FunctionDef) and node.name[0] == "_"
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+                and not (named - _identifiers(ast.walk(node)))[node.name]
+                and (module, node.name) not in imported
+            ]
+    return orphans
+
+
+def test_private_guard_is_module_aware():
+    modules = {
+        "a": (
+            "from .b import _shared\n"
+            "def _used(): return _shared()\n"
+            "def _imported(): pass\n"
+            "def _row(): pass\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class Plan:\n"
+            "    def __init__(self): pass\n"
+            "    def _replay(self): pass\n"
+            "    def _build(self): pass\n"
+            "    def run(self): return self._replay(), _used()\n"
+        ),
+        "b": (
+            "from .a import _imported\n"
+            "def _shared(): pass\n"
+            "def _row(): return _build\n"
+            "def _replay(): return _row()\n"
+        ),
+    }
+    orphans = private_orphans({name: ast.parse(source) for name, source in modules.items()})
+    # a._row and b._replay match names used in the other module; Plan._build
+    # matches a name b reads but does not import from a
+    assert orphans == ["a._row", "a._recursive", "a.Plan._build", "b._replay"]
+
+
 def test_every_private_function_has_a_caller_in_the_package():
-    # A module-level private function is named in src/ outside its own
-    # definition: a helper that only tests call lives in tests/.
-    modules = _parsed(SRC.glob("*.py"))
-    named = _identifiers(node for tree in modules.values() for node in ast.walk(tree))
-    orphans = [
-        f"{module}.{node.name}"
-        for module, tree in modules.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name[0] == "_"
-        and not (named - _identifiers(ast.walk(node)))[node.name]
-    ]
+    # A private function or method is named in its own module outside its
+    # definition, or imported from there: a helper that only tests call
+    # lives in tests/.
+    orphans = private_orphans(_parsed(SRC.glob("*.py")))
     assert orphans == [], f"no caller in src/ reaches these private functions: {orphans}"
