@@ -319,7 +319,8 @@ def counterpart_bounds(
     applicable.
     """
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
-    return _scalars(_counterpart(ctx, x, norm_sq, rows, box))
+    condition = _condition(ctx, x, norm_sq, rows, box)
+    return _scalars(_counterpart(ctx, x, norm_sq, rows, box, condition))
 
 
 def gruss_bounds(
@@ -342,7 +343,9 @@ def gruss_bounds(
     (x, y), (norm_sq_x, norm_sq_y), rows = _validated(
         ctx, fam, indices, (x, y), (box_x, box_y)
     )
-    return _scalars(_gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, box_x, box_y))
+    condition_x = _condition(ctx, x, norm_sq_x, rows, box_x)
+    condition_y = _condition(ctx, y, norm_sq_y, rows, box_y)
+    return _scalars(_gruss(box_x, box_y, condition_x, condition_y, _deviation(ctx, x, y, rows)))
 
 
 def companion_bound(
@@ -356,7 +359,9 @@ def companion_bound(
     """Re(deviation) <= (1/4) sum_F |Phi_i - phi_i|^2, certified by the box
     condition evaluated at the midpoint (x+y)/2."""
     (x, y), _, rows = _validated(ctx, fam, indices, (x, y), (box,))
-    return _scalars(_companion(ctx, x, y, rows, box))
+    midpoint = 0.5 * (x + y)
+    condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box)
+    return _scalars(_companion(box, condition, _deviation(ctx, x, y, rows)))
 
 
 def companion_abs_bound(
@@ -374,7 +379,11 @@ def companion_abs_bound(
     Gruss-type bound with m_i = phi_i, M_i = Phi_i.
     """
     (x, y), _, rows = _validated(ctx, fam, indices, (x, y), (box,))
-    return _scalars(_companion_abs(ctx, x, y, rows, box))
+    half_sum, half_diff = 0.5 * (x + y), 0.5 * (x - y)
+    condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box)
+    condition_diff = _condition(ctx, half_diff, _norm_sq(ctx, half_diff), rows, box)
+    deviation = _deviation(ctx, x, y, rows)
+    return _scalars(_companion_abs(box, condition_sum, condition_diff, deviation))
 
 
 def _validated(
@@ -420,7 +429,10 @@ def _scalars(report):
 # members (..., F, d), ``norm_sq`` the vectors' squared norms and ``box`` a
 # CoefficientBox or _Boxes of matching stack shape.  Each operation is the same
 # numpy call on a stack and on one of its rows, so the stacked values are the
-# per-instance ones bit for bit.
+# per-instance ones bit for bit.  The chain kernels take their box conditions
+# and their deviation as arguments: a public function computes them first, and
+# ``suite`` computes a cell's conditions in one ``_condition`` call over all its
+# (vector, box) pairs and its deviations in one ``_deviation`` call.
 
 
 def _instance_scale(norm_sq, box):
@@ -466,8 +478,7 @@ def _identity_sides(ctx, x, norm_sq, rows, box):
     return _residual(norm_sq, c), coefficient_term - _slack_inner(ctx, x, rows, lower, upper)
 
 
-def _counterpart(ctx, x, norm_sq, rows, box) -> BesselBoundReport:
-    condition = _condition(ctx, x, norm_sq, rows, box)
+def _counterpart(ctx, x, norm_sq, rows, box, condition) -> BesselBoundReport:
     coarse = box.half_diameter_sq
     return BesselBoundReport(
         residual=_residual(norm_sq, _coefficients(ctx, x, rows)),
@@ -478,9 +489,7 @@ def _counterpart(ctx, x, norm_sq, rows, box) -> BesselBoundReport:
     )
 
 
-def _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, box_x, box_y) -> GrussBoundReport:
-    condition_x = _condition(ctx, x, norm_sq_x, rows, box_x)
-    condition_y = _condition(ctx, y, norm_sq_y, rows, box_y)
+def _gruss(box_x, box_y, condition_x, condition_y, deviation) -> GrussBoundReport:
     coarse = 0.25 * (
         np.sqrt(4.0 * box_x.half_diameter_sq) * np.sqrt(4.0 * box_y.half_diameter_sq)
     )
@@ -488,7 +497,7 @@ def _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, box_x, box_y) -> GrussBoundRep
         np.maximum(condition_y.slack_inner, 0.0)
     )
     return GrussBoundReport(
-        deviation=_deviation(ctx, x, y, rows),
+        deviation=deviation,
         refined=refined,
         coarse=coarse,
         condition_x=condition_x,
@@ -506,24 +515,18 @@ def _least(first, *rest):
     return first if first.ndim else float(first)
 
 
-def _companion(ctx, x, y, rows, box) -> CompanionReport:
-    midpoint = 0.5 * (x + y)
-    condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box)
+def _companion(box, condition, deviation) -> CompanionReport:
     return CompanionReport(
-        re_deviation=_deviation(ctx, x, y, rows).real,
+        re_deviation=deviation.real,
         bound=box.half_diameter_sq,
         condition=condition,
         certified=condition.holds,
     )
 
 
-def _companion_abs(ctx, x, y, rows, box) -> CompanionAbsReport:
-    half_sum = 0.5 * (x + y)
-    half_diff = 0.5 * (x - y)
-    condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box)
-    condition_diff = _condition(ctx, half_diff, _norm_sq(ctx, half_diff), rows, box)
+def _companion_abs(box, condition_sum, condition_diff, deviation) -> CompanionAbsReport:
     return CompanionAbsReport(
-        abs_re_deviation=np.abs(_deviation(ctx, x, y, rows).real),
+        abs_re_deviation=np.abs(deviation.real),
         bound=box.half_diameter_sq,
         condition_sum=condition_sum,
         condition_diff=condition_diff,

@@ -156,15 +156,21 @@ _TWOSIDED = (_FAMILY, _Vector(), _Vector(), _Box(("x+y", "x-y"), 0.1))
 class _Built(NamedTuple):
     """A build of every source of a plan: families (S, B, F, d) and their
     Gram defects (S, B; None on stand-ins); vectors (V, B, d); box midpoints
-    and half-offsets (N, B, F); and retry flags (S + N, B), set where CGS2
-    rejected a family or a box direction is zero, and reduced to streams
-    only when one is set."""
+    and half-offsets (N, B, F) and the boxes they center (None on stand-ins,
+    whose caller reads the midpoints and half-offsets); for each (box,
+    cover) pair, in ``_Plan.cover_box`` order, the covered vector (C, B, d)
+    and its family rows (C, B, F, d); and retry flags (S + N, B), set where
+    CGS2 rejected a family or a box direction is zero, and reduced to
+    streams only when one is set."""
 
     members: np.ndarray
     gram_defect: np.ndarray
     vectors: np.ndarray
     mid: np.ndarray
     half: np.ndarray
+    boxes: _Boxes
+    covered: np.ndarray
+    cover_rows: np.ndarray
     retry: np.ndarray
 
 
@@ -182,7 +188,7 @@ class _Plan:
     covers index the stand-in vectors ``run`` is given."""
 
     def __init__(self, sources, dimension: int, size: int, complex_field: bool):
-        self.dimension, self.size = dimension, size
+        self.sources, self.dimension, self.size = sources, dimension, size
         self.parts = parts = 2 if complex_field else 1
         self.draws, self.calls = [], []
         families, vectors, scales, boxes, self.slices = [], [], [], [], []
@@ -228,10 +234,19 @@ class _Plan:
             raise ValueError("a plan's vectors are all drawn at a log-normal scale or none is")
         self.scales = _index(scales)
         self.box_source = _index([box[0] for box in boxes])
-        # each box's first covered vector, and the ones after it as (box, cover)
-        self.first = _index([box[1][0][0] for box in boxes])
-        self.halves = [(b, box[1][0]) for b, box in enumerate(boxes) if box[1][0][1] is not None]
-        self.extra = [(b, cover) for b, box in enumerate(boxes) for cover in box[1][1:]]
+        # every (box, cover) pair: each box's first cover, then the others
+        pairs = [(b, box[1][0]) for b, box in enumerate(boxes)]
+        pairs += [(b, cover) for b, box in enumerate(boxes) for cover in box[1][1:]]
+        self.cover_box = _index([b for b, _ in pairs])
+        self.cover_source = _index(self.box_source[self.cover_box])
+        self.first = _index([cover[0] for _, cover in pairs])
+        self.halves = [(p, cover) for p, (_, cover) in enumerate(pairs) if cover[1] is not None]
+        self.extra = [(p, b) for p, (b, _) in enumerate(pairs) if p >= len(boxes)]
+        # each source's pairs; each source of two vectors, and its x and y
+        self.covers_of = [[p for p, (b, _) in enumerate(pairs) if own.start <= b < own.stop]
+                          for _, own in self.slices]
+        twos = [(s, v.start) for s, (v, _) in enumerate(self.slices) if v.stop - v.start == 2]
+        self.pair_source, self.pair_x = _index([s for s, _ in twos]), _index([v for _, v in twos])
         self.box_count = np.array([len(box[1]) for box in boxes])[:, None, None]
         self.sigma = np.array([box[2].sigma for box in boxes])[:, None, None]
         self.loose = np.array([box[2].loose for box in boxes])[:, None]
@@ -313,30 +328,52 @@ class _Plan:
         else:  # a stand-in family is neither measured nor rejected
             defect, rejected = None, np.zeros((0, count), bool)
         # the box pass: every box of every source at once
-        covered = vectors[self.first]
-        for box, cover in self.halves:
-            covered[box] = _covered(vectors, cover)
-        extra = [(box, _covered(vectors, cover)) for box, cover in self.extra]
-        box_rows = rows[self.box_source]
-        # the mean of the covered coefficients, summed from 0 as sum() would
-        total = 0 + _coefficients(ctx, covered, box_rows)
-        for box, v in extra:
-            total[box] = total[box] + _coefficients(ctx, v, box_rows[box])
+        covered = self._covers(vectors)
+        cover_rows = rows[self.cover_source]
         boxes = len(self.uniform)
+        coefficients = _coefficients(ctx, covered, cover_rows)
+        # the mean of the covered coefficients, summed from 0 as sum() would
+        total = 0 + coefficients[:boxes]
+        for pair, box in self.extra:
+            total[box] = total[box] + coefficients[pair]
         box_normals = _complex(gather(self.box_normals, parts, size))
         noise, direction = box_normals[:boxes], box_normals[boxes:]
         mid = total / self.box_count + self.sigma * noise
-        combination = _combine(mid, box_rows)
-        radius = _norm(ctx, covered - combination)
-        for box, v in extra:
-            radius[box] = np.maximum(radius[box], _norm(ctx, v - combination[box]))
+        combination = _combine(mid, cover_rows[:boxes])
+        radius = _norm(ctx, covered[:boxes] - combination)
+        for pair, box in self.extra:
+            radius[box] = np.maximum(radius[box], _norm(ctx, covered[pair] - combination[box]))
         u = uniforms[:, self.uniform].T
         target = np.where(self.loose, 2.0 * u, 1.0 + u) * radius
         length = _length(direction)
         zero = length == 0.0
         scale = target / np.where(zero, 1.0, length)
         half = np.where((target > 0.0)[..., None], direction * scale[..., None], 0.0)
-        return _Built(rows, defect, vectors, mid, half, np.concatenate((rejected, zero)))
+        centered = None if defect is None else _Boxes.centered(mid, half)
+        return _Built(
+            rows, defect, vectors, mid, half, centered, covered, cover_rows,
+            np.concatenate((rejected, zero)),
+        )
+
+    def _covers(self, vectors: np.ndarray) -> np.ndarray:
+        """The vector of each (box, cover) pair (C, ..., d), from the
+        sources' vectors (V, ..., d)."""
+        covered = vectors[self.first]
+        for pair, cover in self.halves:
+            covered[pair] = _covered(vectors, cover)
+        return covered
+
+    def given(self, rows: np.ndarray, vectors: np.ndarray, boxes) -> _Built:
+        """One given instance of the plan's one source, laid out as ``_build``
+        lays out a stream, with no batch axis and no draws: its selected rows
+        (F, d), vectors (V, d) and CoefficientBoxes (a shared box's copies
+        after the first are not read)."""
+        members = rows[None]
+        arrays = (np.array([getattr(box, name) for box in boxes]) for name in _Boxes._fields)
+        return _Built(
+            members, None, vectors, None, None, _Boxes(*arrays), self._covers(vectors),
+            members[self.cover_source], None,
+        )
 
 
 def _cover(name: str, first: int) -> tuple[int, int | None, bool]:
@@ -381,13 +418,12 @@ def _drawn(rngs, ctx: SpaceContext, size: int, sources) -> tuple[_Plan, _Built]:
     return plan, plan.run(rngs, ctx)
 
 
-def _stacks(rngs, ctx: SpaceContext, size: int, sources) -> list[Instance | PairInstance]:
-    """One stack of instances per source, a row per stream: an Instance for
-    a source of one vector, else a PairInstance whose one box, if it has
-    only one, is both ``box_x`` and ``box_y``."""
-    plan, built = _drawn(rngs, ctx, size, sources)
-    lower, upper, half_diameter_sq = _Boxes.centered(built.mid, built.half)
-    indices = tuple(range(size))
+def _stacks(ctx: SpaceContext, plan: _Plan, built: _Built) -> list[Instance | PairInstance]:
+    """One stack of instances per source of ``plan``, a row per stream of
+    ``built``: an Instance for a source of one vector, else a PairInstance
+    whose one box, if it has only one, is both ``box_x`` and ``box_y``."""
+    lower, upper, half_diameter_sq = built.boxes
+    indices = tuple(range(plan.size))
     stacks = []
     for source, (vectors, own) in enumerate(plan.slices):
         family = _Families(built.members[source], built.gram_defect[source])
@@ -441,7 +477,8 @@ def _box_row(boxes: _Boxes, indices: tuple[int, ...], i: int) -> CoefficientBox:
 
 
 def _generated(source, rng, dim, family_size, field):
-    (stack,) = _stacks([rng], SpaceContext(field, dim), family_size, (source,))
+    ctx = SpaceContext(field, dim)
+    (stack,) = _stacks(ctx, *_drawn([rng], ctx, family_size, (source,)))
     return _row(stack, 0)
 
 

@@ -56,6 +56,10 @@ _BOX_KEYS = {"lower": list, "upper": list}
 _L2_KEYS = {"kind": str, "nodes": list, "weights": list, "rho": list}
 _OPTIONAL_L2_KEYS = {"field": str, "functions": dict}
 
+#: The range of numpy's int64; np.array holds an integer far outside it as
+#: a Python object.
+_INT64 = np.iinfo(np.int64)
+
 
 def encode_vector(vector: Vector, field: str) -> list:
     """A vector or a stack of rows as nested lists of numbers or ``[re, im]`` pairs."""
@@ -82,9 +86,18 @@ def decode_vector(values, depth: int, field: str = COMPLEX) -> np.ndarray:
 
 def _numbers(values) -> np.ndarray:
     """``values`` as a numeric array; booleans, strings, nulls or objects raise
-    ValueError.  np.array reads a boolean among numbers as 0 or 1, so the
-    leaves, ``a.ndim`` levels down, are checked for one."""
+    ValueError, and so does an integer that numpy holds only as an object
+    (beyond 64 bits), named with the int64 range.  np.array reads a boolean
+    among numbers as 0 or 1, so the leaves, ``a.ndim`` levels down, are
+    checked for one."""
     a = np.array(values)
+    if a.dtype == object:
+        wide = [v for v in a.flat if _is_json(v, int) and not _INT64.min <= v <= _INT64.max]
+        if wide:
+            raise ValueError(
+                f"expected numbers, got the integer {wide[0]} outside the int64 range "
+                f"[{_INT64.min}, {_INT64.max}]"
+            )
     if a.dtype.kind not in "iuf":
         raise ValueError(f"expected numbers, got {a.dtype} entries")
     leaves = [values]

@@ -23,14 +23,18 @@ Gram defect.
 
 ``run_suite`` generates and checks one cell at a time, its instances stacked
 along a leading axis, on the kernel of :mod:`orthobounds.bounds`.  It reads
-one table, ``_SOURCES``, of (declared draws, evaluator) pairs, one per
-generated source.  An evaluator takes only its stack: it computes the kernel
-report and each vector's squared norm once, takes the allowance scale from
-those norms, and derives all of the source's records, a chain holding when it
-is certified and its ``margin`` is at least minus the allowance.  The second
-routes of ``identity`` (``_identity_sides``) and ``l2_embedding`` (a
-counting-context report) are computed on purpose.  Each public ``check_*``
-validates one instance and replays it through its source's evaluator.
+one table, ``_SOURCES``, from each generated source's declared draws to its
+evaluator.  One pass, ``_evaluated``, reads the cell's build: every
+vector's squared norm, one ``_condition`` call over all seven (vector, box)
+pairs (each box's covered vector, (x-y)/2 included) and one ``_deviation``
+call over the three pairs.  An evaluator receives its stack, its vectors'
+norms, its conditions and, for a pair, its deviation; it takes the allowance
+scale from the norms and derives all of the source's records, a chain holding
+when it is certified and its ``margin`` is at least minus the allowance.  The
+second routes of ``identity`` (``_identity_sides``) and ``l2_embedding`` (a
+counting-context report) are computed on purpose.  Each check is tallied once
+per cell.  Each public ``check_*`` validates one instance and feeds it through
+the same pass, laid out by ``generate._Plan.given``.
 
 Outcomes are deterministic per seed and serialize to JSON byte-identically
 (the ``generated_at`` stamp is the one field excluded from comparisons).
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from functools import lru_cache
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,10 +52,12 @@ import numpy as np
 from . import serialize
 from .bounds import (
     ConditionReport,
+    _Boxes,
     _companion,
     _companion_abs,
     _condition,
     _counterpart,
+    _deviation,
     _gruss,
     _identity_sides,
     _instance_scale,
@@ -68,7 +75,9 @@ from .generate import (
     _TWOSIDED,
     Instance,
     PairInstance,
+    _drawn,
     _Families,
+    _plan,
     _row,
     _stacks,
     check_seed,
@@ -148,13 +157,16 @@ class CheckTally:
     failed: int = 0
     worst_margin: float = float("inf")
 
-    def record(self, ok: bool, margin: float) -> None:
-        if ok:
-            self.passed += 1
-        else:
-            self.failed += 1
-        if margin < self.worst_margin:
-            self.worst_margin = margin
+    def record(self, ok: list, margin: list) -> None:
+        """Count the verdicts ``ok`` and keep the least of ``margin``, the
+        lists of one check's records in record order: of equal least margins
+        the first one stays (0.0 before -0.0 keeps 0.0), and NaN never does."""
+        passed = ok.count(True)
+        self.passed += passed
+        self.failed += len(ok) - passed
+        least = min([m for m in margin if m == m], default=self.worst_margin)
+        if least < self.worst_margin:
+            self.worst_margin = least
 
     def to_dict(self) -> dict:
         return {
@@ -178,10 +190,20 @@ class SuiteOutcome:
     def ok(self) -> bool:
         return self.total_failed == 0
 
-    def record(self, name: str, ok: bool, margin: float, instance=None) -> None:
-        tally = self.checks.setdefault(name, CheckTally())
+    def record(self, name: str, ok, margin, instance) -> None:
+        """Tally check ``name``: one record's verdict ``ok`` and ``margin``,
+        or lists of records in record order (``run_suite`` passes a cell's
+        and stores its failures itself).  A failing single record is stored
+        with its ``instance`` unless that is None."""
+        if not isinstance(ok, list):
+            if not ok and instance is not None:
+                self._store(name, margin, instance)
+            ok, margin = [ok], [margin]
+        tally = self.checks.get(name) or self.checks.setdefault(name, CheckTally())
         tally.record(ok, margin)
-        if not ok and len(self.failures) < MAX_STORED_FAILURES and instance is not None:
+
+    def _store(self, name: str, margin: float, instance) -> None:
+        if len(self.failures) < MAX_STORED_FAILURES:
             payload = serialize.instance_to_dict(instance)
             payload["check"] = name
             payload["margin"] = margin
@@ -207,74 +229,79 @@ def chain_allowance(inst: Instance | PairInstance, scale: float) -> float:
 
 def check_generator_soundness(inst: Instance) -> tuple[bool, float]:
     """The generated box certifies x, with the inner-product slack as margin."""
-    return _replay(_instance_records, "generator_soundness", inst)
+    return _replay(_CERTIFIED, "generator_soundness", inst)
 
 
 def check_counterpart_chain(inst: Instance) -> tuple[bool, float]:
     """Certified residual chain with per-step slack >= -allowance."""
-    return _replay(_instance_records, "counterpart_chain", inst)
+    return _replay(_CERTIFIED, "counterpart_chain", inst)
 
 
 def check_identity(inst: Instance) -> tuple[bool, float]:
     """Two evaluation routes of the residual identity agree."""
-    return _replay(_instance_records, "identity", inst)
+    return _replay(_CERTIFIED, "identity", inst)
 
 
 def check_condition_equivalence(inst: Instance) -> tuple[bool, float]:
     """Inner and norm slack forms agree in sign when both are resolvable."""
-    return _replay(_loose_records, "condition_equivalence", inst)
+    return _replay(_LOOSE, "condition_equivalence", inst)
 
 
 def check_gruss_chain(pair: PairInstance) -> tuple[bool, float]:
     """Certified deviation chain plus the squared Schwarz route."""
-    return _replay(_pair_records, "gruss_chain", pair)
+    return _replay(_PAIR, "gruss_chain", pair)
 
 
 def check_projection_identity(pair: PairInstance) -> tuple[bool, float]:
     """The deviation equals the inner product of the projection residuals."""
-    return _replay(_pair_records, "projection_identity", pair)
+    return _replay(_PAIR, "projection_identity", pair)
 
 
 def check_schwarz(pair: PairInstance) -> tuple[bool, float]:
     """|<x-Px, y-Py>|^2 <= ||x-Px||^2 ||y-Py||^2."""
-    return _replay(_pair_records, "schwarz", pair)
+    return _replay(_PAIR, "schwarz", pair)
 
 
 def check_companion(pair: PairInstance) -> tuple[bool, float]:
     """Re(deviation) <= bound under the shared midpoint box."""
-    return _replay(_midpoint_records, "companion", pair)
+    return _replay(_MIDPOINT, "companion", pair)
 
 
 def check_companion_abs(pair: PairInstance) -> tuple[bool, float]:
     """|Re(deviation)| <= bound under both (x+y)/2 and (x-y)/2 conditions."""
-    return _replay(_twosided_records, "companion_abs", pair)
+    return _replay(_TWOSIDED, "companion_abs", pair)
 
 
 def check_l2_embedding(inst: Instance) -> tuple[bool, float]:
     """A unit-weight (counting-measure) context reproduces the coordinate-backend
     report within the instance's allowance."""
-    return _replay(_instance_records, "l2_embedding", inst)
+    return _replay(_CERTIFIED, "l2_embedding", inst)
 
 
-def _replay(evaluator, name: str, inst):
-    """Record ``name`` of ``evaluator`` on one instance, validated once: the
-    family is cut down to the selected rows, which is what the evaluators
-    read."""
+def _replay(source, name: str, inst):
+    """Record ``name`` of ``source``'s evaluator on one instance, validated
+    once and fed through the cell pass: the family is cut down to the
+    selected rows, which is what the evaluators read."""
+    ctx = inst.ctx
     if isinstance(inst, PairInstance):
         vectors, boxes = {"x": inst.x, "y": inst.y}, (inst.box_x, inst.box_y)
     else:
         vectors, boxes = {"x": inst.x}, (inst.box,)
-    valid, _, rows = _validated(inst.ctx, inst.family, inst.indices, vectors.values(), boxes)
+    valid, _, rows = _validated(ctx, inst.family, inst.indices, vectors.values(), boxes)
     family = _Families(rows, inst.family.gram_defect)
-    ok, margin = evaluator(inst._replace(**dict(zip(vectors, valid)), family=family))[name]
+    stack = inst._replace(**dict(zip(vectors, valid)), family=family)
+    plan = _plan((source,), ctx.dimension, len(rows), ctx.is_complex)
+    records = _evaluated(ctx, plan, plan.given(rows, np.array(valid), boxes), [stack])
+    ok, margin = next((ok, margin) for check, _, ok, margin in records if check == name)
     return bool(ok), float(margin)
 
 
 # The evaluators, one per entry of ``_SOURCES``.  ``inst`` holds arrays with a
-# leading batch axis (or none) and its family the selected rows; the records
-# {name: (ok, margin)} are arrays, in the order ``run_suite`` records them.  As
-# in the kernel, each operation is the same numpy call on a stack and on one
-# of its rows, so a stacked margin is the per-instance one bit for bit.
+# leading batch axis (or none) and its family the selected rows, followed by
+# what ``_evaluated`` computed for it; the records {name: (ok, margin)} are
+# arrays, in the order ``run_suite`` records them.  As in the kernel, each
+# operation is the same numpy call on a stack and on one of its rows, so a
+# stacked margin is the per-instance one bit for bit.
 
 
 def _verdict(report, tol):
@@ -292,17 +319,18 @@ def _equivalence(condition: ConditionReport, tol):
     return ~disagreement, np.where(disagreement, -closest, 0.0)
 
 
-def _instance_records(inst: Instance):
+def _instance_records(inst: Instance, norm_sq, condition):
     ctx, x, rows, box = inst.ctx, inst.x, inst.family.members, inst.box
-    norm_sq = _norm_sq(ctx, x)
-    report = _counterpart(ctx, x, norm_sq, rows, box)
+    report = _counterpart(ctx, x, norm_sq, rows, box, condition)
     tol = chain_allowance(inst, _instance_scale(norm_sq, box))
     # two deliberate second routes: the identity's right side takes the slack
     # from the vectors, and a unit-weight context recomputes the whole report
     left, right = _identity_sides(ctx, x, norm_sq, rows, box)
     identity = -np.abs(left - right)
-    counting = SpaceContext(ctx.field, ctx.dimension, np.ones(ctx.dimension))
-    l2_report = _counterpart(counting, x, _norm_sq(counting, x), rows, box)
+    counting = _counting(ctx.field, ctx.dimension)
+    counting_norm_sq = _norm_sq(counting, x)
+    counting_condition = _condition(counting, x, counting_norm_sq, rows, box)
+    l2_report = _counterpart(counting, x, counting_norm_sq, rows, box, counting_condition)
     embedding = -np.maximum.reduce([
         np.abs(report.residual - l2_report.residual),
         np.abs(report.refined - l2_report.refined),
@@ -319,25 +347,27 @@ def _instance_records(inst: Instance):
     }
 
 
-def _loose_records(inst: Instance):
-    ctx, x, box = inst.ctx, inst.x, inst.box
-    norm_sq = _norm_sq(ctx, x)
-    condition = _condition(ctx, x, norm_sq, inst.family.members, box)
-    tol = chain_allowance(inst, _instance_scale(norm_sq, box))
+@lru_cache(maxsize=64)
+def _counting(field: str, dimension: int) -> SpaceContext:
+    """The unit-weight context of the coordinate space (field, dimension)."""
+    return SpaceContext(field, dimension, np.ones(dimension))
+
+
+def _loose_records(inst: Instance, norm_sq, condition):
+    tol = chain_allowance(inst, _instance_scale(norm_sq, inst.box))
     return {"condition_equivalence": _equivalence(condition, tol)}
 
 
-def _pair_records(pair: PairInstance):
+def _pair_records(pair: PairInstance, norm_sq_x, norm_sq_y, condition_x, condition_y, deviation):
     ctx, x, y, rows = pair.ctx, pair.x, pair.y, pair.family.members
-    norm_sq_x, norm_sq_y = _norm_sq(ctx, x), _norm_sq(ctx, y)
-    report = _gruss(ctx, x, y, norm_sq_x, norm_sq_y, rows, pair.box_x, pair.box_y)
+    report = _gruss(pair.box_x, pair.box_y, condition_x, condition_y, deviation)
     scale = _pair_scale(norm_sq_x, norm_sq_y, pair.box_x, pair.box_y)
     tol, tol_sq = chain_allowance(pair, scale), chain_allowance(pair, scale * scale)
     coefficients_x, coefficients_y = _coefficients(ctx, x, rows), _coefficients(ctx, y, rows)
     # the squared Schwarz route of the chain
     res_x, res_y = _residual(norm_sq_x, coefficients_x), _residual(norm_sq_y, coefficients_y)
-    refined_x = pair.box_x.half_diameter_sq - report.condition_x.slack_inner
-    refined_y = pair.box_y.half_diameter_sq - report.condition_y.slack_inner
+    refined_x = pair.box_x.half_diameter_sq - condition_x.slack_inner
+    refined_y = pair.box_y.half_diameter_sq - condition_y.slack_inner
     squared_ok = (report.deviation_abs ** 2 <= res_x * res_y + tol_sq) & (
         res_x * res_y <= refined_x * refined_y + tol_sq
     )
@@ -345,7 +375,7 @@ def _pair_records(pair: PairInstance):
     # the projection residuals x - Px and y - Py
     u, v = x - _combine(coefficients_x, rows), y - _combine(coefficients_y, rows)
     uv = _inner(ctx, u, v)
-    identity = -_modulus(report.deviation - uv)
+    identity = -_modulus(deviation - uv)
     schwarz = _norm_sq(ctx, u) * _norm_sq(ctx, v) - _modulus(uv) ** 2
     return {
         "gruss_chain": (chain_ok & squared_ok, chain_margin),
@@ -354,32 +384,58 @@ def _pair_records(pair: PairInstance):
     }
 
 
-def _shared_box_verdict(kernel, pair: PairInstance):
-    """``_verdict`` of a companion kernel, whose one box ``box_x`` enters the
+def _shared_box_verdict(report, pair: PairInstance, norm_sq_x, norm_sq_y):
+    """``_verdict`` of a companion report, whose one box ``box_x`` enters the
     pair scale on both sides."""
-    ctx, x, y, box = pair.ctx, pair.x, pair.y, pair.box_x
-    scale = _pair_scale(_norm_sq(ctx, x), _norm_sq(ctx, y), box, box)
-    return _verdict(kernel(ctx, x, y, pair.family.members, box), chain_allowance(pair, scale))
+    scale = _pair_scale(norm_sq_x, norm_sq_y, pair.box_x, pair.box_x)
+    return _verdict(report, chain_allowance(pair, scale))
 
 
-def _midpoint_records(pair: PairInstance):
-    return {"companion": _shared_box_verdict(_companion, pair)}
+def _midpoint_records(pair: PairInstance, norm_sq_x, norm_sq_y, condition, deviation):
+    report = _companion(pair.box_x, condition, deviation)
+    return {"companion": _shared_box_verdict(report, pair, norm_sq_x, norm_sq_y)}
 
 
-def _twosided_records(pair: PairInstance):
-    return {"companion_abs": _shared_box_verdict(_companion_abs, pair)}
+def _twosided_records(pair: PairInstance, norm_sq_x, norm_sq_y, condition_sum, condition_diff, deviation):
+    report = _companion_abs(pair.box_x, condition_sum, condition_diff, deviation)
+    return {"companion_abs": _shared_box_verdict(report, pair, norm_sq_x, norm_sq_y)}
 
 
-#: Each generated source as (declared draws, evaluator), in the order
+#: Each generated source's declared draws and its evaluator, in the order
 #: ``run_suite`` draws and records them.
-_SOURCES = (
-    (_CERTIFIED, _instance_records),
-    (_LOOSE, _loose_records),
-    (_PAIR, _pair_records),
-    (_MIDPOINT, _midpoint_records),
-    (_TWOSIDED, _twosided_records),
-)
-_DRAWN = tuple(source for source, _ in _SOURCES)
+_SOURCES = {
+    _CERTIFIED: _instance_records,
+    _LOOSE: _loose_records,
+    _PAIR: _pair_records,
+    _MIDPOINT: _midpoint_records,
+    _TWOSIDED: _twosided_records,
+}
+_DRAWN = tuple(_SOURCES)
+
+
+def _evaluated(ctx, plan, built, stacks) -> list[tuple]:
+    """Every record of the sources of ``plan`` on their ``stacks`` as (check,
+    stack, ok, margin), in record order, from one pass over what they share:
+    the squared norm of every vector of ``built``, the box condition of every
+    (box, cover) pair and the deviation of every pair source."""
+    norm_sq = _norm_sq(ctx, built.vectors)
+    covered = built.covered
+    boxes = _Boxes(*(array[plan.cover_box] for array in built.boxes))
+    condition = _condition(ctx, covered, _norm_sq(ctx, covered), built.cover_rows, boxes)
+    # a constant allowance gives one tolerance for every pair
+    tolerance = np.broadcast_to(condition.tolerance, condition.holds.shape)
+    fields = (condition.slack_inner, condition.slack_norm, condition.holds, tolerance)
+    conditions = [ConditionReport(*(field[p] for field in fields)) for p in range(len(covered))]
+    x, y = built.vectors[plan.pair_x], built.vectors[plan.pair_x + 1]
+    deviations = iter(_deviation(ctx, x, y, built.members[plan.pair_source]))
+    records = []
+    for source, stack, (vectors, _), covers in zip(plan.sources, stacks, plan.slices, plan.covers_of):
+        args = [*norm_sq[vectors], *(conditions[p] for p in covers)]
+        if isinstance(stack, PairInstance):
+            args.append(next(deviations))
+        evaluated = _SOURCES[source](stack, *args)
+        records += [(name, stack, ok, margin) for name, (ok, margin) in evaluated.items()]
+    return records
 
 
 def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
@@ -389,23 +445,35 @@ def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
     once per entry of ``_SOURCES``: a certified instance, an unconstrained
     one, a certified pair, a midpoint pair and a two-sided pair, in that
     order, the draws the public generators make one after another.  A cell
-    is drawn and built at once (``generate._stacks``) and checked as one
-    stack per source; evaluation draws nothing.  Records go out instance by
-    instance, and a failing instance is rebuilt from its row of the stack.  Results are deterministic for a given config;
-    callers that keep the outcome write ``outcome.to_dict()``.
+    is drawn and built at once (``generate._drawn``) and checked in one pass
+    over its stacks, one per source; evaluation draws nothing.  Each check is
+    tallied once per cell, its records in instance order (a check of two
+    sources alternates them), and failures are stored instance by instance,
+    each rebuilt from its row of the stack.  Results are deterministic for a
+    given config; callers that keep the outcome write ``outcome.to_dict()``.
     """
     outcome = SuiteOutcome(config=cfg)
     for cell_index, (dim, fsize, fld) in enumerate(cfg.cells()):
         ctx = SpaceContext(fld, dim)
         rngs = [rng_from_seed(cfg.seed, cell_index, i) for i in range(cfg.instance_count)]
-        results = [
-            (name, stack, ok.tolist(), margin.tolist())
-            for stack, (_, evaluate) in zip(_stacks(rngs, ctx, fsize, _DRAWN), _SOURCES)
-            for name, (ok, margin) in evaluate(stack).items()
-        ]
-        for i in range(cfg.instance_count):
-            for name, stack, ok, margin in results:
-                outcome.record(name, ok[i], margin[i], None if ok[i] else _row(stack, i))
+        plan, built = _drawn(rngs, ctx, fsize, _DRAWN)
+        records = _evaluated(ctx, plan, built, _stacks(ctx, plan, built))
+        checks = {}
+        for name, _, ok, margin in records:
+            checks.setdefault(name, []).append((ok.tolist(), margin.tolist()))
+        failed = False
+        for name, lists in checks.items():
+            # a check of several sources interleaves them instance by instance
+            ok, margin = lists[0] if len(lists) == 1 else (
+                [*itertools.chain(*zip(*column))] for column in zip(*lists)
+            )
+            outcome.record(name, ok, margin, None)
+            failed = failed or False in ok
+        if failed:
+            for i in range(cfg.instance_count):
+                for name, stack, ok, margin in records:
+                    if not ok[i]:
+                        outcome._store(name, float(margin[i]), _row(stack, i))
     return outcome
 
 

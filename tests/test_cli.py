@@ -448,6 +448,18 @@ MALFORMED_FILES = {
     "boolean-tolerance": lambda payload: {**payload, "tolerance": False},
     # an integer beyond the float range escaped as OverflowError, exit 1
     "overflowing-tolerance": lambda payload: {**payload, "tolerance": 10**400},
+    # numpy holds such an integer as an object: the message named the dtype
+    "overflowing-vectors": lambda payload: {
+        **payload, "vectors": [[10**400, *payload["vectors"][0][1:]], *payload["vectors"][1:]],
+    },
+}
+
+#: The message a case's error names, where it is pinned.
+MALFORMED_MESSAGES = {
+    "overflowing-vectors": (
+        f"error: expected numbers, got the integer {10**400} outside the int64 range "
+        "[-9223372036854775808, 9223372036854775807]\n"
+    ),
 }
 
 
@@ -463,6 +475,7 @@ def test_malformed_instance_files_are_input_errors(case, command, instance_file,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert captured.err == MALFORMED_MESSAGES.get(case, captured.err)
 
 
 def test_loose_family_tolerance_is_input_error(tmp_path, capsys):

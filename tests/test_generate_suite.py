@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from orthobounds import bounds, serialize, suite
+from orthobounds import bounds, generate, serialize, suite
 from orthobounds.bounds import (
     CoefficientBox,
     check_condition,
@@ -27,7 +27,7 @@ from orthobounds.generate import (
 )
 from orthobounds.quadrature import WeightedL2Context, periodic_trapezoid
 from orthobounds.sharpness import extremal_instance
-from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
+from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, _norm_sq, as_vector
 from orthobounds.suite import TIGHTNESS_HEADER, SuiteConfig, run_suite, tightness_rows
 from draws import family, gaussian
 from test_bounds import rescaled_offsets
@@ -272,13 +272,18 @@ def _outcome_text(outcome):
 
 
 def _recorded(monkeypatch, route, cfg):
-    """The outcome ``route(cfg)`` builds and every record it makes, in order:
-    (check, ok, the margin's bytes), so a margin of -0.0 differs from 0.0."""
-    records = []
+    """The outcome ``route(cfg)`` builds and every record it tallies, per
+    check in record order: (ok, the margin's bytes), so a margin of -0.0
+    differs from 0.0.  The hook sits on the per-check tally path,
+    ``SuiteOutcome.record``, which takes one record or the lists of a cell's
+    records of one check."""
+    records = {}
     record = suite.SuiteOutcome.record
 
-    def keep(outcome, name, ok, margin, instance=None):
-        records.append((name, ok, np.float64(margin).tobytes()))
+    def keep(outcome, name, ok, margin, instance):
+        oks, margins = (ok, margin) if isinstance(ok, list) else ([ok], [margin])
+        kept = records.setdefault(name, [])
+        kept += [(o, np.float64(m).tobytes()) for o, m in zip(oks, margins, strict=True)]
         record(outcome, name, ok, margin, instance)
 
     with monkeypatch.context() as patch:
@@ -334,10 +339,84 @@ class TestStackedSuite:
         )
         stacked, stacked_records = _recorded(monkeypatch, run_suite, cfg)
         alone, alone_records = _recorded(monkeypatch, _per_instance_outcome, cfg)
-        assert len(stacked_records) == len(alone_records) == 11 * count
-        for k, (record, other) in enumerate(zip(stacked_records, alone_records)):
-            assert record == other, (k, record, other)
+        assert list(stacked_records) == list(alone_records)
+        counts = [sum(map(len, records.values())) for records in (stacked_records, alone_records)]
+        assert counts == [11 * count] * 2
+        for name, records in alone_records.items():
+            assert len(stacked_records[name]) == len(records), name
+            for k, (record, other) in enumerate(zip(stacked_records[name], records)):
+                assert record == other, (name, k, record, other)
         assert _outcome_text(stacked) == _outcome_text(alone)
+
+    def test_the_cell_pass_matches_separate_kernel_calls(self, monkeypatch):
+        # every default-grid cell in both fields, three seeds: the squared
+        # norms, box conditions and deviations each evaluator receives from
+        # the one pass equal a _norm_sq, _condition or _deviation call on its
+        # own source's stack, byte for byte, the (x-y)/2 cover included
+        covers = {
+            generate._CERTIFIED: lambda s: [(s.x, s.box)],
+            generate._LOOSE: lambda s: [(s.x, s.box)],
+            generate._PAIR: lambda s: [(s.x, s.box_x), (s.y, s.box_y)],
+            generate._MIDPOINT: lambda s: [(0.5 * (s.x + s.y), s.box_x)],
+            generate._TWOSIDED: lambda s: [
+                (0.5 * (s.x + s.y), s.box_x), (0.5 * (s.x - s.y), s.box_x)
+            ],
+        }
+        seen = []
+        for source, evaluate in suite._SOURCES.items():
+            def keep(stack, *args, source=source, evaluate=evaluate):
+                seen.append((source, stack, args))
+                return evaluate(stack, *args)
+
+            monkeypatch.setitem(suite._SOURCES, source, keep)
+        for seed in (1, 2, 3):
+            run_suite(SuiteConfig(instance_count=4, seed=seed))
+        assert len(seen) == 3 * len(SuiteConfig().cells()) * 5
+        bits = lambda value: (np.asarray(value).dtype, np.asarray(value).tobytes())
+        for source, stack, args in seen:
+            ctx, rows = stack.ctx, stack.family.members
+            vectors = (stack.x, stack.y) if isinstance(stack, PairInstance) else (stack.x,)
+            pairs = covers[source](stack)
+            norms, args = args[:len(vectors)], args[len(vectors):]
+            conditions, rest = args[:len(pairs)], args[len(pairs):]
+            assert [bits(n) for n in norms] == [bits(_norm_sq(ctx, v)) for v in vectors]
+            for (v, box), condition in zip(pairs, conditions, strict=True):
+                alone = bounds._condition(ctx, v, _norm_sq(ctx, v), rows, box)
+                for name in ("slack_inner", "slack_norm", "holds", "tolerance"):
+                    assert bits(getattr(condition, name)) == bits(getattr(alone, name)), (source, name)
+            if isinstance(stack, PairInstance):
+                assert [bits(d) for d in rest] == [bits(bounds._deviation(ctx, stack.x, stack.y, rows))]
+            else:
+                assert rest == ()
+
+    def test_a_tally_keeps_the_first_least_margin_and_skips_nan(self):
+        # lists of records tally as their records do one at a time, the rule
+        # a tally of one record keeps: a margin replaces the worst only when
+        # it is less, so 0.0 then -0.0 keeps 0.0 and NaN is never kept
+        nan = float("nan")
+        cases = [
+            [0.0, -0.0], [-0.0, 0.0], [nan, 1.0], [1.0, nan, 0.5], [nan], [nan, -0.0, 0.0, nan],
+        ]
+        for margins in cases:
+            oks = [m == m and m > 0 for m in margins]
+            whole, alone = suite.CheckTally(), suite.CheckTally()
+            whole.record(oks, margins)
+            worst = float("inf")
+            for ok, margin in zip(oks, margins):
+                alone.record([ok], [margin])
+                if margin < worst:
+                    worst = margin
+            counts = (sum(oks), len(oks) - sum(oks))
+            assert (whole.passed, whole.failed) == (alone.passed, alone.failed) == counts
+            assert np.float64(whole.worst_margin).tobytes() == np.float64(worst).tobytes(), margins
+            assert np.float64(alone.worst_margin).tobytes() == np.float64(worst).tobytes(), margins
+        assert np.signbit(worst) and worst == 0.0
+        # and from one cell to the next
+        outcome = suite.SuiteOutcome(config=SuiteConfig())
+        outcome.record("check", [True], [0.0], None)
+        outcome.record("check", [True, True], [-0.0, nan], None)
+        assert not np.signbit(outcome.checks["check"].worst_margin)
+        assert outcome.checks["check"].to_dict() == {"passed": 3, "failed": 0, "worst_margin": 0.0}
 
     @pytest.mark.parametrize("field", [REAL, COMPLEX])
     def test_each_stream_draws_as_the_public_generators_do(self, monkeypatch, field):
@@ -475,22 +554,23 @@ class TestSuite:
             assert ok is False
             assert np.float64(margin).tobytes() == np.float64(payload["margin"]).tobytes()
 
-    def test_a_cell_evaluates_the_box_condition_eight_times(self, monkeypatch):
-        # one report per generated stack: the certified instance's counterpart
-        # and its counting-context second route (1 + 1), the loose instance
-        # (1), the pair's Gruss report (2), the companion (1) and the
-        # two-sided companion (2)
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_a_cell_evaluates_the_box_condition_twice(self, monkeypatch, count):
+        # one call over the cell's seven (vector, box) pairs: the certified
+        # and the loose instance's x, the pair's x and y, the midpoint pair's
+        # (x+y)/2 and the two-sided pair's (x+y)/2 and (x-y)/2; and one for
+        # the certified instance's counting-context second route
         condition = bounds._condition
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append(args[0].dimension)
+            calls.append((args[0].weights is None, args[1].shape))
             return condition(*args, **kwargs)
 
         monkeypatch.setattr(bounds, "_condition", counting)
         monkeypatch.setattr(suite, "_condition", counting)
-        run_suite(SuiteConfig(instance_count=3, dims=(4,), family_sizes=(2,), fields=(COMPLEX,)))
-        assert len(calls) == 8
+        run_suite(SuiteConfig(instance_count=count, dims=(4,), family_sizes=(2,), fields=(COMPLEX,)))
+        assert calls == [(True, (7, count, 4)), (False, (count, 4))]
 
 
 class TestTightnessTable:
