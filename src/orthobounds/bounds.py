@@ -25,11 +25,12 @@ one number the suite and the CLI compare with an allowance.
 
 Every public function validates its inputs once, at the edge (``_validated``),
 then computes each quantity once, on arrays, in a private kernel over the
-selected member rows: the coefficients <x, e_i> by one matvec with the weights
-folded in, ||x||^2, the residual, both condition slacks and the deviation.
-The kernel takes stacks (a leading batch axis over instances, or none): the
-suite runs it on a whole cell, a public function on one instance, whose
-report it converts to Python scalars.  Public functions never call one another.
+selected member rows: each vector's coefficients <x, e_i> by one matvec with
+the weights folded in, ||x||^2, both condition slacks, and from them the
+residual and the deviation, which take the coefficients as arguments.  The
+kernel takes stacks (a leading batch axis over instances, or none): the suite
+runs it on a whole cell, a public function on one instance, whose report it
+converts to Python scalars.  Public functions never call one another.
 """
 
 from __future__ import annotations
@@ -301,8 +302,8 @@ def residual_identity_sides(
     takes ``slack_inner`` from the vectors, as written, so it is a second route.
     """
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
-    left, right = _identity_sides(ctx, x, norm_sq, rows, box)
-    return float(left), float(right)
+    c = _coefficients(ctx, x, rows)
+    return float(_residual(norm_sq, c)), float(_identity_right(ctx, x, c, rows, box))
 
 
 def counterpart_bounds(
@@ -320,7 +321,7 @@ def counterpart_bounds(
     """
     (x,), (norm_sq,), rows = _validated(ctx, fam, indices, (x,), (box,))
     condition = _condition(ctx, x, norm_sq, rows, box)
-    return _scalars(_counterpart(ctx, x, norm_sq, rows, box, condition))
+    return _scalars(_counterpart(norm_sq, _coefficients(ctx, x, rows), box, condition))
 
 
 def gruss_bounds(
@@ -345,7 +346,8 @@ def gruss_bounds(
     )
     condition_x = _condition(ctx, x, norm_sq_x, rows, box_x)
     condition_y = _condition(ctx, y, norm_sq_y, rows, box_y)
-    return _scalars(_gruss(box_x, box_y, condition_x, condition_y, _deviation(ctx, x, y, rows)))
+    deviation = _deviation(ctx, x, y, _coefficients(ctx, x, rows), _coefficients(ctx, y, rows))
+    return _scalars(_gruss(box_x, box_y, condition_x, condition_y, deviation))
 
 
 def companion_bound(
@@ -361,7 +363,8 @@ def companion_bound(
     (x, y), _, rows = _validated(ctx, fam, indices, (x, y), (box,))
     midpoint = 0.5 * (x + y)
     condition = _condition(ctx, midpoint, _norm_sq(ctx, midpoint), rows, box)
-    return _scalars(_companion(box, condition, _deviation(ctx, x, y, rows)))
+    deviation = _deviation(ctx, x, y, _coefficients(ctx, x, rows), _coefficients(ctx, y, rows))
+    return _scalars(_companion(box, condition, deviation))
 
 
 def companion_abs_bound(
@@ -382,7 +385,7 @@ def companion_abs_bound(
     half_sum, half_diff = 0.5 * (x + y), 0.5 * (x - y)
     condition_sum = _condition(ctx, half_sum, _norm_sq(ctx, half_sum), rows, box)
     condition_diff = _condition(ctx, half_diff, _norm_sq(ctx, half_diff), rows, box)
-    deviation = _deviation(ctx, x, y, rows)
+    deviation = _deviation(ctx, x, y, _coefficients(ctx, x, rows), _coefficients(ctx, y, rows))
     return _scalars(_companion_abs(box, condition_sum, condition_diff, deviation))
 
 
@@ -426,13 +429,15 @@ def _scalars(report):
 
 
 # The kernel.  ``x``/``y`` are stacks of vectors (..., d), ``rows`` the selected
-# members (..., F, d), ``norm_sq`` the vectors' squared norms and ``box`` a
-# CoefficientBox or _Boxes of matching stack shape.  Each operation is the same
-# numpy call on a stack and on one of its rows, so the stacked values are the
-# per-instance ones bit for bit.  The chain kernels take their box conditions
-# and their deviation as arguments: a public function computes them first, and
-# ``suite`` computes a cell's conditions in one ``_condition`` call over all its
-# (vector, box) pairs and its deviations in one ``_deviation`` call.
+# members (..., F, d), ``norm_sq`` the vectors' squared norms, ``c`` (``c_x``,
+# ``c_y``) their coefficients <v, e_i> (..., F) and ``box`` a CoefficientBox or
+# _Boxes of matching stack shape.  Each operation is the same numpy call on a
+# stack and on one of its rows, so the stacked values are the per-instance ones
+# bit for bit.  The kernels take the coefficients, and the chain kernels their
+# box conditions and deviation, as arguments: a public function computes them
+# first, and ``suite`` computes a cell's coefficients in one ``_coefficients``
+# call over all its vectors and its conditions in one ``_condition`` call over
+# all its (vector, box) pairs.
 
 
 def _instance_scale(norm_sq, box):
@@ -466,22 +471,20 @@ def _residual(norm_sq, coeffs: np.ndarray) -> np.ndarray:
     return norm_sq - np.add.reduce(np.abs(coeffs) ** 2, axis=-1)
 
 
-def _deviation(ctx, x, y, rows) -> np.ndarray:
-    truncated = _dot(_coefficients(ctx, x, rows), _coefficients(ctx, y, rows))
-    return _inner(ctx, x, y) - truncated
+def _deviation(ctx, x, y, c_x, c_y) -> np.ndarray:
+    return _inner(ctx, x, y) - _dot(c_x, c_y)
 
 
-def _identity_sides(ctx, x, norm_sq, rows, box):
-    c = _coefficients(ctx, x, rows)
+def _identity_right(ctx, x, c, rows, box):
+    """The residual identity's right side; its left side is the residual."""
     lower, upper = box.lower_array, box.upper_array
-    coefficient_term = _dot(upper - c, c - lower).real
-    return _residual(norm_sq, c), coefficient_term - _slack_inner(ctx, x, rows, lower, upper)
+    return _dot(upper - c, c - lower).real - _slack_inner(ctx, x, rows, lower, upper)
 
 
-def _counterpart(ctx, x, norm_sq, rows, box, condition) -> BesselBoundReport:
+def _counterpart(norm_sq, c, box, condition) -> BesselBoundReport:
     coarse = box.half_diameter_sq
     return BesselBoundReport(
-        residual=_residual(norm_sq, _coefficients(ctx, x, rows)),
+        residual=_residual(norm_sq, c),
         refined=coarse - condition.slack_inner,
         coarse=coarse,
         condition=condition,

@@ -191,7 +191,7 @@ class _Plan:
         self.sources, self.dimension, self.size = sources, dimension, size
         self.parts = parts = 2 if complex_field else 1
         self.draws, self.calls = [], []
-        families, vectors, scales, boxes, self.slices = [], [], [], [], []
+        families, vectors, owners, scales, boxes, self.slices = [], [], [], [], [], []
         normals = uniforms = 0
 
         def draw(count=None, check=None):
@@ -219,6 +219,7 @@ class _Plan:
                     if step.scaled:
                         scales.append(draw(1)[0])
                     vectors.append(draw(parts * dimension))
+                    owners.append(source)
                 else:
                     uniform = draw() if step.loose else None
                     noise = draw(parts * size)
@@ -242,11 +243,10 @@ class _Plan:
         self.first = _index([cover[0] for _, cover in pairs])
         self.halves = [(p, cover) for p, (_, cover) in enumerate(pairs) if cover[1] is not None]
         self.extra = [(p, b) for p, (b, _) in enumerate(pairs) if p >= len(boxes)]
-        # each source's pairs; each source of two vectors, and its x and y
+        # each source's pairs, and the source of each vector
         self.covers_of = [[p for p, (b, _) in enumerate(pairs) if own.start <= b < own.stop]
                           for _, own in self.slices]
-        twos = [(s, v.start) for s, (v, _) in enumerate(self.slices) if v.stop - v.start == 2]
-        self.pair_source, self.pair_x = _index([s for s, _ in twos]), _index([v for _, v in twos])
+        self.vector_source = _index(owners)
         self.box_count = np.array([len(box[1]) for box in boxes])[:, None, None]
         self.sigma = np.array([box[2].sigma for box in boxes])[:, None, None]
         self.loose = np.array([box[2].loose for box in boxes])[:, None]

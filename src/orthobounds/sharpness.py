@@ -30,10 +30,11 @@ degenerate) arrays through the same private kernel as the bound chains in
 search has no formulas of its own; ``tests/reference.py`` stays the
 independent second route.  The gruss evaluator passes x and y, their
 midpoints and their half-widths as (2, n, ...) stacks through one call each
-of the slack, norm and diameter kernels.  That one evaluator serves the
-poll, which evaluates a sweep's moves along the rows of a direction matrix
-(today the coordinate directions) in stacked chunks, and the start state
-and the pattern moves as stacks of one.
+of the slack, norm, coefficient and diameter kernels, and the deviation
+takes the two rows of the one coefficient stack.  That one evaluator serves
+the poll, which evaluates a sweep's moves along the rows of a direction
+matrix (today the coordinate directions) in stacked chunks, and the start
+state and the pattern moves as stacks of one.
 """
 
 from __future__ import annotations
@@ -279,7 +280,8 @@ def _gruss_evaluator(ctx: SpaceContext, rows: np.ndarray):
         slack = _slack_inner(ctx, vectors, rows, mid - d, mid + d)
         diam = _diameter(d)
         scales = _norm_sq(ctx, vectors) + diam
-        deviation = _modulus(_deviation(ctx, vectors[0], vectors[1], rows))
+        c = _coefficients(ctx, vectors, rows)  # indexed: unpacking was 1 us/call slower (Xeon)
+        deviation = _modulus(_deviation(ctx, vectors[0], vectors[1], c[0], c[1]))
         # the slack SUM is the tie-break: with min() a recentering move on the
         # non-binding box would never be accepted
         negative = slack < 0.0

@@ -25,13 +25,15 @@ Gram defect.
 along a leading axis, on the kernel of :mod:`orthobounds.bounds`.  It reads
 one table, ``_SOURCES``, from each generated source's declared draws to its
 evaluator.  One pass, ``_evaluated``, reads the cell's build: every
-vector's squared norm, one ``_condition`` call over all seven (vector, box)
-pairs (each box's covered vector, (x-y)/2 included) and one ``_deviation``
-call over the three pairs.  An evaluator receives its stack, its vectors'
-norms, its conditions and, for a pair, its deviation; it takes the allowance
-scale from the norms and derives all of the source's records, a chain holding
-when it is certified and its ``margin`` is at least minus the allowance.  The
-second routes of ``identity`` (``_identity_sides``) and ``l2_embedding`` (a
+vector's squared norm, one ``_coefficients`` call over all eight vectors (each
+on its own source's family rows) and one ``_condition`` call over all seven
+(vector, box) pairs (each box's covered vector, (x-y)/2 included).  An
+evaluator receives its stack and its vectors' norms, coefficients and
+conditions; a pair evaluator forms its deviation from the coefficients.  It
+takes the allowance scale from the norms and derives all of the source's
+records, a chain holding when it is certified and its ``margin`` is at least
+minus the allowance.  The second routes of ``identity`` (the right side,
+``_identity_right``, against the residual) and ``l2_embedding`` (a
 counting-context report) are computed on purpose.  Each check is tallied once
 per cell.  Each public ``check_*`` validates one instance and feeds it through
 the same pass, laid out by ``generate._Plan.given``.
@@ -59,10 +61,9 @@ from .bounds import (
     _counterpart,
     _deviation,
     _gruss,
-    _identity_sides,
+    _identity_right,
     _instance_scale,
     _pair_scale,
-    _residual,
     _validated,
     counterpart_bounds,
     gruss_bounds,
@@ -190,15 +191,10 @@ class SuiteOutcome:
     def ok(self) -> bool:
         return self.total_failed == 0
 
-    def record(self, name: str, ok, margin, instance) -> None:
-        """Tally check ``name``: one record's verdict ``ok`` and ``margin``,
-        or lists of records in record order (``run_suite`` passes a cell's
-        and stores its failures itself).  A failing single record is stored
-        with its ``instance`` unless that is None."""
-        if not isinstance(ok, list):
-            if not ok and instance is not None:
-                self._store(name, margin, instance)
-            ok, margin = [ok], [margin]
+    def record(self, name: str, ok: list, margin: list) -> None:
+        """Tally check ``name`` from the lists of its records' verdicts and
+        margins, in record order; ``run_suite`` passes a cell's records and
+        stores its failures itself."""
         tally = self.checks.get(name) or self.checks.setdefault(name, CheckTally())
         tally.record(ok, margin)
 
@@ -319,18 +315,18 @@ def _equivalence(condition: ConditionReport, tol):
     return ~disagreement, np.where(disagreement, -closest, 0.0)
 
 
-def _instance_records(inst: Instance, norm_sq, condition):
+def _instance_records(inst: Instance, norm_sq, c, condition):
     ctx, x, rows, box = inst.ctx, inst.x, inst.family.members, inst.box
-    report = _counterpart(ctx, x, norm_sq, rows, box, condition)
+    report = _counterpart(norm_sq, c, box, condition)
     tol = chain_allowance(inst, _instance_scale(norm_sq, box))
     # two deliberate second routes: the identity's right side takes the slack
     # from the vectors, and a unit-weight context recomputes the whole report
-    left, right = _identity_sides(ctx, x, norm_sq, rows, box)
-    identity = -np.abs(left - right)
+    identity = -np.abs(report.residual - _identity_right(ctx, x, c, rows, box))
     counting = _counting(ctx.field, ctx.dimension)
     counting_norm_sq = _norm_sq(counting, x)
     counting_condition = _condition(counting, x, counting_norm_sq, rows, box)
-    l2_report = _counterpart(counting, x, counting_norm_sq, rows, box, counting_condition)
+    counting_c = _coefficients(counting, x, rows)
+    l2_report = _counterpart(counting_norm_sq, counting_c, box, counting_condition)
     embedding = -np.maximum.reduce([
         np.abs(report.residual - l2_report.residual),
         np.abs(report.refined - l2_report.refined),
@@ -353,27 +349,27 @@ def _counting(field: str, dimension: int) -> SpaceContext:
     return SpaceContext(field, dimension, np.ones(dimension))
 
 
-def _loose_records(inst: Instance, norm_sq, condition):
+def _loose_records(inst: Instance, norm_sq, c, condition):
     tol = chain_allowance(inst, _instance_scale(norm_sq, inst.box))
     return {"condition_equivalence": _equivalence(condition, tol)}
 
 
-def _pair_records(pair: PairInstance, norm_sq_x, norm_sq_y, condition_x, condition_y, deviation):
+def _pair_records(pair: PairInstance, norm_sq_x, norm_sq_y, c_x, c_y, condition_x, condition_y):
     ctx, x, y, rows = pair.ctx, pair.x, pair.y, pair.family.members
+    deviation = _deviation(ctx, x, y, c_x, c_y)
     report = _gruss(pair.box_x, pair.box_y, condition_x, condition_y, deviation)
     scale = _pair_scale(norm_sq_x, norm_sq_y, pair.box_x, pair.box_y)
     tol, tol_sq = chain_allowance(pair, scale), chain_allowance(pair, scale * scale)
-    coefficients_x, coefficients_y = _coefficients(ctx, x, rows), _coefficients(ctx, y, rows)
-    # the squared Schwarz route of the chain
-    res_x, res_y = _residual(norm_sq_x, coefficients_x), _residual(norm_sq_y, coefficients_y)
-    refined_x = pair.box_x.half_diameter_sq - condition_x.slack_inner
-    refined_y = pair.box_y.half_diameter_sq - condition_y.slack_inner
-    squared_ok = (report.deviation_abs ** 2 <= res_x * res_y + tol_sq) & (
-        res_x * res_y <= refined_x * refined_y + tol_sq
+    # the squared Schwarz route of the chain, through each vector's residual chain
+    chain_x = _counterpart(norm_sq_x, c_x, pair.box_x, condition_x)
+    chain_y = _counterpart(norm_sq_y, c_y, pair.box_y, condition_y)
+    residuals = chain_x.residual * chain_y.residual
+    squared_ok = (report.deviation_abs ** 2 <= residuals + tol_sq) & (
+        residuals <= chain_x.refined * chain_y.refined + tol_sq
     )
     chain_ok, chain_margin = _verdict(report, tol)
     # the projection residuals x - Px and y - Py
-    u, v = x - _combine(coefficients_x, rows), y - _combine(coefficients_y, rows)
+    u, v = x - _combine(c_x, rows), y - _combine(c_y, rows)
     uv = _inner(ctx, u, v)
     identity = -_modulus(deviation - uv)
     schwarz = _norm_sq(ctx, u) * _norm_sq(ctx, v) - _modulus(uv) ** 2
@@ -391,12 +387,13 @@ def _shared_box_verdict(report, pair: PairInstance, norm_sq_x, norm_sq_y):
     return _verdict(report, chain_allowance(pair, scale))
 
 
-def _midpoint_records(pair: PairInstance, norm_sq_x, norm_sq_y, condition, deviation):
-    report = _companion(pair.box_x, condition, deviation)
+def _midpoint_records(pair: PairInstance, norm_sq_x, norm_sq_y, c_x, c_y, condition):
+    report = _companion(pair.box_x, condition, _deviation(pair.ctx, pair.x, pair.y, c_x, c_y))
     return {"companion": _shared_box_verdict(report, pair, norm_sq_x, norm_sq_y)}
 
 
-def _twosided_records(pair: PairInstance, norm_sq_x, norm_sq_y, condition_sum, condition_diff, deviation):
+def _twosided_records(pair: PairInstance, norm_sq_x, norm_sq_y, c_x, c_y, condition_sum, condition_diff):
+    deviation = _deviation(pair.ctx, pair.x, pair.y, c_x, c_y)
     report = _companion_abs(pair.box_x, condition_sum, condition_diff, deviation)
     return {"companion_abs": _shared_box_verdict(report, pair, norm_sq_x, norm_sq_y)}
 
@@ -416,9 +413,11 @@ _DRAWN = tuple(_SOURCES)
 def _evaluated(ctx, plan, built, stacks) -> list[tuple]:
     """Every record of the sources of ``plan`` on their ``stacks`` as (check,
     stack, ok, margin), in record order, from one pass over what they share:
-    the squared norm of every vector of ``built``, the box condition of every
-    (box, cover) pair and the deviation of every pair source."""
+    the squared norm and the coefficients (over its own source's family rows)
+    of every vector of ``built``, and the box condition of every (box, cover)
+    pair."""
     norm_sq = _norm_sq(ctx, built.vectors)
+    coefficients = _coefficients(ctx, built.vectors, built.members[plan.vector_source])
     covered = built.covered
     boxes = _Boxes(*(array[plan.cover_box] for array in built.boxes))
     condition = _condition(ctx, covered, _norm_sq(ctx, covered), built.cover_rows, boxes)
@@ -426,14 +425,10 @@ def _evaluated(ctx, plan, built, stacks) -> list[tuple]:
     tolerance = np.broadcast_to(condition.tolerance, condition.holds.shape)
     fields = (condition.slack_inner, condition.slack_norm, condition.holds, tolerance)
     conditions = [ConditionReport(*(field[p] for field in fields)) for p in range(len(covered))]
-    x, y = built.vectors[plan.pair_x], built.vectors[plan.pair_x + 1]
-    deviations = iter(_deviation(ctx, x, y, built.members[plan.pair_source]))
     records = []
     for source, stack, (vectors, _), covers in zip(plan.sources, stacks, plan.slices, plan.covers_of):
-        args = [*norm_sq[vectors], *(conditions[p] for p in covers)]
-        if isinstance(stack, PairInstance):
-            args.append(next(deviations))
-        evaluated = _SOURCES[source](stack, *args)
+        own = (conditions[p] for p in covers)
+        evaluated = _SOURCES[source](stack, *norm_sq[vectors], *coefficients[vectors], *own)
         records += [(name, stack, ok, margin) for name, (ok, margin) in evaluated.items()]
     return records
 
@@ -467,7 +462,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
             ok, margin = lists[0] if len(lists) == 1 else (
                 [*itertools.chain(*zip(*column))] for column in zip(*lists)
             )
-            outcome.record(name, ok, margin, None)
+            outcome.record(name, ok, margin)
             failed = failed or False in ok
         if failed:
             for i in range(cfg.instance_count):

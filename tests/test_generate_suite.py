@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from orthobounds import bounds, generate, serialize, suite
+from orthobounds import bounds, generate, serialize, sharpness, suite
 from orthobounds.bounds import (
     CoefficientBox,
     check_condition,
@@ -27,7 +27,8 @@ from orthobounds.generate import (
 )
 from orthobounds.quadrature import WeightedL2Context, periodic_trapezoid
 from orthobounds.sharpness import extremal_instance
-from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, _norm_sq, as_vector
+from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, as_vector
+from orthobounds.space import _coefficients, _norm_sq
 from orthobounds.suite import TIGHTNESS_HEADER, SuiteConfig, run_suite, tightness_rows
 from draws import family, gaussian
 from test_bounds import rescaled_offsets
@@ -261,7 +262,9 @@ def _per_instance_outcome(cfg, stream=rng_from_seed):
                 ("companion_abs", two_pair, suite.check_companion_abs(two_pair)),
             ]
             for name, instance, (ok, margin) in records:
-                outcome.record(name, ok, margin, instance)
+                if not ok:
+                    outcome._store(name, margin, instance)
+                outcome.record(name, [ok], [margin])
     return outcome
 
 
@@ -275,16 +278,14 @@ def _recorded(monkeypatch, route, cfg):
     """The outcome ``route(cfg)`` builds and every record it tallies, per
     check in record order: (ok, the margin's bytes), so a margin of -0.0
     differs from 0.0.  The hook sits on the per-check tally path,
-    ``SuiteOutcome.record``, which takes one record or the lists of a cell's
-    records of one check."""
+    ``SuiteOutcome.record``, which takes the lists of a check's records."""
     records = {}
     record = suite.SuiteOutcome.record
 
-    def keep(outcome, name, ok, margin, instance):
-        oks, margins = (ok, margin) if isinstance(ok, list) else ([ok], [margin])
+    def keep(outcome, name, ok, margin):
         kept = records.setdefault(name, [])
-        kept += [(o, np.float64(m).tobytes()) for o, m in zip(oks, margins, strict=True)]
-        record(outcome, name, ok, margin, instance)
+        kept += [(o, np.float64(m).tobytes()) for o, m in zip(ok, margin, strict=True)]
+        record(outcome, name, ok, margin)
 
     with monkeypatch.context() as patch:
         patch.setattr(suite.SuiteOutcome, "record", keep)
@@ -350,9 +351,10 @@ class TestStackedSuite:
 
     def test_the_cell_pass_matches_separate_kernel_calls(self, monkeypatch):
         # every default-grid cell in both fields, three seeds: the squared
-        # norms, box conditions and deviations each evaluator receives from
-        # the one pass equal a _norm_sq, _condition or _deviation call on its
-        # own source's stack, byte for byte, the (x-y)/2 cover included
+        # norms, coefficients and box conditions each evaluator receives from
+        # the one pass, and the deviation a pair evaluator forms from them,
+        # equal a _norm_sq, _coefficients, _condition or _deviation call on
+        # its own source's stack, byte for byte, the (x-y)/2 cover included
         covers = {
             generate._CERTIFIED: lambda s: [(s.x, s.box)],
             generate._LOOSE: lambda s: [(s.x, s.box)],
@@ -362,32 +364,43 @@ class TestStackedSuite:
                 (0.5 * (s.x + s.y), s.box_x), (0.5 * (s.x - s.y), s.box_x)
             ],
         }
-        seen = []
+        seen, formed = [], []
         for source, evaluate in suite._SOURCES.items():
             def keep(stack, *args, source=source, evaluate=evaluate):
-                seen.append((source, stack, args))
-                return evaluate(stack, *args)
+                start = len(formed)
+                records = evaluate(stack, *args)
+                seen.append((source, stack, args, formed[start:]))
+                return records
 
             monkeypatch.setitem(suite._SOURCES, source, keep)
+        deviation = bounds._deviation
+
+        def forming(*args):
+            formed.append(deviation(*args))
+            return formed[-1]
+
+        monkeypatch.setattr(suite, "_deviation", forming)
         for seed in (1, 2, 3):
             run_suite(SuiteConfig(instance_count=4, seed=seed))
         assert len(seen) == 3 * len(SuiteConfig().cells()) * 5
         bits = lambda value: (np.asarray(value).dtype, np.asarray(value).tobytes())
-        for source, stack, args in seen:
+        for source, stack, args, deviations in seen:
             ctx, rows = stack.ctx, stack.family.members
             vectors = (stack.x, stack.y) if isinstance(stack, PairInstance) else (stack.x,)
             pairs = covers[source](stack)
             norms, args = args[:len(vectors)], args[len(vectors):]
-            conditions, rest = args[:len(pairs)], args[len(pairs):]
+            coefficients, conditions = args[:len(vectors)], args[len(vectors):]
             assert [bits(n) for n in norms] == [bits(_norm_sq(ctx, v)) for v in vectors]
+            alone = [_coefficients(ctx, v, rows) for v in vectors]
+            assert [bits(c) for c in coefficients] == [bits(c) for c in alone], source
             for (v, box), condition in zip(pairs, conditions, strict=True):
-                alone = bounds._condition(ctx, v, _norm_sq(ctx, v), rows, box)
+                single = bounds._condition(ctx, v, _norm_sq(ctx, v), rows, box)
                 for name in ("slack_inner", "slack_norm", "holds", "tolerance"):
-                    assert bits(getattr(condition, name)) == bits(getattr(alone, name)), (source, name)
+                    assert bits(getattr(condition, name)) == bits(getattr(single, name)), (source, name)
             if isinstance(stack, PairInstance):
-                assert [bits(d) for d in rest] == [bits(bounds._deviation(ctx, stack.x, stack.y, rows))]
+                assert [bits(d) for d in deviations] == [bits(bounds._deviation(ctx, stack.x, stack.y, *alone))]
             else:
-                assert rest == ()
+                assert deviations == []
 
     def test_a_tally_keeps_the_first_least_margin_and_skips_nan(self):
         # lists of records tally as their records do one at a time, the rule
@@ -413,8 +426,8 @@ class TestStackedSuite:
         assert np.signbit(worst) and worst == 0.0
         # and from one cell to the next
         outcome = suite.SuiteOutcome(config=SuiteConfig())
-        outcome.record("check", [True], [0.0], None)
-        outcome.record("check", [True, True], [-0.0, nan], None)
+        outcome.record("check", [True], [0.0])
+        outcome.record("check", [True, True], [-0.0, nan])
         assert not np.signbit(outcome.checks["check"].worst_margin)
         assert outcome.checks["check"].to_dict() == {"passed": 3, "failed": 0, "worst_margin": 0.0}
 
@@ -509,7 +522,8 @@ class TestSuite:
         # directly instead
         outcome = run_suite(SuiteConfig(instance_count=1, dims=(2,), family_sizes=(1,), fields=(REAL,)))
         inst = generate_certified_instance(rng_from_seed(1, 1), 2, 1, REAL)
-        outcome.record("synthetic", False, -1.0, inst)
+        outcome.record("synthetic", [False], [-1.0])
+        outcome._store("synthetic", -1.0, inst)
         assert not outcome.ok
         assert outcome.failures[-1]["check"] == "synthetic"
         assert outcome.failures[-1]["margin"] == -1.0
@@ -571,6 +585,38 @@ class TestSuite:
         monkeypatch.setattr(suite, "_condition", counting)
         run_suite(SuiteConfig(instance_count=count, dims=(4,), family_sizes=(2,), fields=(COMPLEX,)))
         assert calls == [(True, (7, count, 4)), (False, (count, 4))]
+
+    @pytest.mark.parametrize("count", [1, 3, 8])
+    def test_a_cell_computes_the_coefficients_twice(self, monkeypatch, count):
+        # one call over the eight vectors of the cell's five sources, each on
+        # its own source's family rows, and one for the certified instance's
+        # counting-context second route; a deviation takes its coefficients
+        # and computes none, and a gruss evaluation computes its x and y
+        # coefficients in one call on their (2, n, d) stack
+        calls = []
+
+        def counting(module):
+            coefficients = module._coefficients
+
+            def call(ctx, x, rows):
+                calls.append((module.__name__, ctx.weights is None, x.shape, rows.shape))
+                return coefficients(ctx, x, rows)
+
+            return call
+
+        for module in (suite, bounds, sharpness):
+            monkeypatch.setattr(module, "_coefficients", counting(module))
+        run_suite(SuiteConfig(instance_count=count, dims=(4,), family_sizes=(2,), fields=(COMPLEX,)))
+        assert calls == [
+            ("orthobounds.suite", True, (8, count, 4), (8, count, 2, 4)),
+            ("orthobounds.suite", False, (count, 4), (count, 2, 4)),
+        ]
+        calls.clear()
+        cfg = sharpness.SearchConfig(dimension=4, family_size=2, field=COMPLEX, restarts=count)
+        ctx = SpaceContext(COMPLEX, 4)
+        families, states = sharpness._start_states(cfg, 2, ctx)
+        sharpness._gruss_evaluator(ctx, families.members[0])(states)
+        assert calls == [("orthobounds.sharpness", True, (2, count, 4), (2, 4))]
 
 
 class TestTightnessTable:

@@ -29,7 +29,7 @@ from orthobounds.sharpness import (
     maximize_residual_ratio,
 )
 from orthobounds.space import COMPLEX, REAL, OrthonormalFamily, SpaceContext, gram_schmidt
-from orthobounds.space import _modulus, _norm_sq
+from orthobounds.space import _coefficients, _modulus, _norm_sq
 from orthobounds.suite import SuiteConfig, chain_allowance
 
 FAST = SearchConfig(restarts=6, steps_per_restart=1500, seed=11)
@@ -384,7 +384,9 @@ class TestEvaluatorEdgeCases:
         scale = np.sqrt((_norm_sq(ctx, x) + diam_x) * (_norm_sq(ctx, y) + diam_y))
         expected = _objective(
             (slack_x < 0.0) | (slack_y < 0.0),
-            _modulus(_deviation(ctx, x, y, members)),
+            _modulus(_deviation(
+                ctx, x, y, _coefficients(ctx, x, members), _coefficients(ctx, y, members)
+            )),
             np.sqrt(diam_x * diam_y),
             scale,
             slack_x + slack_y,
