@@ -96,11 +96,12 @@ class CoefficientBox:
                 raise ValueError("box endpoints must be finite")
             endpoints.setflags(write=False)
             object.__setattr__(self, name, endpoints)
-        # An overflowed sum is inf, which the test below and the size guard of
-        # ``_validated`` reject, so np.vecdot's overflow warning is silenced.
-        with np.errstate(over="ignore"):
+        # An overflowed sum is inf or NaN, which the test below and the size
+        # guard of ``_validated`` reject (np.maximum keeps a NaN), so
+        # np.vecdot's overflow and invalid-value warnings are silenced.
+        with np.errstate(over="ignore", invalid="ignore"):
             half_diameter_sq = float(_half_diameter_sq(self.lower_array, self.upper_array))
-            endpoint_norm_sq = max(_dot(a, a).real for a in (self.lower_array, self.upper_array))
+            endpoint_norm_sq = np.maximum(*(_dot(a, a).real for a in (self.lower_array, self.upper_array)))
         if not np.isfinite(half_diameter_sq):
             raise ValueError("box is too wide: sum |Phi_i - phi_i|^2 overflows")
         object.__setattr__(self, "half_diameter_sq", half_diameter_sq)
@@ -408,11 +409,12 @@ def _validated(
     # and every value it returns is bounded by a product of two such norms
     # plus M^2, that is by 7 M^2 (refined = coarse - slack_inner is the
     # largest).  M^2 < finfo.max / 16 keeps all of them finite.  A squared
-    # norm that overflows is inf, which the comparison also rejects, so
-    # np.vecdot's overflow warning is silenced here.
-    with np.errstate(over="ignore"):
+    # norm that overflows is inf or NaN, which the comparison of each value
+    # also rejects, so np.vecdot's overflow and invalid-value warnings are
+    # silenced here.
+    with np.errstate(over="ignore", invalid="ignore"):
         norms_sq = [float(_norm_sq(ctx, v)) for v in vectors]
-    if not max(norms_sq + [box.endpoint_norm_sq for box in boxes]) < _MAX_SQUARED_NORM:
+    if not all(v < _MAX_SQUARED_NORM for v in norms_sq + [box.endpoint_norm_sq for box in boxes]):
         raise ValueError(
             "inputs too large: squared norms of the vectors and box endpoints "
             f"must stay below {_MAX_SQUARED_NORM:.3e}"

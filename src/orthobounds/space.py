@@ -237,14 +237,16 @@ class OrthonormalFamily:
         """Build a family from explicit vectors, measuring its Gram defect.
 
         The result may be uncertified; check ``certified`` before feeding it
-        to bound computations.
+        to bound computations.  A defect that overflows is inf or NaN, which
+        is never certified, so numpy's warnings about it are silenced.
         """
         rows = _validated_coords(ctx, members, 2)
         if ctx.weights is None and rows.shape[0] > ctx.dimension:
             raise ValueError(
                 "family size exceeds the dimension of a coordinate backend"
             )
-        return cls(rows, float(_gram_defect(ctx, rows)), tolerance)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return cls(rows, float(_gram_defect(ctx, rows)), tolerance)
 
     @property
     def size(self) -> int:

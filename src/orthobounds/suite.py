@@ -34,9 +34,9 @@ takes the allowance scale from the norms and derives all of the source's
 records, a chain holding when it is certified and its ``margin`` is at least
 minus the allowance.  The second routes of ``identity`` (the right side,
 ``_identity_right``, against the residual) and ``l2_embedding`` (a
-counting-context report) are computed on purpose.  Each check is tallied once
-per cell.  Each public ``check_*`` validates one instance and feeds it through
-the same pass, laid out by ``generate._Plan.given``.
+counting-context report) are computed on purpose.  Records are tallied one at
+a time, instance by instance.  Each public ``check_*`` validates one instance
+and feeds it through the same pass, laid out by ``generate._Plan.given``.
 
 Outcomes are deterministic per seed and serialize to JSON byte-identically
 (the ``generated_at`` stamp is the one field excluded from comparisons).
@@ -139,6 +139,12 @@ class SuiteConfig:
                 _count(f"each of {name}", value)
         for value in self.fields:
             _field(value)
+        # a repeated value would run its cells again, each on its own streams
+        for name in ("dims", "family_sizes", "fields"):
+            values = getattr(self, name)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ValueError(f"{name} must hold distinct values, got a second {value!r}")
         object.__setattr__(self, "seed", check_seed(self.seed))
 
     def cells(self) -> list[tuple[int, int, str]]:
@@ -158,16 +164,16 @@ class CheckTally:
     failed: int = 0
     worst_margin: float = float("inf")
 
-    def record(self, ok: list, margin: list) -> None:
-        """Count the verdicts ``ok`` and keep the least of ``margin``, the
-        lists of one check's records in record order: of equal least margins
-        the first one stays (0.0 before -0.0 keeps 0.0), and NaN never does."""
-        passed = ok.count(True)
-        self.passed += passed
-        self.failed += len(ok) - passed
-        least = min([m for m in margin if m == m], default=self.worst_margin)
-        if least < self.worst_margin:
-            self.worst_margin = least
+    def record(self, ok: bool, margin: float) -> None:
+        """Count one record's verdict and keep its margin if it is less than
+        the worst so far: of equal least margins the first one stays (0.0
+        before -0.0 keeps 0.0), and NaN never does."""
+        if ok:
+            self.passed += 1
+        else:
+            self.failed += 1
+        if margin < self.worst_margin:
+            self.worst_margin = margin
 
     def to_dict(self) -> dict:
         return {
@@ -190,13 +196,6 @@ class SuiteOutcome:
     @property
     def ok(self) -> bool:
         return self.total_failed == 0
-
-    def record(self, name: str, ok: list, margin: list) -> None:
-        """Tally check ``name`` from the lists of its records' verdicts and
-        margins, in record order; ``run_suite`` passes a cell's records and
-        stores its failures itself."""
-        tally = self.checks.get(name) or self.checks.setdefault(name, CheckTally())
-        tally.record(ok, margin)
 
     def _store(self, name: str, margin: float, instance) -> None:
         if len(self.failures) < MAX_STORED_FAILURES:
@@ -441,34 +440,26 @@ def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
     one, a certified pair, a midpoint pair and a two-sided pair, in that
     order, the draws the public generators make one after another.  A cell
     is drawn and built at once (``generate._drawn``) and checked in one pass
-    over its stacks, one per source; evaluation draws nothing.  Each check is
-    tallied once per cell, its records in instance order (a check of two
-    sources alternates them), and failures are stored instance by instance,
-    each rebuilt from its row of the stack.  Results are deterministic for a
-    given config; callers that keep the outcome write ``outcome.to_dict()``.
+    over its stacks, one per source; evaluation draws nothing.  Its records
+    are tallied instance by instance, in record order (a check of two sources
+    alternates them), and a failing one is stored, rebuilt from its row of
+    the stack.  Results are deterministic for a given config; callers that
+    keep the outcome write ``outcome.to_dict()``.
     """
     outcome = SuiteOutcome(config=cfg)
     for cell_index, (dim, fsize, fld) in enumerate(cfg.cells()):
         ctx = SpaceContext(fld, dim)
         rngs = [rng_from_seed(cfg.seed, cell_index, i) for i in range(cfg.instance_count)]
         plan, built = _drawn(rngs, ctx, fsize, _DRAWN)
-        records = _evaluated(ctx, plan, built, _stacks(ctx, plan, built))
-        checks = {}
-        for name, _, ok, margin in records:
-            checks.setdefault(name, []).append((ok.tolist(), margin.tolist()))
-        failed = False
-        for name, lists in checks.items():
-            # a check of several sources interleaves them instance by instance
-            ok, margin = lists[0] if len(lists) == 1 else (
-                [*itertools.chain(*zip(*column))] for column in zip(*lists)
-            )
-            outcome.record(name, ok, margin)
-            failed = failed or False in ok
-        if failed:
-            for i in range(cfg.instance_count):
-                for name, stack, ok, margin in records:
-                    if not ok[i]:
-                        outcome._store(name, float(margin[i]), _row(stack, i))
+        records = [
+            (outcome.checks.setdefault(name, CheckTally()).record, name, stack, ok.tolist(), margin.tolist())
+            for name, stack, ok, margin in _evaluated(ctx, plan, built, _stacks(ctx, plan, built))
+        ]
+        for i in range(cfg.instance_count):
+            for record, name, stack, ok, margin in records:
+                record(ok[i], margin[i])
+                if not ok[i]:
+                    outcome._store(name, margin[i], _row(stack, i))
     return outcome
 
 

@@ -98,6 +98,10 @@ class TestVerifyCommand:
             # -1 was rejected only by numpy's own message, 2^64 ran and passed
             (["--dims", "2", "--family-sizes", "1", "--seed", "-1"], "-1"),
             (["--dims", "2", "--family-sizes", "1", "--seed", str(2**64)], str(2**64)),
+            # a repeated value ran its cells again and tallied them all
+            (["--dims", "2,2", "--family-sizes", "1", "--fields", "real,real"], "2"),
+            (["--dims", "2", "--family-sizes", "1,1"], "1"),
+            (["--dims", "2", "--family-sizes", "1", "--fields", "real,complex,real"], "'real'"),
         ],
     )
     def test_grid_with_a_bad_value_is_input_error(self, grid, value, capsys):
@@ -391,6 +395,77 @@ def test_overflowing_inputs_are_input_errors(case, command, instance_file, tmp_p
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: inputs too large")
+
+
+def _small_pair_payload():
+    """One complex (3, F=2) certified pair file's payload."""
+    return serialize.instance_to_dict(generate_certified_pair(rng_from_seed(2, 1), 3, 2, COMPLEX))
+
+
+#: A file per command with an entry (1e308, 1e308), whose squared norm
+#: np.vecdot returns as NaN: Python's max passed over a NaN that did not come
+#: first, so both files used to exit 0 with NaN refined and slacks.
+NAN_NORM_FILES = {
+    "gruss": lambda payload: {**payload, "y": [[1e308, 1e308], [0, 0], [0, 0]]},
+    "bounds": lambda payload: {**payload, "box": {
+        key: [[1e308, 1e308], *payload["box"][key][1:]] for key in ("lower", "upper")
+    }},
+}
+
+
+@pytest.mark.parametrize("command", NAN_NORM_FILES)
+def test_an_entry_whose_squared_norm_is_nan_is_input_error(command, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(NAN_NORM_FILES[command](_small_pair_payload())))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: inputs too large")
+
+
+#: What the fuzz below puts in place of each field and subtree of a file.
+HOSTILE_VALUES = [
+    None, True, False, 0, -1, 10**400, 1e308, -1e308, 5e-324, 2**63,
+    "", "x", "nan", "inf", [], {}, [1e308, 1e308],
+]
+
+
+def _subtrees(node, path=()):
+    """The path of every field and subtree below ``node``."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node)) if isinstance(node, list) else ()
+    for key in keys:
+        yield path + (key,)
+        yield from _subtrees(node[key], path + (key,))
+
+
+def _replaced(node, path, value):
+    """A copy of ``node`` with the subtree at ``path`` replaced by ``value``."""
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def test_hostile_files_exit_cleanly(tmp_path, capsys):
+    # every field and subtree of one pair file, replaced by each hostile
+    # value, through both report commands: an exit code of 0, 1 or 2, no
+    # exception (a RuntimeWarning is one here), and no NaN or inf in a
+    # report that exits 0
+    payload, path = _small_pair_payload(), tmp_path / "hostile.json"
+    runs = 0
+    for where in _subtrees(payload):
+        for value in HOSTILE_VALUES:
+            path.write_text(json.dumps(_replaced(payload, where, value)))
+            for command in ("bounds", "gruss"):
+                code, out = main([command, str(path)]), capsys.readouterr().out
+                assert code in (0, 1, 2), (command, where, value)
+                constants = []
+                if code == 0:
+                    json.loads(out, parse_constant=constants.append)
+                assert constants == [], (command, where, value)
+                runs += 1
+    assert runs == 2618
 
 
 MALFORMED_ARRAYS = {

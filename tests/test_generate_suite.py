@@ -264,7 +264,7 @@ def _per_instance_outcome(cfg, stream=rng_from_seed):
             for name, instance, (ok, margin) in records:
                 if not ok:
                     outcome._store(name, margin, instance)
-                outcome.record(name, [ok], [margin])
+                outcome.checks.setdefault(name, suite.CheckTally()).record(ok, margin)
     return outcome
 
 
@@ -277,19 +277,19 @@ def _outcome_text(outcome):
 def _recorded(monkeypatch, route, cfg):
     """The outcome ``route(cfg)`` builds and every record it tallies, per
     check in record order: (ok, the margin's bytes), so a margin of -0.0
-    differs from 0.0.  The hook sits on the per-check tally path,
-    ``SuiteOutcome.record``, which takes the lists of a check's records."""
+    differs from 0.0.  The hook sits on the tally path, ``CheckTally.record``,
+    and each tally is named by its key in ``outcome.checks``."""
     records = {}
-    record = suite.SuiteOutcome.record
+    record = suite.CheckTally.record
 
-    def keep(outcome, name, ok, margin):
-        kept = records.setdefault(name, [])
-        kept += [(o, np.float64(m).tobytes()) for o, m in zip(ok, margin, strict=True)]
-        record(outcome, name, ok, margin)
+    def keep(tally, ok, margin):
+        records.setdefault(id(tally), []).append((ok, np.float64(margin).tobytes()))
+        record(tally, ok, margin)
 
     with monkeypatch.context() as patch:
-        patch.setattr(suite.SuiteOutcome, "record", keep)
-        return route(cfg), records
+        patch.setattr(suite.CheckTally, "record", keep)
+        outcome = route(cfg)
+    return outcome, {name: records[id(tally)] for name, tally in outcome.checks.items()}
 
 
 class _ZeroedDraw(np.random.Generator):
@@ -403,31 +403,29 @@ class TestStackedSuite:
                 assert deviations == []
 
     def test_a_tally_keeps_the_first_least_margin_and_skips_nan(self):
-        # lists of records tally as their records do one at a time, the rule
-        # a tally of one record keeps: a margin replaces the worst only when
-        # it is less, so 0.0 then -0.0 keeps 0.0 and NaN is never kept
+        # a margin replaces the worst only when it is less, so 0.0 then -0.0
+        # keeps 0.0 and NaN is never kept
         nan = float("nan")
         cases = [
             [0.0, -0.0], [-0.0, 0.0], [nan, 1.0], [1.0, nan, 0.5], [nan], [nan, -0.0, 0.0, nan],
         ]
         for margins in cases:
             oks = [m == m and m > 0 for m in margins]
-            whole, alone = suite.CheckTally(), suite.CheckTally()
-            whole.record(oks, margins)
+            alone = suite.CheckTally()
             worst = float("inf")
             for ok, margin in zip(oks, margins):
-                alone.record([ok], [margin])
+                alone.record(ok, margin)
                 if margin < worst:
                     worst = margin
             counts = (sum(oks), len(oks) - sum(oks))
-            assert (whole.passed, whole.failed) == (alone.passed, alone.failed) == counts
-            assert np.float64(whole.worst_margin).tobytes() == np.float64(worst).tobytes(), margins
+            assert (alone.passed, alone.failed) == counts
             assert np.float64(alone.worst_margin).tobytes() == np.float64(worst).tobytes(), margins
         assert np.signbit(worst) and worst == 0.0
-        # and from one cell to the next
+        # and on an outcome's tally
         outcome = suite.SuiteOutcome(config=SuiteConfig())
-        outcome.record("check", [True], [0.0])
-        outcome.record("check", [True, True], [-0.0, nan])
+        tally = outcome.checks.setdefault("check", suite.CheckTally())
+        for margin in (0.0, -0.0, nan):
+            tally.record(True, margin)
         assert not np.signbit(outcome.checks["check"].worst_margin)
         assert outcome.checks["check"].to_dict() == {"passed": 3, "failed": 0, "worst_margin": 0.0}
 
@@ -522,7 +520,7 @@ class TestSuite:
         # directly instead
         outcome = run_suite(SuiteConfig(instance_count=1, dims=(2,), family_sizes=(1,), fields=(REAL,)))
         inst = generate_certified_instance(rng_from_seed(1, 1), 2, 1, REAL)
-        outcome.record("synthetic", [False], [-1.0])
+        outcome.checks.setdefault("synthetic", suite.CheckTally()).record(False, -1.0)
         outcome._store("synthetic", -1.0, inst)
         assert not outcome.ok
         assert outcome.failures[-1]["check"] == "synthetic"
@@ -534,6 +532,9 @@ class TestSuite:
         for bad in ({"dims": (0, 2)}, {"family_sizes": (1, 0)}, {"fields": (REAL, "quaternion")}):
             with pytest.raises(ValueError, match="got"):
                 SuiteConfig(**bad)
+        # it used to run cell (2, 1, real) four times and tally 8 records per check
+        with pytest.raises(ValueError, match="dims must hold distinct values, got a second 2$"):
+            SuiteConfig(instance_count=2, dims=(2, 2), family_sizes=(1,), fields=(REAL, REAL))
 
     def test_stored_failures_replay_from_their_payload(self, monkeypatch):
         # a negative allowance fails most checks; every stored payload,
@@ -567,6 +568,18 @@ class TestSuite:
             ok, margin = getattr(suite, "check_" + payload["check"])(inst)
             assert ok is False
             assert np.float64(margin).tobytes() == np.float64(payload["margin"]).tobytes()
+
+    def test_stored_failures_match_the_per_instance_route(self, monkeypatch):
+        # a negative rounding allowance in the box condition fails more
+        # records in one cell than the store keeps; the stored payloads are
+        # the per-instance route's, in order, byte for byte
+        monkeypatch.setattr(bounds, "allowance", lambda *args: -1.0)
+        cfg = SuiteConfig(instance_count=10, dims=(4,), family_sizes=(2,), fields=(REAL,))
+        stored, alone = (route(cfg) for route in (run_suite, _per_instance_outcome))
+        assert stored.checks == alone.checks
+        assert stored.total_failed > suite.MAX_STORED_FAILURES
+        assert len(stored.failures) == suite.MAX_STORED_FAILURES
+        assert [json.dumps(p) for p in stored.failures] == [json.dumps(p) for p in alone.failures]
 
     @pytest.mark.parametrize("count", [1, 3, 8])
     def test_a_cell_evaluates_the_box_condition_twice(self, monkeypatch, count):
