@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,7 +59,10 @@ def _str_list(text: str) -> tuple[str, ...]:
     return tuple(part.strip() for part in text.split(",") if part.strip())
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built once per process: building it
+    costs more than a small file's report, and parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="orthobounds",
         description=(

@@ -7,12 +7,15 @@ computation runs on it unchanged.  Almost-everywhere statements are checked
 node-wise, which is the computable surrogate for the rules used here.
 
 The rules have fixed intervals: the periodic trapezoid rule covers [0, 2pi),
-the Gauss-Legendre rule [-1, 1].
+the Gauss-Legendre rule [-1, 1].  Each Gauss-Legendre node count is built
+once per process and shared: a rule is frozen and its arrays are read-only.
+The other rules cost too little to keep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -100,7 +103,12 @@ def periodic_trapezoid(count: int) -> DiscretizedMeasureSpace:
 def gauss_legendre(count: int) -> DiscretizedMeasureSpace:
     """Gauss-Legendre rule on [-1, 1]; exact on polynomials of degree
     <= 2*count - 1."""
-    count = check_count(count)
+    return _gauss_legendre(check_count(count))
+
+
+# behind check_count: a cache key can take True or 3.0 for an earlier 1 or 3
+@lru_cache(maxsize=64)
+def _gauss_legendre(count: int) -> DiscretizedMeasureSpace:
     nodes, weights = np.polynomial.legendre.leggauss(count)
     return DiscretizedMeasureSpace(nodes, weights, GAUSS_LEGENDRE)
 

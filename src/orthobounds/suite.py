@@ -198,11 +198,10 @@ class SuiteOutcome:
         return self.total_failed == 0
 
     def _store(self, name: str, margin: float, instance) -> None:
-        if len(self.failures) < MAX_STORED_FAILURES:
-            payload = serialize.instance_to_dict(instance)
-            payload["check"] = name
-            payload["margin"] = margin
-            self.failures.append(payload)
+        payload = serialize.instance_to_dict(instance)
+        payload["check"] = name
+        payload["margin"] = margin
+        self.failures.append(payload)
 
     def to_dict(self) -> dict:
         return {
@@ -443,8 +442,9 @@ def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
     over its stacks, one per source; evaluation draws nothing.  Its records
     are tallied instance by instance, in record order (a check of two sources
     alternates them), and a failing one is stored, rebuilt from its row of
-    the stack.  Results are deterministic for a given config; callers that
-    keep the outcome write ``outcome.to_dict()``.
+    the stack, until ``MAX_STORED_FAILURES`` are.  Results are deterministic
+    for a given config; callers that keep the outcome write
+    ``outcome.to_dict()``.
     """
     outcome = SuiteOutcome(config=cfg)
     for cell_index, (dim, fsize, fld) in enumerate(cfg.cells()):
@@ -458,7 +458,7 @@ def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
         for i in range(cfg.instance_count):
             for record, name, stack, ok, margin in records:
                 record(ok[i], margin[i])
-                if not ok[i]:
+                if not ok[i] and len(outcome.failures) < MAX_STORED_FAILURES:
                     outcome._store(name, margin[i], _row(stack, i))
     return outcome
 

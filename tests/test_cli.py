@@ -369,6 +369,27 @@ def test_csv_format_needs_out(command, instance_file, capsys):
     assert "--format csv needs --out" in captured.err
 
 
+def test_a_call_after_a_usage_and_an_input_error_gives_the_bytes_of_a_call_alone(
+    instance_file, tmp_path, capsys
+):
+    # every main call of a process parses with one parser: errors before a
+    # call leave nothing in it that the call could see
+    alone, after = tmp_path / "alone.json", tmp_path / "after.json"
+    fresh = subprocess.run(
+        [sys.executable, "-m", "orthobounds.cli", "bounds", str(instance_file), "--out", str(alone)],
+        capture_output=True,
+    )
+    assert fresh.returncode == 0
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bounds", str(instance_file), "--format", "csv"])
+    assert exit_info.value.code == 2
+    assert main(["bounds", str(tmp_path / "missing.json")]) == 2
+    capsys.readouterr()
+    assert main(["bounds", str(instance_file), "--out", str(after)]) == 0
+    assert capsys.readouterr().out.encode() == fresh.stdout
+    assert after.read_bytes() == alone.read_bytes()
+
+
 def _overflowing_payload(case, instance_file):
     if case == "large-vectors":
         # ||x||^2 ~ 1e320 overflows; the box, scaled by 1e150, is itself valid

@@ -262,7 +262,7 @@ def _per_instance_outcome(cfg, stream=rng_from_seed):
                 ("companion_abs", two_pair, suite.check_companion_abs(two_pair)),
             ]
             for name, instance, (ok, margin) in records:
-                if not ok:
+                if not ok and len(outcome.failures) < suite.MAX_STORED_FAILURES:
                     outcome._store(name, margin, instance)
                 outcome.checks.setdefault(name, suite.CheckTally()).record(ok, margin)
     return outcome
@@ -580,6 +580,21 @@ class TestSuite:
         assert stored.total_failed > suite.MAX_STORED_FAILURES
         assert len(stored.failures) == suite.MAX_STORED_FAILURES
         assert [json.dumps(p) for p in stored.failures] == [json.dumps(p) for p in alone.failures]
+
+    def test_a_failure_past_the_store_cap_is_not_rebuilt(self, monkeypatch):
+        # a small negative allowance fails hundreds of records on the default
+        # grid; only the stored ones rebuild their instance from the stack
+        rebuilt = []
+
+        def counting(stack, i):
+            rebuilt.append(i)
+            return generate._row(stack, i)
+
+        monkeypatch.setattr(suite, "chain_allowance", lambda inst, scale: -1e-12)
+        monkeypatch.setattr(suite, "_row", counting)
+        outcome = run_suite(SuiteConfig(instance_count=8))
+        assert outcome.total_failed > 10 * suite.MAX_STORED_FAILURES
+        assert len(outcome.failures) == len(rebuilt) == suite.MAX_STORED_FAILURES
 
     @pytest.mark.parametrize("count", [1, 3, 8])
     def test_a_cell_evaluates_the_box_condition_twice(self, monkeypatch, count):

@@ -79,10 +79,24 @@ class TestMeasureSpaces:
     @pytest.mark.parametrize("rule", [counting_measure, periodic_trapezoid, gauss_legendre])
     @pytest.mark.parametrize("count", [2.5, True, np.float64(3.0)], ids=repr)
     def test_a_node_count_must_be_an_integer(self, rule, count):
-        # 2.5 used to reach numpy's own errors; gauss_legendre(True) gave one node
+        # 2.5 used to reach numpy's own errors; gauss_legendre(True) gave one node.
+        # Rules of 1 and 3 nodes come first: a cache ahead of the check would
+        # hand True and 3.0 the rules it keeps for them.  lru_cache keys a
+        # plain int apart from equal values of other types, a numpy one not
+        for warm in (1, 3, np.int64(1), np.int64(3)):
+            rule(warm)
         message = f"node count must be an integer, got {re.escape(repr(count))}$"
         with pytest.raises(ValueError, match=message):
             rule(count)
+
+    @pytest.mark.parametrize("count", [1, 8, 256])
+    def test_a_repeated_gauss_legendre_rule_keeps_the_fresh_bits(self, count):
+        nodes, weights = np.polynomial.legendre.leggauss(count)
+        first, again = gauss_legendre(count), gauss_legendre(count)
+        for space in (first, again):
+            assert space.nodes.tobytes() == nodes.tobytes()
+            assert space.weights.tobytes() == weights.tobytes()
+            assert not (space.nodes.flags.writeable or space.weights.flags.writeable)
 
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError, match="positive"):
