@@ -25,13 +25,12 @@ normals and one row of uniforms per stream.  A plan holds full sources, or
 * Build phase: the arithmetic runs once across all sources, one ``_cgs2`` on
   the stack of every source's families and one box pass over every box.
 
-A stream whose family CGS2 rejects, or whose box direction is zero, is
-replayed alone from a snapshot of its bit generator's state, one call per draw
-in the same order, as a stream that checked every draw as it went would: the
-first draw that one CGS2 or length check rejects is drawn anew, and so is each
-later checked draw until it passes.  The stack is then built again.  The
-public generators are one source on one stream; ``suite.run_suite`` draws a
-cell's five sources on each of its streams.
+A stream whose family CGS2 rejects, or whose box direction is zero, is drawn
+again alone by the same loop (``_Plan._draw``), from a snapshot of its bit
+generator's state and one call per draw in the same order: each checked draw
+is drawn again until CGS2 or the length check passes it.  The stack is then
+built again.  The public generators are one source on one stream;
+``suite.run_suite`` draws a cell's five sources on each of its streams.
 """
 
 from __future__ import annotations
@@ -182,10 +181,11 @@ class _Plan:
     ``draws`` lists every draw in stream order as (check, start, stop): a
     slice of the normals row, or (``stop`` None) one uniform; ``check`` names
     what the build may reject ("family" or "direction") and is None
-    elsewhere.  ``calls`` merges the normals of a source that no uniform
-    separates into one slice.  The sources are either full (family, vectors,
-    boxes) or the one box-only source of ``certified_box_arrays``, whose
-    covers index the stand-in vectors ``run`` is given."""
+    elsewhere.  ``calls`` lists the first pass's calls as unchecked triples,
+    the normals of a source that no uniform separates merged into one slice.
+    The sources are either full (family, vectors, boxes) or the one box-only
+    source of ``certified_box_arrays``, whose covers index the stand-in
+    vectors ``run`` is given."""
 
     def __init__(self, sources, dimension: int, size: int, complex_field: bool):
         self.sources, self.dimension, self.size = sources, dimension, size
@@ -198,14 +198,14 @@ class _Plan:
             nonlocal normals, uniforms
             if count is None:
                 self.draws.append((None, uniforms, None))
-                self.calls.append((uniforms, None))
+                self.calls.append((None, uniforms, None))
                 uniforms += 1
                 return uniforms - 1
             self.draws.append((check, normals, normals + count))
-            if len(self.calls) > first_call and self.calls[-1][1] == normals:
-                self.calls[-1] = (self.calls[-1][0], normals + count)
+            if len(self.calls) > first_call and self.calls[-1][2] == normals:
+                self.calls[-1] = (None, self.calls[-1][1], normals + count)
             else:
-                self.calls.append((normals, normals + count))
+                self.calls.append((None, normals, normals + count))
             normals += count
             return range(normals - count, normals)
 
@@ -233,24 +233,24 @@ class _Plan:
         self.families, self.vectors = _columns(families), _columns(vectors)
         if len(scales) not in (0, len(vectors)):
             raise ValueError("a plan's vectors are all drawn at a log-normal scale or none is")
-        self.scales = _index(scales)
-        self.box_source = _index([box[0] for box in boxes])
+        self.scales = _frozen(scales)
+        self.box_source = _frozen([box[0] for box in boxes])
         # every (box, cover) pair: each box's first cover, then the others
         pairs = [(b, box[1][0]) for b, box in enumerate(boxes)]
         pairs += [(b, cover) for b, box in enumerate(boxes) for cover in box[1][1:]]
-        self.cover_box = _index([b for b, _ in pairs])
-        self.cover_source = _index(self.box_source[self.cover_box])
-        self.first = _index([cover[0] for _, cover in pairs])
+        self.cover_box = _frozen([b for b, _ in pairs])
+        self.cover_source = _frozen(self.box_source[self.cover_box])
+        self.first = _frozen([cover[0] for _, cover in pairs])
         self.halves = [(p, cover) for p, (_, cover) in enumerate(pairs) if cover[1] is not None]
         self.extra = [(p, b) for p, (b, _) in enumerate(pairs) if p >= len(boxes)]
         # each source's pairs, and the source of each vector
         self.covers_of = [[p for p, (b, _) in enumerate(pairs) if own.start <= b < own.stop]
                           for _, own in self.slices]
-        self.vector_source = _index(owners)
+        self.vector_source = _frozen(owners)
         self.box_count = np.array([len(box[1]) for box in boxes])[:, None, None]
         self.sigma = np.array([box[2].sigma for box in boxes])[:, None, None]
         self.loose = np.array([box[2].loose for box in boxes])[:, None]
-        self.uniform = _index([box[4] for box in boxes])
+        self.uniform = _frozen([box[4] for box in boxes])
         # every box's noise, then every box's direction
         self.box_normals = _columns([box[3] for box in boxes] + [box[5] for box in boxes])
 
@@ -263,37 +263,25 @@ class _Plan:
         states = []
         for rng, row, urow in zip(rngs, normals, uniforms):
             states.append(rng.bit_generator.state)
-            for start, stop in self.calls:
-                if stop is None:
-                    urow[start] = rng.random()
-                else:
-                    rng.standard_normal(out=row[start:stop])
+            self._draw(ctx, rng, row, urow, self.calls)
         built = self._build(ctx, normals, uniforms, rows, vectors)
         if not np.count_nonzero(built.retry):
             return built
         for i in np.flatnonzero(np.logical_or.reduce(built.retry)):
             rngs[i].bit_generator.state = states[i]
-            self._replay(ctx, rngs[i], normals[i], uniforms[i])
+            self._draw(ctx, rngs[i], normals[i], uniforms[i], self.draws)
         return self._build(ctx, normals, uniforms, rows, vectors)
 
-    def _replay(self, ctx, rng, normals, uniforms) -> None:
-        """Draw one stream again from its snapshot, one call per draw, as a
-        stream that checked each draw as it drew it would: the first draw
-        that ``_rejects`` is drawn anew, and from there each checked draw is
-        drawn again until it passes."""
-        first = next(
-            k for k, (check, start, stop) in enumerate(self.draws)
-            if check is not None and self._rejects(ctx, check, normals[start:stop])
-        )
-        for k, (check, start, stop) in enumerate(self.draws):
+    def _draw(self, ctx, rng, normals, uniforms, draws) -> None:
+        """Draw one stream's row in the order of ``draws``, one call per
+        entry, and draw a checked entry again until ``_rejects`` passes it."""
+        for check, start, stop in draws:
             if stop is None:
                 uniforms[start] = rng.random()
                 continue
             drawn = normals[start:stop]
             rng.standard_normal(out=drawn)
-            if k == first:  # the draw the build rejected is drawn anew
-                rng.standard_normal(out=drawn)
-            while k >= first and check is not None and self._rejects(ctx, check, drawn):
+            while check is not None and self._rejects(ctx, check, drawn):
                 rng.standard_normal(out=drawn)
 
     def _rejects(self, ctx, check: str, draws: np.ndarray) -> bool:
@@ -392,16 +380,17 @@ def _covered(vectors: np.ndarray, cover) -> np.ndarray:
     return 0.5 * (vectors[i] + vectors[j] if plus else vectors[i] - vectors[j])
 
 
-def _index(values) -> np.ndarray:
-    index = np.array(values, dtype=np.intp)
-    index.setflags(write=False)
-    return index
+def _frozen(values, dtype=np.intp) -> np.ndarray:
+    """A read-only copy of ``values``, by default as an index array."""
+    array = np.array(values, dtype=dtype)
+    array.setflags(write=False)
+    return array
 
 
 def _columns(ranges) -> np.ndarray:
     """The normals columns of equal-length draws, one row per draw, shaped to
     index a (streams, columns) array into (draws, streams, length)."""
-    return _index([list(r) for r in ranges]).reshape(len(ranges), 1, -1 if ranges else 0)
+    return _frozen([list(r) for r in ranges]).reshape(len(ranges), 1, -1 if ranges else 0)
 
 
 @lru_cache(maxsize=64)
@@ -462,14 +451,15 @@ def certified_box_arrays(
 
 
 def _row(stack: Instance | PairInstance, i: int) -> Instance | PairInstance:
-    """Instance ``i`` of a stack, as the public generators return it."""
+    """Instance ``i`` of a stack, as the public generators return it: every
+    array its own read-only copy."""
     fam = OrthonormalFamily(stack.family.members[i], float(stack.family.gram_defect[i]))
-    indices = stack.indices
+    indices, x = stack.indices, _frozen(stack.x[i], np.complex128)
     if isinstance(stack, PairInstance):
         box_x = _box_row(stack.box_x, indices, i)
         box_y = box_x if stack.box_y is stack.box_x else _box_row(stack.box_y, indices, i)
-        return PairInstance(stack.ctx, stack.x[i], stack.y[i], fam, indices, box_x, box_y)
-    return Instance(stack.ctx, stack.x[i], fam, indices, _box_row(stack.box, indices, i))
+        return PairInstance(stack.ctx, x, _frozen(stack.y[i], np.complex128), fam, indices, box_x, box_y)
+    return Instance(stack.ctx, x, fam, indices, _box_row(stack.box, indices, i))
 
 
 def _box_row(boxes: _Boxes, indices: tuple[int, ...], i: int) -> CoefficientBox:

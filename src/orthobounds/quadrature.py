@@ -54,8 +54,8 @@ class DiscretizedMeasureSpace:
     kind: str
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)
+        weights = np.array(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape or nodes.size == 0:
             raise ValueError("nodes and weights must be equal-length 1-d arrays")
         if not np.all(np.isfinite(nodes)) or not np.all(np.isfinite(weights)):
@@ -127,7 +127,7 @@ class WeightedL2Context:
     field: str
 
     def __post_init__(self) -> None:
-        rho = np.asarray(self.rho, dtype=float)
+        rho = np.array(self.rho, dtype=float)
         if rho.shape != self.space.nodes.shape:
             raise ValueError("rho must provide one value per node")
         if not np.all(np.isfinite(rho)) or np.any(rho < 0.0):

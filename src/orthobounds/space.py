@@ -67,7 +67,7 @@ class SpaceContext:
         _field(self.field)
         object.__setattr__(self, "dimension", _count("dimension", self.dimension))
         if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
+            w = np.array(self.weights, dtype=float)
             if w.shape != (self.dimension,):
                 raise ValueError("weights length must equal the dimension")
             if not np.all(np.isfinite(w)) or np.any(w < 0.0):

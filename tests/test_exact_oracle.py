@@ -37,7 +37,14 @@ from orthobounds.bounds import (
     instance_scale,
     pair_scale,
 )
+from orthobounds import serialize
 from orthobounds.generate import generate_certified_pair, rng_from_seed
+from orthobounds.sharpness import (
+    NOISE_FLOOR_REL,
+    SearchConfig,
+    maximize_gruss_ratio,
+    maximize_residual_ratio,
+)
 from orthobounds.space import (
     COMPLEX,
     DEFAULT_ORTHO_TOL,
@@ -81,7 +88,7 @@ def _fractions(ctx, x, y, fam, indices, box_x, box_y) -> dict[str, Fraction]:
     return worst
 
 
-def _conclude(what: str, cases) -> None:
+def _conclude(what: str, cases, measure: str = "|computed - exact| / allowance") -> None:
     """Print the worst fraction of each value over ``cases`` and require all
     of them to stay within the allowance."""
     worst = {}
@@ -89,7 +96,7 @@ def _conclude(what: str, cases) -> None:
         for name, fraction in fractions.items():
             worst[name] = max(worst.get(name, fraction), fraction)
     detail = ", ".join(f"{name} {float(value):.3g}" for name, value in worst.items())
-    print(f"\nEXACT oracle, {what}: worst |computed - exact| / allowance: {detail}")
+    print(f"\nEXACT oracle, {what}: worst {measure}: {detail}")
     assert all(value <= 1 for value in worst.values()), detail
 
 
@@ -286,3 +293,46 @@ def test_allowance_in_the_subnormal_range():
         warnings.simplefilter("ignore")
         pair = _adversarial_pair((6, 3, REAL), **case, weights=[0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
     _conclude("the adversary's first subnormal-scale weighted pair", [_fractions(*pair)])
+
+
+@pytest.mark.parametrize("mode", ["residual", "gruss"])
+@pytest.mark.parametrize("cell", [(4, 2, REAL), (16, 8, COMPLEX)], ids=str)
+def test_pinned_search_instances_hold_exactly(mode, cell):
+    # the best instances of the four searches test_sharpness pins to the bit,
+    # decoded from their files: each box condition holds in exact arithmetic
+    # up to the rounding term, and the exact ratio is the reported one and
+    # at most 1/4, both within the rounding term at the scale (1/4) /
+    # NOISE_FLOOR_REL the sharpness command checks.  A ratio r is compared
+    # as r^2 (the Gruss ratio is a root): |r - b| <= tol holds once
+    # |r^2 - b^2| <= b^2 - (b - tol)^2, and r <= 1/4 + tol iff
+    # r^2 - 1/16 <= (1/4 + tol)^2 - 1/16.  The printed slack fraction is
+    # -slack_inner / allowance, negative when the slack is positive
+    dim, size, field = cell
+    cfg = SearchConfig(
+        dimension=dim, family_size=size, field=field, restarts=1, steps_per_restart=2000, seed=1905
+    )
+    search = maximize_residual_ratio if mode == "residual" else maximize_gruss_ratio
+    result = search(cfg)
+    inst = serialize.instance_from_dict(result.best_instance)
+    sides = [(inst.x, inst.box)] if mode == "residual" else [(inst.x, inst.box_x), (inst.y, inst.box_y)]
+    rows = [exact.vector(inst.family.members[i]) for i in inst.indices]
+    fractions, vectors, half_diameters = {}, [], []
+    for v, box in sides:
+        tol = Fraction(allowance(instance_scale(inst.ctx, v, box), dim + size))
+        v, lower, upper = (exact.vector(a) for a in (v, box.lower_array, box.upper_array))
+        fraction = -exact.slack_inner(v, rows, lower, upper) / tol
+        fractions["slack_inner"] = max(fractions.get("slack_inner", fraction), fraction)
+        vectors.append(v)
+        half_diameters.append(exact.half_diameter_sq(lower, upper))
+    if mode == "residual":
+        residual = exact.residual(vectors[0], rows)
+        assert residual >= 0
+        ratio_sq = (residual / (4 * half_diameters[0])) ** 2
+    else:
+        deviation = exact.deviation(*vectors, rows)
+        ratio_sq = exact.modulus_sq(deviation) / (16 * half_diameters[0] * half_diameters[1])
+    tol = Fraction(allowance(0.25 / NOISE_FLOOR_REL, dim + size))
+    reported, quarter = Fraction(result.best_ratio), Fraction(1, 4)
+    fractions["ratio (squared)"] = abs(ratio_sq - reported**2) / (reported**2 - (reported - tol) ** 2)
+    fractions["above 1/4 (squared)"] = (ratio_sq - quarter**2) / ((quarter + tol) ** 2 - quarter**2)
+    _conclude(f"{mode} search in {cell}", [fractions], "fraction of the allowance")

@@ -175,6 +175,19 @@ class TestGenerateCertifiedInstance:
         plain.standard_normal((2 if ctx.is_complex else 1) * len(idx))
         assert zeroed.bit_generator.state == plain.bit_generator.state
 
+    @pytest.mark.parametrize(
+        "generate", [generate_certified_instance, generate_certified_pair, generate_twosided_pair]
+    )
+    def test_instances_own_read_only_arrays(self, generate):
+        # x and y were writable views of the build's vector stack, and a
+        # pair's two vectors shared one buffer
+        inst = generate(rng_from_seed(6, 0), 4, 2, COMPLEX)
+        vectors = (inst.x, inst.y) if isinstance(inst, PairInstance) else (inst.x,)
+        boxes = (inst.box_x, inst.box_y) if isinstance(inst, PairInstance) else (inst.box,)
+        ends = [a for box in boxes for a in (box.lower_array, box.upper_array)]
+        for array in (*vectors, inst.family.members, *ends):
+            assert array.base is None and not array.flags.writeable
+
     def test_box_arrays_apply_the_size_guard(self):
         # without it, ||x||^2 overflows and the half-widths come out inf and NaN
         ctx = SpaceContext(REAL, 3)
@@ -294,16 +307,21 @@ def _recorded(monkeypatch, route, cfg):
 
 class _ZeroedDraw(np.random.Generator):
     """A stream whose ``call``-th standard_normal call (1-based) returns zeros
-    in place of the numbers it drew."""
+    in place of the numbers it drew, and so does every later call that
+    starts at the bit generator state that call started at: a replay from a
+    snapshot draws the zeros again, as it would draw the same numbers."""
 
     def __init__(self, seed, key, call):
         super().__init__(rng_from_seed(seed, *key).bit_generator)
-        self.calls_left = call
+        self.calls_left, self.zeroed = call, None
 
     def standard_normal(self, *args, **kwargs):
+        start = self.bit_generator.state
         values = super().standard_normal(*args, **kwargs)
         self.calls_left -= 1
         if self.calls_left == 0:
+            self.zeroed = start
+        if start == self.zeroed:
             values[...] = 0.0
         return values
 

@@ -98,6 +98,19 @@ class TestMeasureSpaces:
             assert space.weights.tobytes() == weights.tobytes()
             assert not (space.nodes.flags.writeable or space.weights.flags.writeable)
 
+    def test_a_rule_and_a_density_keep_their_own_read_only_arrays(self):
+        # they stored the caller's arrays and froze them: a write through
+        # another view left a weight of -1 behind the positivity check
+        base, rho = np.ones(2), np.ones(2)
+        space = counting_measure(2).__class__(base[:], base[:], "counting")
+        weighted = WeightedL2Context(space, rho, REAL)
+        base[1] = -1.0
+        rho[0] = 0.0
+        assert space.nodes.tolist() == space.weights.tolist() == [1.0, 1.0]
+        assert weighted.rho.tolist() == [1.0, 1.0]
+        for array in (space.nodes, space.weights, weighted.rho):
+            assert not array.flags.writeable
+
     def test_rejects_nonpositive_weights(self):
         with pytest.raises(ValueError, match="positive"):
             counting_measure(3).__class__(np.arange(3.0), np.array([1.0, 0.0, 1.0]), "counting")

@@ -286,6 +286,17 @@ class TestVerifyOrthonormal:
 
 
 class TestVectorValidation:
+    def test_a_context_keeps_its_own_read_only_weights(self):
+        # it stored the caller's array and froze it: the caller could no
+        # longer write it, and a write through another view reached the context
+        weights, base = np.ones(3), np.ones(3)
+        SpaceContext(REAL, 3, weights)
+        assert weights.flags.writeable
+        ctx = SpaceContext(REAL, 3, base[:])
+        base[0] = 5.0
+        assert ctx.weights.tolist() == [1.0, 1.0, 1.0]
+        assert not ctx.weights.flags.writeable
+
     def test_rejects_nan(self):
         ctx = SpaceContext(REAL, 2)
         with pytest.raises(ValueError, match="finite"):
