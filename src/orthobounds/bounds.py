@@ -397,9 +397,12 @@ def _validated(
     rows = fam.members[indices]."""
     require_certified(fam)
     idx = index_set(indices, fam.size)
+    real = not ctx.is_complex
     for box in boxes:
         if box.indices != idx:
             raise ValueError(f"box covers indices {box.indices}, expected {idx}")
+        if real and (np.count_nonzero(box.lower_array.imag) or np.count_nonzero(box.upper_array.imag)):
+            raise ValueError("real-field box has a nonzero imaginary part")
     vectors = [as_vector(ctx, v) for v in vectors]
     # Size guard.  Let M^2 be the largest of ||v||^2 over the vectors and of
     # ||phi||^2, ||Phi||^2 over the box endpoints.  A certified family has

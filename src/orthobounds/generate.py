@@ -31,6 +31,11 @@ generator's state and one call per draw in the same order: each checked draw
 is drawn again until CGS2 or the length check passes it.  The stack is then
 built again.  The public generators are one source on one stream;
 ``suite.run_suite`` draws a cell's five sources on each of its streams.
+
+This module is the one that maps instances to and from the layout of
+``suite``'s cell pass: ``_drawn`` lays out a drawn cell and ``_given`` one
+given instance of a source, validated once, as a build of one stream with
+no batch axis; ``_stacks`` and ``_row`` read a build back as instances.
 """
 
 from __future__ import annotations
@@ -154,13 +159,15 @@ _TWOSIDED = (_FAMILY, _Vector(), _Vector(), _Box(("x+y", "x-y"), 0.1))
 
 class _Built(NamedTuple):
     """A build of every source of a plan: families (S, B, F, d) and their
-    Gram defects (S, B; None on stand-ins); vectors (V, B, d); box midpoints
-    and half-offsets (N, B, F) and the boxes they center (None on stand-ins,
-    whose caller reads the midpoints and half-offsets); for each (box,
-    cover) pair, in ``_Plan.cover_box`` order, the covered vector (C, B, d)
-    and its family rows (C, B, F, d); and retry flags (S + N, B), set where
-    CGS2 rejected a family or a box direction is zero, and reduced to
-    streams only when one is set."""
+    Gram defects (S, B; None only on ``certified_box_arrays``'s stand-ins);
+    vectors (V, B, d); box midpoints and half-offsets (N, B, F) and the
+    boxes they center (None on stand-ins, whose caller reads the midpoints
+    and half-offsets); for each (box, cover) pair, in ``_Plan.cover_box``
+    order, the covered vector (C, B, d) and its family rows (C, B, F, d);
+    and retry flags (S + N, B), set where CGS2 rejected a family or a box
+    direction is zero, and reduced to streams only when one is set.  A
+    given instance (``_given``) has no B axis and no midpoints, half-offsets
+    or retry flags."""
 
     members: np.ndarray
     gram_defect: np.ndarray
@@ -351,18 +358,6 @@ class _Plan:
             covered[pair] = _covered(vectors, cover)
         return covered
 
-    def given(self, rows: np.ndarray, vectors: np.ndarray, boxes) -> _Built:
-        """One given instance of the plan's one source, laid out as ``_build``
-        lays out a stream, with no batch axis and no draws: its selected rows
-        (F, d), vectors (V, d) and CoefficientBoxes (a shared box's copies
-        after the first are not read)."""
-        members = rows[None]
-        arrays = (np.array([getattr(box, name) for box in boxes]) for name in _Boxes._fields)
-        return _Built(
-            members, None, vectors, None, None, _Boxes(*arrays), self._covers(vectors),
-            members[self.cover_source], None,
-        )
-
 
 def _cover(name: str, first: int) -> tuple[int, int | None, bool]:
     """(i, j, plus) of a covered vector, for a source whose first vector is
@@ -405,6 +400,23 @@ def _drawn(rngs, ctx: SpaceContext, size: int, sources) -> tuple[_Plan, _Built]:
         raise ValueError("family size cannot exceed the dimension")
     plan = _plan(tuple(sources), ctx.dimension, size, ctx.is_complex)
     return plan, plan.run(rngs, ctx)
+
+
+def _given(source, inst: Instance | PairInstance) -> tuple[_Plan, _Built]:
+    """The plan of ``source`` and one instance of it, validated once and laid
+    out as ``_build`` lays out a stream, with no batch axis: the selected rows
+    (F, d) and Gram defect of its family, its vectors (V, d) and its
+    CoefficientBoxes (a shared box's copies after the first are not read)."""
+    split = inst._fields.index("family")  # after ctx and the vectors; the boxes follow indices
+    vectors, boxes = inst[1:split], inst[split + 2:]
+    valid, _, rows = _validated(inst.ctx, inst.family, inst.indices, vectors, boxes)
+    plan = _plan((source,), inst.ctx.dimension, len(rows), inst.ctx.is_complex)
+    members, vectors = rows[None], np.array(valid)
+    arrays = (np.array([getattr(box, name) for box in boxes]) for name in _Boxes._fields)
+    return plan, _Built(
+        members, np.array([inst.family.gram_defect]), vectors, None, None, _Boxes(*arrays),
+        plan._covers(vectors), members[plan.cover_source], None,
+    )
 
 
 def _stacks(ctx: SpaceContext, plan: _Plan, built: _Built) -> list[Instance | PairInstance]:

@@ -202,8 +202,11 @@ class OrthonormalFamily:
     """Ordered finite family of unit vectors with a Gram-matrix certificate.
 
     ``gram_defect`` is max_{i,j} |<e_i, e_j> - delta_ij| as measured at
-    construction time; the family counts as certified while it stays within
-    ``tolerance``.  Members are stored as the rows of a read-only matrix.
+    construction time by ``from_members`` or ``gram_schmidt``.  The
+    constructor trusts a defect of 0 or more (or NaN, which never certifies)
+    and rejects a negative or non-real one.  The family counts as certified
+    while the defect stays within ``tolerance``.  Members are stored as the
+    rows of a read-only matrix.
     ``tolerance`` must lie in [0, 1/size]: the bound chains' size guard
     relies on size * gram_defect <= 1 for a certified family.
     """
@@ -223,6 +226,11 @@ class OrthonormalFamily:
                 f"[0, {1.0 / m.shape[0]:.6g}]"
             )
         object.__setattr__(self, "tolerance", tolerance)
+        # a NaN or +inf defect is what from_members measures for an
+        # overflowing family, and it is never certified
+        defect = self.gram_defect
+        if not isinstance(defect, numbers.Real) or isinstance(defect, bool) or defect < 0:
+            raise ValueError(f"gram_defect must be a real number >= 0, got {defect!r}")
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "members", m)

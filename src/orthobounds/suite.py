@@ -35,8 +35,10 @@ records, a chain holding when it is certified and its ``margin`` is at least
 minus the allowance.  The second routes of ``identity`` (the right side,
 ``_identity_right``, against the residual) and ``l2_embedding`` (a
 counting-context report) are computed on purpose.  Records are tallied one at
-a time, instance by instance.  Each public ``check_*`` validates one instance
-and feeds it through the same pass, laid out by ``generate._Plan.given``.
+a time, instance by instance.  Each public ``check_*`` enters the pass as a
+drawn cell does: ``run_suite`` hands ``_evaluated`` a cell laid out by
+``generate._drawn``, a ``check_*`` one instance laid out (and validated) by
+``generate._given``, and ``_evaluated`` reads both through ``_stacks``.
 
 Outcomes are deterministic per seed and serialize to JSON byte-identically
 (the ``generated_at`` stamp is the one field excluded from comparisons).
@@ -64,7 +66,6 @@ from .bounds import (
     _identity_right,
     _instance_scale,
     _pair_scale,
-    _validated,
     counterpart_bounds,
     gruss_bounds,
 )
@@ -77,8 +78,7 @@ from .generate import (
     Instance,
     PairInstance,
     _drawn,
-    _Families,
-    _plan,
+    _given,
     _row,
     _stacks,
     check_seed,
@@ -273,19 +273,9 @@ def check_l2_embedding(inst: Instance) -> tuple[bool, float]:
 
 
 def _replay(source, name: str, inst):
-    """Record ``name`` of ``source``'s evaluator on one instance, validated
-    once and fed through the cell pass: the family is cut down to the
-    selected rows, which is what the evaluators read."""
-    ctx = inst.ctx
-    if isinstance(inst, PairInstance):
-        vectors, boxes = {"x": inst.x, "y": inst.y}, (inst.box_x, inst.box_y)
-    else:
-        vectors, boxes = {"x": inst.x}, (inst.box,)
-    valid, _, rows = _validated(ctx, inst.family, inst.indices, vectors.values(), boxes)
-    family = _Families(rows, inst.family.gram_defect)
-    stack = inst._replace(**dict(zip(vectors, valid)), family=family)
-    plan = _plan((source,), ctx.dimension, len(rows), ctx.is_complex)
-    records = _evaluated(ctx, plan, plan.given(rows, np.array(valid), boxes), [stack])
+    """Record ``name`` of ``source``'s evaluator on one instance, laid out by
+    ``generate._given`` and fed through the cell pass as a drawn cell is."""
+    records = _evaluated(inst.ctx, *_given(source, inst))
     ok, margin = next((ok, margin) for check, _, ok, margin in records if check == name)
     return bool(ok), float(margin)
 
@@ -405,15 +395,15 @@ _SOURCES = {
     _MIDPOINT: _midpoint_records,
     _TWOSIDED: _twosided_records,
 }
-_DRAWN = tuple(_SOURCES)
 
 
-def _evaluated(ctx, plan, built, stacks) -> list[tuple]:
-    """Every record of the sources of ``plan`` on their ``stacks`` as (check,
-    stack, ok, margin), in record order, from one pass over what they share:
+def _evaluated(ctx, plan, built) -> list[tuple]:
+    """Every record of the sources of ``plan`` as (check, stack, ok, margin),
+    in record order, from one pass over what their stacks (``_stacks``) share:
     the squared norm and the coefficients (over its own source's family rows)
-    of every vector of ``built``, and the box condition of every (box, cover)
-    pair."""
+    of every vector of ``built``, a drawn cell or one replayed instance, and
+    the box condition of every (box, cover) pair."""
+    stacks = _stacks(ctx, plan, built)
     norm_sq = _norm_sq(ctx, built.vectors)
     coefficients = _coefficients(ctx, built.vectors, built.members[plan.vector_source])
     covered = built.covered
@@ -450,10 +440,9 @@ def run_suite(cfg: SuiteConfig) -> SuiteOutcome:
     for cell_index, (dim, fsize, fld) in enumerate(cfg.cells()):
         ctx = SpaceContext(fld, dim)
         rngs = [rng_from_seed(cfg.seed, cell_index, i) for i in range(cfg.instance_count)]
-        plan, built = _drawn(rngs, ctx, fsize, _DRAWN)
         records = [
             (outcome.checks.setdefault(name, CheckTally()).record, name, stack, ok.tolist(), margin.tolist())
-            for name, stack, ok, margin in _evaluated(ctx, plan, built, _stacks(ctx, plan, built))
+            for name, stack, ok, margin in _evaluated(ctx, *_drawn(rngs, ctx, fsize, _SOURCES))
         ]
         for i in range(cfg.instance_count):
             for record, name, stack, ok, margin in records:

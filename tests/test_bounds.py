@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthobounds import bounds, serialize
+from orthobounds import bounds, serialize, suite
 from orthobounds.bounds import (
     CoefficientBox,
     check_condition,
@@ -24,6 +24,7 @@ from orthobounds.bounds import (
 from orthobounds.cli import main
 from orthobounds.generate import (
     Instance,
+    PairInstance,
     certified_box_arrays,
     generate_certified_instance,
     generate_certified_pair,
@@ -152,6 +153,59 @@ class TestCoefficientBox:
         # counted entries, so one half-width served every index
         with pytest.raises(ValueError, match="one entry per index"):
             CoefficientBox.centered((0, 1), midpoints, half_widths)
+
+
+def _real_box_calls(box, other):
+    """Every public call that validates ``box`` in a real context, with
+    ``other`` as the second box of the two-box calls."""
+    ctx = SpaceContext(REAL, 2)
+    x, fam, indices = as_vector(ctx, (0.5, 0.3)), OrthonormalFamily.from_members(ctx, np.eye(2)), box.indices
+    pair = PairInstance(ctx, x, x, fam, indices, box, other)
+    return {
+        "check_condition": lambda: check_condition(ctx, x, fam, indices, box),
+        "residual_identity_sides": lambda: residual_identity_sides(ctx, x, fam, indices, box),
+        "counterpart_bounds": lambda: counterpart_bounds(ctx, x, fam, indices, box),
+        "gruss_bounds box_x": lambda: gruss_bounds(ctx, x, x, fam, indices, box, other),
+        "gruss_bounds box_y": lambda: gruss_bounds(ctx, x, x, fam, indices, other, box),
+        "companion_bound": lambda: companion_bound(ctx, x, x, fam, indices, box),
+        "companion_abs_bound": lambda: companion_abs_bound(ctx, x, x, fam, indices, box),
+        "check_counterpart_chain": lambda: suite.check_counterpart_chain(
+            Instance(ctx, x, fam, indices, box)
+        ),
+        "check_gruss_chain": lambda: suite.check_gruss_chain(pair),
+        "check_gruss_chain box_y": lambda: suite.check_gruss_chain(pair._replace(box_x=other, box_y=box)),
+        "check_companion": lambda: suite.check_companion(pair),
+        "check_companion_abs": lambda: suite.check_companion_abs(pair),
+    }
+
+
+class TestRealFieldBox:
+    """In a real context a box is real, as a vector is.  A box with a nonzero
+    imaginary part used to be accepted, and ``serialize`` wrote it back as
+    bare reals, so a round trip changed the report."""
+
+    REAL_BOX = CoefficientBox((0,), (0.2,), (0.8,))
+    NAMES = list(_real_box_calls(REAL_BOX, REAL_BOX))
+
+    @pytest.mark.parametrize("name", NAMES)
+    @pytest.mark.parametrize("lower, upper", [(0.2 + 0.3j, 0.8), (0.2, 0.8 - 0.3j)])
+    def test_an_imaginary_part_is_rejected(self, name, lower, upper):
+        box = CoefficientBox((0,), (lower,), (upper,))
+        with pytest.raises(ValueError, match="^real-field box has a nonzero imaginary part$"):
+            _real_box_calls(box, self.REAL_BOX)[name]()
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_a_negative_zero_imaginary_part_is_accepted(self, name):
+        box = CoefficientBox((0,), (complex(0.2, -0.0),), (complex(0.8, -0.0),))
+        assert np.signbit(box.lower_array.imag).all()
+        expected = _real_box_calls(self.REAL_BOX, self.REAL_BOX)[name]()
+        assert _real_box_calls(box, self.REAL_BOX)[name]() == expected
+
+    def test_a_complex_field_box_keeps_its_imaginary_part(self):
+        ctx = SpaceContext(COMPLEX, 2)
+        fam = OrthonormalFamily.from_members(ctx, np.eye(2))
+        box = CoefficientBox((0,), (0.2 + 0.3j,), (0.8 - 0.3j,))
+        assert counterpart_bounds(ctx, as_vector(ctx, (0.5, 0.3)), fam, (0,), box).certified
 
 
 class TestConditionSlackInner:

@@ -589,6 +589,27 @@ def test_loose_family_tolerance_is_input_error(tmp_path, capsys):
     assert captured.err.startswith("error: family tolerance")
 
 
+@pytest.mark.parametrize("command, box", [
+    ("bounds", "box"), ("gruss", "box"), ("gruss", "box_y"),
+])
+def test_a_real_field_box_with_an_imaginary_part_is_input_error(command, box, tmp_path, capsys):
+    # a real file whose box carries imaginary parts used to exit 0 with a
+    # certified report (coarse 0.18), and a round trip through
+    # serialize.instance_to_dict wrote the box as bare reals (coarse 0.09)
+    real_box = {"lower": [0.2], "upper": [0.8]}
+    payload = {
+        "field": "real", "dimension": 2, "vectors": [[1.0, 0.0], [0.0, 1.0]],
+        "indices": [0], "x": [0.5, 0.3], "y": [0.5, 0.3], "box": real_box, "box_y": real_box,
+    }
+    payload[box] = {"lower": [[0.2, 0.3]], "upper": [[0.8, -0.3]]}
+    path = tmp_path / "imaginary.json"
+    path.write_text(json.dumps(payload))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: real-field box has a nonzero imaginary part")
+
+
 def test_gram_defect_within_family_tolerance_passes(tmp_path, capsys):
     # defect 1e-3 within tolerance 0.01: the report is certified with
     # residual -2.0e-3, which the allowance's |F| * gram_defect term covers;

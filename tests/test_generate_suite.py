@@ -12,6 +12,7 @@ from orthobounds.bounds import (
     companion_abs_bound,
     companion_bound,
     counterpart_bounds,
+    gruss_bounds,
     instance_scale,
 )
 from orthobounds.generate import (
@@ -573,6 +574,34 @@ class TestSuite:
         for name in outcome.checks:
             check = getattr(suite, "check_" + name, None)
             assert inspect.isfunction(check) and check.__module__ == suite.__name__, name
+
+    @pytest.mark.parametrize("field", [REAL, COMPLEX])
+    def test_a_replay_on_a_partial_index_set_matches_the_public_chain(self, field):
+        # a replay lays out only the selected rows of the family, here rows
+        # (0, 2) of three; each check's margin is the public chain's, bit for bit
+        indices = (0, 2)
+        ctx = SpaceContext(field, 6)
+        bits = lambda value: np.float64(value).tobytes()
+
+        def cut(box):
+            return CoefficientBox(indices, box.lower_array[list(indices)], box.upper_array[list(indices)])
+
+        for i in range(4):
+            pair = generate_certified_pair(rng_from_seed(29, i), 6, 3, field)
+            x, y, fam = pair.x, pair.y, pair.family
+            box_x, box_y = cut(pair.box_x), cut(pair.box_y)
+            _, margin = suite.check_counterpart_chain(Instance(ctx, x, fam, indices, box_x))
+            assert bits(margin) == bits(counterpart_bounds(ctx, x, fam, indices, box_x).margin)
+            _, margin = suite.check_gruss_chain(PairInstance(ctx, x, y, fam, indices, box_x, box_y))
+            assert bits(margin) == bits(gruss_bounds(ctx, x, y, fam, indices, box_x, box_y).margin)
+            for generator, check, chain in (
+                (generate_midpoint_pair, suite.check_companion, companion_bound),
+                (generate_twosided_pair, suite.check_companion_abs, companion_abs_bound),
+            ):
+                shared = generator(rng_from_seed(29, i), 6, 3, field)
+                x, y, fam, box = shared.x, shared.y, shared.family, cut(shared.box_x)
+                _, margin = check(PairInstance(ctx, x, y, fam, indices, box, box))
+                assert bits(margin) == bits(chain(ctx, x, y, fam, indices, box).margin), check
 
     def test_generator_soundness_failures_replay_from_their_payload(self, monkeypatch):
         # a negative rounding allowance in the box condition fails the

@@ -364,6 +364,24 @@ class TestVectorValidation:
         with pytest.raises(ValueError, match=message):
             OrthonormalFamily(np.eye(2), 0.0, tolerance)
 
+    @pytest.mark.parametrize("defect", [-5.0, -1e-300, -math.inf, True, "0", None, 0j, np.array(0.0)])
+    def test_family_gram_defect_must_be_a_real_number_of_at_least_zero(self, defect):
+        # a negative defect used to certify, and then pushed the chains'
+        # allowance below zero
+        message = f"^gram_defect must be a real number >= 0, got {re.escape(repr(defect))}$"
+        with pytest.raises(ValueError, match=message):
+            OrthonormalFamily(np.array([[3.0, 0.0]]), defect)
+
+    @pytest.mark.parametrize(
+        "defect, certified",
+        [(0.0, True), (-0.0, True), (0, True), (np.float64(1e-12), True), (1.0, False),
+         (math.nan, False), (math.inf, False)],
+    )
+    def test_family_gram_defect_of_at_least_zero_or_nan_is_kept(self, defect, certified):
+        # NaN and +inf are what from_members measures for an overflowing family
+        fam = OrthonormalFamily(np.eye(2), defect)
+        assert fam.gram_defect is defect and fam.certified == certified
+
     @pytest.mark.parametrize("tolerance", [0.0, 1e-3, 0.5])
     def test_family_tolerance_up_to_one_over_size_accepted(self, tolerance):
         ctx = SpaceContext(REAL, 2)
